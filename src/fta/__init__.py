@@ -11,7 +11,6 @@ from .automaton import (
     Assignment,
     Automaton,
     RunTrace,
-    accepts,
     canonical_ground,
     check_assignment,
     enumerate_assignments,

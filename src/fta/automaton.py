@@ -44,7 +44,6 @@ from .terms import (
     Var,
     render_term,
     substitute,
-    variables,
 )
 
 #: Default cap on exhaustive searches (assignments or candidate pairs
@@ -347,18 +346,6 @@ def partial_run(aut: Automaton, gamma: Mapping[int, str], t: Term) -> Term:
         return Node(node.symbol, kids)
 
     return collapse(grounded)
-
-
-def accepts(aut: Automaton, t: Term, *, budget: int = DEFAULT_BUDGET) -> Assignment | None:
-    """First assignment (in enumeration order) reaching a final state.
-
-    Returns None when no assignment is accepting.  Ground terms need the
-    single empty assignment, so acceptance is a plain evaluation.
-    """
-    for gamma in enumerate_assignments(variables(t), aut.signature, budget=budget):
-        if run(aut, gamma, t).result in aut.final:
-            return gamma
-    return None
 
 
 def canonical_ground(aut: Automaton) -> dict[str, Term]:

@@ -49,7 +49,6 @@ __all__ = [
     "WitnessPair",
     "EssentialityReport",
     "SeparabilityResult",
-    "enumerate_assignments",
     "is_essential_subtree",
     "essential_positions",
     "essential_vars",

@@ -26,7 +26,7 @@ from .automaton import (
     run,
 )
 from .errors import FtaError, PremiseViolatedError
-from .essential import _RunCache, _witness_at, essential_positions
+from .essential import EssentialityReport, essential_positions, is_essential_subtree
 from .terms import (
     Node,
     Position,
@@ -56,11 +56,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ReductionReport:
+    """A pruned term, with the essentiality report of the original term
+    that the frozen positions were chosen from."""
+
     original_nodes: int
     reduced_nodes: int
     determining_position: Position | None
     frozen_positions: PositionSet
     reduced_term: Term
+    essentiality: EssentialityReport
 
 
 def runs_equal_all(aut: Automaton, t: Term, t2: Term, *,
@@ -79,17 +83,29 @@ def determining_subtree(aut: Automaton, t: Term, *,
     term's state under every assignment; None when no such position
     exists.  Chosen for maximal savings: smallest subtree first, ties
     broken by the lexicographically least position."""
-    cache = _RunCache(aut, t)
     candidates = sorted(
         (p for p in positions(t) if p != ROOT),
         key=lambda p: (node_count(subterm_at(t, p)), p.indices),
     )
-    for p in candidates:
-        if not runs_equal_all(aut, t, subterm_at(t, p), budget=budget):
-            continue
-        if _witness_at(aut, t, p, budget, cache) is not None:
+    for p in _matching_positions(aut, t, candidates, budget):
+        if is_essential_subtree(aut, t, p, budget=budget) is not None:
             return p
     return None
+
+
+def _matching_positions(aut: Automaton, t: Term, candidates: list[Position],
+                        budget: int) -> list[Position]:
+    """The ``candidates`` whose subtree gets the whole term's state under
+    every assignment, in order.  A run of ``t`` gives each position its
+    subtree's state, so one run per assignment tests every candidate."""
+    if not candidates:
+        return []
+    for gamma in enumerate_assignments(variables(t), aut.signature, budget=budget):
+        tr = run(aut, gamma, t)
+        candidates = [p for p in candidates if tr.per_position[p] == tr.result]
+        if not candidates:
+            break
+    return candidates
 
 
 def fictive_from_determining(aut: Automaton, t: Term, p: Position, *,
@@ -106,13 +122,13 @@ def fictive_from_determining(aut: Automaton, t: Term, p: Position, *,
     claimed; a shared variable can flip the subtree and the root
     together, making such a position genuinely essential.
     """
-    if _witness_at(aut, t, p, budget, _RunCache(aut, t)) is None:
+    p_vars = variables(subterm_at(t, p))
+    if is_essential_subtree(aut, t, p, budget=budget) is None:
         raise PremiseViolatedError(f"position {p} is not essential")
-    if not runs_equal_all(aut, t, subterm_at(t, p), budget=budget):
+    if not _matching_positions(aut, t, [p], budget):
         raise PremiseViolatedError(
             f"the subtree at {p} does not match the term's state everywhere"
         )
-    p_vars = variables(subterm_at(t, p))
     claim = []
     for q in ind_positions(t, p):
         q_vars = variables(subterm_at(t, q))
@@ -172,6 +188,7 @@ def freeze_fictive(aut: Automaton, t: Term, *,
         determining_position=determining,
         frozen_positions=PositionSet(frozen),
         reduced_term=reduced,
+        essentiality=report,
     )
     if check:
         check_reduction(aut, t, result, budget=budget)

@@ -41,15 +41,9 @@ from .automaton import (
     run,
 )
 from .errors import EnumerationBudgetExceeded, InvalidPositionError
-from .essential import essential_positions, is_essential_subtree, is_separable
+from .essential import is_essential_subtree, is_separable
 from .generate import DEFAULT_SIGNATURE, GenParams, SplitMix64, random_automaton, random_term
-from .reduction import (
-    cost_report,
-    determining_subtree,
-    fictive_from_determining,
-    freeze_fictive,
-    runs_equal_all,
-)
+from .reduction import cost_report, fictive_from_determining, freeze_fictive, runs_equal_all
 from .terms import (
     Position,
     Signature,
@@ -178,21 +172,22 @@ def verify_properties(aut: Automaton, t: Term, *, budget: int = DEFAULT_BUDGET,
 
     pos = positions(t)
 
-    # The essentiality report backs properties 1, 3, 4 and 5.
-    ess_report = None
-    ess_error: EnumerationBudgetExceeded | None = None
+    # One reduction backs properties 1 and 3-7; it exceeds the budget
+    # exactly when its essentiality report does.
+    reduction = None
+    red_error: EnumerationBudgetExceeded | None = None
     try:
-        ess_report = essential_positions(aut, t, budget=budget)
+        reduction = freeze_fictive(aut, t, budget=budget)
     except EnumerationBudgetExceeded as exc:
-        ess_error = exc
+        red_error = exc
 
-    def need_report():
-        if ess_report is None:
-            raise ess_error
-        return ess_report
+    def need_reduction():
+        if reduction is None:
+            raise red_error
+        return reduction
 
     def p1():
-        rep = need_report()
+        rep = need_reduction().essentiality
         if not is_prefix_closed(rep.essential_positions):
             bad = [
                 str(p) for p in rep.essential_positions
@@ -209,25 +204,25 @@ def verify_properties(aut: Automaton, t: Term, *, budget: int = DEFAULT_BUDGET,
         ]
 
     def p3():
-        rep = need_report()
+        rep = need_reduction().essentiality
         if not is_prefix_determined(rep.fictive_positions, pos):
             return ["fictive positions not prefix determined"]
         return []
 
     def p4():
-        rep = need_report()
-        det = determining_subtree(aut, t, budget=budget)
+        red = need_reduction()
+        det = red.determining_position
         if det is None:
             return []
         claim = fictive_from_determining(aut, t, det, budget=budget)
         return [
             f"claimed-fictive position {q} is essential (determining subtree {det})"
             for q in claim
-            if q not in rep.fictive_positions
+            if q not in red.essentiality.fictive_positions
         ]
 
     def p5():
-        rep = need_report()
+        rep = need_reduction().essentiality
         details = []
         for p in rep.essential_positions:
             if not is_separable(aut, t, [p], budget=budget).separable:
@@ -242,9 +237,10 @@ def verify_properties(aut: Automaton, t: Term, *, budget: int = DEFAULT_BUDGET,
         return details
 
     def p6():
+        rep = need_reduction().essentiality
         details = []
         for p in pos:
-            fast = is_essential_subtree(aut, t, p, budget=budget) is not None
+            fast = p in rep.essential_positions
             slow = essential_by_definition(aut, t, p, budget=budget)
             if fast != slow:
                 details.append(
@@ -253,7 +249,7 @@ def verify_properties(aut: Automaton, t: Term, *, budget: int = DEFAULT_BUDGET,
         return details
 
     def p7():
-        red = freeze_fictive(aut, t, budget=budget)
+        red = need_reduction()
         details = []
         if not runs_equal_all(aut, t, red.reduced_term, budget=budget):
             details.append(f"pruning to {render_term(red.reduced_term)} changed a run result")

@@ -7,7 +7,6 @@ from fta import (
     UnboundVariableError,
     UnknownSymbolError,
     ValidationError,
-    accepts,
     canonical_ground,
     enumerate_assignments,
     EnumerationBudgetExceeded,
@@ -141,17 +140,6 @@ class TestPartialRun:
 
     def test_matches_run_on_total(self, aut, term):
         assert partial_run(aut, G1, term) == StateLeaf(run(aut, G1, term).result)
-
-
-class TestAccepts:
-    def test_sample_term_first_witness(self, aut, term):
-        assert accepts(aut, term) == {1: "0", 2: "0", 3: "0", 4: "0"}
-
-    def test_rejected_ground_term(self, sig, aut):
-        assert accepts(aut, parse_term("f1(0,1)", sig)) is None
-
-    def test_accepted_ground_term_has_empty_witness(self, sig, aut):
-        assert accepts(aut, parse_term("1", sig)) == {}
 
 
 class TestEnumerateAssignments:

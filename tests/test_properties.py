@@ -16,8 +16,6 @@ from fta import (
     SplitMix64,
     StateLeaf,
     Var,
-    accepts,
-    enumerate_assignments,
     essential_by_definition,
     essential_positions,
     is_essential_subtree,
@@ -188,18 +186,3 @@ def test_witnesses_self_verify(aut, t):
         assert w.verify(aut, t)
     assert (report.essential_positions | report.fictive_positions) == positions(t)
 
-
-@settings(max_examples=30, deadline=None)
-@given(automata(), terms(max_leaves=6, max_var=3))
-def test_accepts_returns_first_accepting_assignment(aut, t):
-    witness = accepts(aut, t)
-    seen = False
-    for gamma in enumerate_assignments(variables(t), SIG):
-        accepting = run(aut, gamma, t).result in aut.final
-        if witness is not None and gamma == witness:
-            assert accepting
-            seen = True
-            break
-        assert not accepting
-    if witness is None:
-        assert not seen

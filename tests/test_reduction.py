@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import assume, given, settings
 
 from fta import (
     PremiseViolatedError,
@@ -6,15 +7,20 @@ from fta import (
     check_reduction,
     cost_report,
     determining_subtree,
+    essential_by_definition,
     essential_positions,
     fictive_from_determining,
     freeze_fictive,
+    node_count,
     parse_term,
+    positions,
     runs_equal_all,
     subterm_at,
+    variable_positions,
 )
 
 from conftest import P, PS
+from test_properties import automata, terms
 
 
 class TestRunsEqualAll:
@@ -41,6 +47,31 @@ class TestDeterminingSubtree:
 
     def test_double_negation_collapses(self, sig, aut):
         assert determining_subtree(aut, parse_term("g(g(x1))", sig)) == P("1.1")
+
+    def test_single_node_term_never_enumerates(self, sig, aut):
+        # two assignments would exceed the budget, but a one-node term
+        # has no proper position to test
+        assert determining_subtree(aut, parse_term("x1", sig), budget=1) is None
+
+
+def determining_by_definition(aut, t):
+    """Smallest proper subtree (ties: least indices) that matches the
+    whole term under every assignment and is essential by the oracle."""
+    matching = [
+        p for p in positions(t)
+        if p != ROOT
+        and runs_equal_all(aut, t, subterm_at(t, p))
+        and essential_by_definition(aut, t, p)
+    ]
+    return min(matching, key=lambda p: (node_count(subterm_at(t, p)), p.indices),
+               default=None)
+
+
+@settings(max_examples=60, deadline=None)
+@given(automata(), terms(max_leaves=8, max_var=2))
+def test_determining_subtree_matches_definition_on_nonlinear_terms(aut, t):
+    assume(any(len(occ) > 1 for occ in variable_positions(t).values()))
+    assert determining_subtree(aut, t) == determining_by_definition(aut, t)
 
 
 class TestFictiveFromDetermining:

@@ -98,4 +98,6 @@ class TestBudgetHandling:
         t = parse_term(text, sig)
         report = verify_properties(aut, t)
         assert report.total_failures == 0
-        assert report.total_budget_exceeded > 0
+        assert {name: o.budget_exceeded for name, o in report.outcomes.items()} == {
+            name: int(name != "ind-prefix-determined") for name in PROPERTY_NAMES
+        }
