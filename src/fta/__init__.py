@@ -70,7 +70,6 @@ from .terms import (
     independent,
     is_prefix_closed,
     is_prefix_determined,
-    is_strong_chain,
     node_count,
     parse_term,
     positions,

@@ -235,11 +235,7 @@ def _report_json(report):
     return {
         name: {
             "instances_checked": o.instances_checked,
-            "failures": [
-                {"detail": f.detail, "automaton": f.automaton_text,
-                 "term": f.term_text, "seed": f.seed}
-                for f in o.failures
-            ],
+            "failures": [f.to_dict() for f in o.failures],
             "budget_exceeded": o.budget_exceeded,
         }
         for name, o in report.outcomes.items()

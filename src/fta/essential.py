@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .automaton import (
     DEFAULT_BUDGET,
@@ -37,6 +37,7 @@ from .terms import (
     Position,
     PositionSet,
     Term,
+    Var,
     ind_positions,
     independent,
     positions,
@@ -126,13 +127,14 @@ class _RunCache:
 
 
 def _witness_at(aut: Automaton, t: Term, p: Position, budget: int,
-                cache: _RunCache) -> WitnessPair | None:
+                trace: Callable[[Mapping[int, str]], RunTrace]) -> WitnessPair | None:
     """Canonical-first witness search, factored by the subtree's variables.
 
     The search space is: assignments to the variables outside the
     subtree, crossed with ordered pairs of assignments to the subtree's
     variables.  A subtree without variables always gets the same state,
-    so it can never be essential and the search is skipped.
+    so it can never be essential and the search is skipped.  ``trace``
+    runs ``t``; it is asked for each total assignment once.
     """
     inner = sorted(variables(subterm_at(t, p)))
     if not inner:
@@ -151,7 +153,7 @@ def _witness_at(aut: Automaton, t: Term, p: Position, budget: int,
         for inner_values in product(consts, repeat=len(inner)):
             gamma = dict(base)
             gamma.update(zip(inner, inner_values))
-            tr = cache.trace(gamma)
+            tr = trace(gamma)
             evaluated.append((gamma, tr.per_position[p], tr.result))
         for gamma1, sub1, root1 in evaluated:
             for gamma2, sub2, root2 in evaluated:
@@ -165,32 +167,36 @@ def is_essential_subtree(aut: Automaton, t: Term, p: Position, *,
     """Witness that the subtree occurrence at ``p`` is essential, or None."""
     if p not in positions(t):
         raise InvalidPositionError(f"{p} is not a position of the term")
-    return _witness_at(aut, t, p, budget, _RunCache(aut, t))
+    return _witness_at(aut, t, p, budget, lambda gamma: run(aut, gamma, t))
 
 
 def essential_positions(aut: Automaton, t: Term, *,
                         budget: int = DEFAULT_BUDGET) -> EssentialityReport:
     """Classify every position of ``t`` as essential or fictive.
 
-    The budget applies to each positional query separately.
+    The budget applies to each positional query separately.  The
+    essential variables are read from the verdicts: if the root flips
+    when only v changes, every leaf holding v flips too, so v is
+    essential exactly when its leaf occurrences are essential positions
+    (a pair witnessing such a leaf differs in v alone).
     """
-    cache = _RunCache(aut, t)
+    trace = _RunCache(aut, t).trace
     ess: list[Position] = []
     fict: list[Position] = []
     witnesses: dict[Position, WitnessPair] = {}
     for p in positions(t):
-        w = _witness_at(aut, t, p, budget, cache)
+        w = _witness_at(aut, t, p, budget, trace)
         if w is None:
             fict.append(p)
         else:
             ess.append(p)
             witnesses[p] = w
-    evars = essential_vars(aut, t, budget=budget, _cache=cache)
+    evars = frozenset(leaf.index for p in ess if isinstance(leaf := subterm_at(t, p), Var))
     return EssentialityReport(PositionSet(ess), PositionSet(fict), evars, witnesses)
 
 
-def essential_vars(aut: Automaton, t: Term, *, budget: int = DEFAULT_BUDGET,
-                   _cache: _RunCache | None = None) -> frozenset[int]:
+def essential_vars(aut: Automaton, t: Term, *,
+                   budget: int = DEFAULT_BUDGET) -> frozenset[int]:
     """Variables whose value alone can flip the term's resulting state.
 
     A variable is essential when two assignments differing only there
@@ -201,9 +207,8 @@ def essential_vars(aut: Automaton, t: Term, *, budget: int = DEFAULT_BUDGET,
     count = len(consts) ** len(vs)
     if count > budget:
         raise EnumerationBudgetExceeded(count, budget)
-    cache = _cache or _RunCache(aut, t)
     roots = {
-        values: cache.trace(dict(zip(vs, values))).result
+        values: run(aut, dict(zip(vs, values)), t).result
         for values in product(consts, repeat=len(vs))
     }
     result = set()
@@ -247,9 +252,9 @@ def is_separable(aut: Automaton, t: Term, ys: Iterable[Position],
     for y in ys:
         if y not in pos:
             raise InvalidPositionError(f"{y} is not a position of the term")
-    cache = _RunCache(aut, t)
+    trace = _RunCache(aut, t).trace
     for y in ys:
-        if _witness_at(aut, t, y, budget, cache) is None:
+        if _witness_at(aut, t, y, budget, trace) is None:
             raise NotEssentialError(f"position {y} is not essential")
     if zs is None:
         zset: set[Position] = set()
@@ -261,7 +266,7 @@ def is_separable(aut: Automaton, t: Term, ys: Iterable[Position],
         if not sets_independent(t, ys, zs):
             raise NotIndependentError("sets not independent")
         for z in zs:
-            if _witness_at(aut, t, z, budget, cache) is None:
+            if _witness_at(aut, t, z, budget, trace) is None:
                 raise NotEssentialError(f"position {z} is not essential")
 
     y_vars: set[int] = set()
@@ -274,7 +279,7 @@ def is_separable(aut: Automaton, t: Term, ys: Iterable[Position],
 
     for gamma in enumerate_assignments(domain, aut.signature, budget=budget):
         fixed = substitute(t, {v: Node(c) for v, c in gamma.items()})
-        fixed_cache = _RunCache(aut, fixed)
-        if all(_witness_at(aut, fixed, y, budget, fixed_cache) is not None for y in ys):
+        fixed_trace = _RunCache(aut, fixed).trace
+        if all(_witness_at(aut, fixed, y, budget, fixed_trace) is not None for y in ys):
             return SeparabilityResult(True, gamma)
     return SeparabilityResult(False, None)

@@ -26,7 +26,7 @@ from .automaton import (
     run,
 )
 from .errors import FtaError, PremiseViolatedError
-from .essential import EssentialityReport, essential_positions, is_essential_subtree
+from .essential import EssentialityReport, essential_positions
 from .terms import (
     Node,
     Position,
@@ -82,30 +82,36 @@ def determining_subtree(aut: Automaton, t: Term, *,
     """Proper position whose subtree is essential and matches the whole
     term's state under every assignment; None when no such position
     exists.  Chosen for maximal savings: smallest subtree first, ties
-    broken by the lexicographically least position."""
+    broken by the lexicographically least position.
+
+    A matching subtree's state is the root's and depends only on its own
+    variables, so it is essential exactly when the root state is not
+    constant; one pass over the assignments decides both conditions.
+    """
     candidates = sorted(
         (p for p in positions(t) if p != ROOT),
         key=lambda p: (node_count(subterm_at(t, p)), p.indices),
     )
-    for p in _matching_positions(aut, t, candidates, budget):
-        if is_essential_subtree(aut, t, p, budget=budget) is not None:
-            return p
-    return None
+    matching, root_varies = _matching_positions(aut, t, candidates, budget)
+    return matching[0] if matching and root_varies else None
 
 
 def _matching_positions(aut: Automaton, t: Term, candidates: list[Position],
-                        budget: int) -> list[Position]:
+                        budget: int) -> tuple[list[Position], bool]:
     """The ``candidates`` whose subtree gets the whole term's state under
-    every assignment, in order.  A run of ``t`` gives each position its
-    subtree's state, so one run per assignment tests every candidate."""
+    every assignment, in order, and whether the root state varies (exact
+    only if some candidate is left).  One run of ``t`` per assignment
+    gives every candidate its subtree's state."""
     if not candidates:
-        return []
+        return [], False
+    roots = set()
     for gamma in enumerate_assignments(variables(t), aut.signature, budget=budget):
         tr = run(aut, gamma, t)
+        roots.add(tr.result)
         candidates = [p for p in candidates if tr.per_position[p] == tr.result]
         if not candidates:
             break
-    return candidates
+    return candidates, len(roots) > 1
 
 
 def fictive_from_determining(aut: Automaton, t: Term, p: Position, *,
@@ -113,7 +119,9 @@ def fictive_from_determining(aut: Automaton, t: Term, p: Position, *,
     """Positions provably fictive given a determining subtree at ``p``.
 
     Requires the subtree at ``p`` to be essential and to match the whole
-    term's state under every assignment (else PremiseViolatedError).
+    term's state under every assignment (else PremiseViolatedError); as
+    in :func:`determining_subtree`, one pass checks both, after a
+    subtree without variables is rejected.
     The claim covers every position independent of ``p`` that brings at
     least one new variable and shares none with the subtree at ``p``:
     a witness for such a position would have to agree on the subtree's
@@ -123,12 +131,15 @@ def fictive_from_determining(aut: Automaton, t: Term, p: Position, *,
     together, making such a position genuinely essential.
     """
     p_vars = variables(subterm_at(t, p))
-    if is_essential_subtree(aut, t, p, budget=budget) is None:
+    if not p_vars:
         raise PremiseViolatedError(f"position {p} is not essential")
-    if not _matching_positions(aut, t, [p], budget):
+    matching, root_varies = _matching_positions(aut, t, [p], budget)
+    if not matching:
         raise PremiseViolatedError(
             f"the subtree at {p} does not match the term's state everywhere"
         )
+    if not root_varies:
+        raise PremiseViolatedError(f"position {p} is not essential")
     claim = []
     for q in ind_positions(t, p):
         q_vars = variables(subterm_at(t, q))

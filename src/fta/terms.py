@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Union
 
 from .errors import (
     ArityMismatchError,
@@ -454,19 +454,3 @@ def is_prefix_determined(ps: Iterable[Position], qs: Iterable[Position]) -> bool
     s = set(ps)
     return all(q in s for p in s for q in qs if p.is_prefix_of(q))
 
-
-def is_strong_chain(t: Term, chain: Sequence[Position]) -> bool:
-    """True iff consecutive entries step up by exactly one level.
-
-    The chain is listed deepest first; each entry must extend its
-    successor by a single child index, so no subtree occurrence lies
-    strictly between consecutive members.
-    """
-    pos = positions(t)
-    for p in chain:
-        if p not in pos:
-            raise InvalidPositionError(f"{p} is not a position of the term")
-    return all(
-        len(a.indices) == len(b.indices) + 1 and a.indices[:-1] == b.indices
-        for a, b in zip(chain, chain[1:])
-    )

@@ -79,14 +79,13 @@ class PropertyFailure:
     term_text: str
     seed: int | None = None
 
+    def to_dict(self) -> dict:
+        """The failure without its property name, which callers key by."""
+        return {"detail": self.detail, "automaton": self.automaton_text,
+                "term": self.term_text, "seed": self.seed}
+
     def to_json(self) -> str:
-        payload = {
-            "property": self.prop,
-            "detail": self.detail,
-            "automaton": self.automaton_text,
-            "term": self.term_text,
-            "seed": self.seed,
-        }
+        payload = {"property": self.prop, **self.to_dict()}
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
@@ -227,7 +226,8 @@ def verify_properties(aut: Automaton, t: Term, *, budget: int = DEFAULT_BUDGET,
         for p in rep.essential_positions:
             if not is_separable(aut, t, [p], budget=budget).separable:
                 continue
-            for cut in range(len(p.indices), -1, -1):
+            # cut 0 is the whole term, where the report already found p essential
+            for cut in range(len(p.indices), 0, -1):
                 prefix = Position(p.indices[:cut])
                 rel = p.suffix_after(prefix)
                 if is_essential_subtree(aut, subterm_at(t, prefix), rel, budget=budget) is None:

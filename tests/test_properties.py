@@ -18,10 +18,10 @@ from fta import (
     Var,
     essential_by_definition,
     essential_positions,
+    essential_vars,
     is_essential_subtree,
     is_prefix_closed,
     is_prefix_determined,
-    is_strong_chain,
     depth,
     freeze_fictive,
     ind_positions,
@@ -60,6 +60,24 @@ def terms(max_leaves=10, max_var=3):
     )
 
 
+@st.composite
+def nonlinear_terms(draw, max_leaves=8, max_var=2):
+    """Terms in which some variable occurs at two independent leaves:
+    one leaf on each side of a binary node is replaced by that variable,
+    and the node is wrapped in up to two unary symbols."""
+    halves = [draw(terms(max_leaves // 2, max_var)) for _ in range(2)]
+    v = Var(draw(st.integers(1, max_var)))
+    for i, half in enumerate(halves):
+        leaf = draw(st.sampled_from(
+            [p for p in positions(half) if node_count(subterm_at(half, p)) == 1]
+        ))
+        halves[i] = replace_at(half, leaf, v)
+    t = Node(draw(st.sampled_from(["f1", "f2"])), tuple(halves))
+    for _ in range(draw(st.integers(0, 2))):
+        t = Node("g", (t,))
+    return t
+
+
 def automata():
     return st.builds(
         lambda seed, states: random_automaton(GenParams(seed=seed, state_count=states)),
@@ -93,27 +111,6 @@ def test_depth_bound_with_equality_somewhere(t):
     gaps = [depth(subterm_at(t, p)) + len(p) for p in positions(t)]
     assert all(g <= d for g in gaps)
     assert d in gaps
-
-
-@given(terms(), st.data())
-def test_strong_chain_matches_positional_scan(t, data):
-    pos = sorted(positions(t), key=lambda p: p.order_key)
-    anchor = data.draw(st.sampled_from(pos))
-    prefixes = [anchor] + [
-        type(anchor)(anchor.indices[:i]) for i in range(len(anchor.indices) - 1, -1, -1)
-    ]
-    keep = data.draw(st.lists(st.booleans(), min_size=len(prefixes), max_size=len(prefixes)))
-    chain = [p for p, k in zip(prefixes, keep) if k]
-
-    def scan(chain):
-        for a, b in zip(chain, chain[1:]):
-            if not (b.is_prefix_of(a) and a != b):
-                return False
-            if any(b.is_prefix_of(q) and q != b and q.is_prefix_of(a) and q != a for q in pos):
-                return False
-        return True
-
-    assert is_strong_chain(t, chain) == scan(chain)
 
 
 @given(terms(), st.dictionaries(st.integers(1, 3), terms(max_leaves=4), max_size=3))
@@ -186,3 +183,9 @@ def test_witnesses_self_verify(aut, t):
         assert w.verify(aut, t)
     assert (report.essential_positions | report.fictive_positions) == positions(t)
 
+
+@settings(max_examples=40, deadline=None)
+@given(automata(), nonlinear_terms())
+def test_essential_vars_read_from_leaf_verdicts(aut, t):
+    # a variable is essential exactly when its leaf occurrences are
+    assert essential_positions(aut, t).essential_vars == essential_vars(aut, t)

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 
 from fta import (
     PremiseViolatedError,
@@ -16,11 +16,10 @@ from fta import (
     positions,
     runs_equal_all,
     subterm_at,
-    variable_positions,
 )
 
 from conftest import P, PS
-from test_properties import automata, terms
+from test_properties import automata, nonlinear_terms
 
 
 class TestRunsEqualAll:
@@ -48,6 +47,13 @@ class TestDeterminingSubtree:
     def test_double_negation_collapses(self, sig, aut):
         assert determining_subtree(aut, parse_term("g(g(x1))", sig)) == P("1.1")
 
+    def test_constant_root_has_none(self, sig, aut):
+        # the subtree at 1.1 matches the root under every assignment, but
+        # the root is constantly q0, so no subtree is essential
+        t = parse_term("g(g(f1(x1,0)))", sig)
+        assert runs_equal_all(aut, t, subterm_at(t, P("1.1")))
+        assert determining_subtree(aut, t) is None
+
     def test_single_node_term_never_enumerates(self, sig, aut):
         # two assignments would exceed the budget, but a one-node term
         # has no proper position to test
@@ -68,9 +74,8 @@ def determining_by_definition(aut, t):
 
 
 @settings(max_examples=60, deadline=None)
-@given(automata(), terms(max_leaves=8, max_var=2))
+@given(automata(), nonlinear_terms())
 def test_determining_subtree_matches_definition_on_nonlinear_terms(aut, t):
-    assume(any(len(occ) > 1 for occ in variable_positions(t).values()))
     assert determining_subtree(aut, t) == determining_by_definition(aut, t)
 
 
@@ -92,11 +97,17 @@ class TestFictiveFromDetermining:
         assert P("2") not in claim
         assert P("2.2") not in claim
 
-    def test_premises_checked(self, aut, term):
+    def test_premises_checked(self, sig, aut, term):
         with pytest.raises(PremiseViolatedError):
             fictive_from_determining(aut, term, P("2.1"))
         with pytest.raises(PremiseViolatedError):
             fictive_from_determining(aut, term, P("1.1"))
+        # 1.1 matches the root, but the root is constantly q0
+        with pytest.raises(PremiseViolatedError, match="not essential"):
+            fictive_from_determining(aut, parse_term("g(g(f1(x1,0)))", sig), P("1.1"))
+        # a ground subtree is rejected before the two assignments are counted
+        with pytest.raises(PremiseViolatedError, match="not essential"):
+            fictive_from_determining(aut, parse_term("f1(x1,g(0))", sig), P("2"), budget=1)
 
 
 class TestFreezeFictive:

@@ -17,7 +17,6 @@ from fta import (
     independent,
     is_prefix_closed,
     is_prefix_determined,
-    is_strong_chain,
     node_count,
     parse_term,
     positions,
@@ -270,38 +269,3 @@ class TestPrefixPredicates:
         for p in positions(term):
             assert is_prefix_determined(ind_positions(term, p), positions(term))
 
-
-class TestStrongChain:
-    def test_examples(self, term):
-        assert is_strong_chain(term, [P("1.1.1"), P("1.1"), P("1"), ROOT])
-        assert not is_strong_chain(term, [P("1.1.1"), P("1"), ROOT])
-        assert is_strong_chain(term, [P("2")])
-        assert is_strong_chain(term, [])
-
-    def test_requires_membership(self, term):
-        with pytest.raises(InvalidPositionError):
-            is_strong_chain(term, [P("9"), ROOT])
-
-    def test_agrees_with_positional_scan(self, term):
-        # no position of the term lies strictly between consecutive entries
-        pos = positions(term)
-
-        def oracle(chain):
-            for a, b in zip(chain, chain[1:]):
-                if not (b.is_prefix_of(a) and a != b):
-                    return False
-                if any(b.is_prefix_of(q) and q != b and q.is_prefix_of(a) and q != a
-                       for q in pos):
-                    return False
-            return True
-
-        chains = [
-            [P("1.1.1"), P("1.1"), P("1"), ROOT],
-            [P("1.1.1"), P("1"), ROOT],
-            [P("2.1.1.2.1"), P("2.1.1.2"), P("2.1.1")],
-            [P("2"), ROOT],
-            [ROOT, P("1")],
-            [P("2.2.1"), P("2.1")],
-        ]
-        for chain in chains:
-            assert is_strong_chain(term, chain) == oracle(chain)
