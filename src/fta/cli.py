@@ -297,11 +297,13 @@ def cmd_verify(args) -> int:
     return 0
 
 
-def _budget(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("budget must be at least 1")
-    return value
+def _at_least(minimum: int):
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}")
+        return value
+    return integer
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -313,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="machine-readable output")
-    common.add_argument("--max-assignments", type=_budget, default=DEFAULT_BUDGET,
+    common.add_argument("--max-assignments", type=_at_least(1), default=DEFAULT_BUDGET,
                         metavar="N", help="enumeration budget per query")
 
     term_src = argparse.ArgumentParser(add_help=False)
@@ -366,9 +368,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--random", action="store_true", help="check seeded random instances")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--count", type=int, default=100)
-    p.add_argument("--max-depth", type=int, default=4)
-    p.add_argument("--max-vars", type=int, default=4)
-    p.add_argument("--max-states", type=int, default=3)
+    p.add_argument("--max-depth", type=_at_least(0), default=4)
+    p.add_argument("--max-vars", type=_at_least(0), default=4)
+    p.add_argument("--max-states", type=_at_least(1), default=3)
     p.add_argument("--failure-dir", default="fta-failures",
                    help="where failure artifacts are written")
     p.add_argument("--replay", metavar="FILE", help="re-run a failure artifact")

@@ -190,15 +190,6 @@ class PositionSet:
     def __hash__(self) -> int:
         return hash(self._set)
 
-    def __or__(self, other: Iterable[Position]) -> "PositionSet":
-        return PositionSet(self._set | frozenset(other))
-
-    def __and__(self, other: Iterable[Position]) -> "PositionSet":
-        return PositionSet(self._set & frozenset(other))
-
-    def __sub__(self, other: Iterable[Position]) -> "PositionSet":
-        return PositionSet(self._set - frozenset(other))
-
     def __repr__(self) -> str:
         return "{" + ", ".join(str(p) for p in self._sorted) + "}"
 

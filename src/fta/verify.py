@@ -12,9 +12,9 @@ Seven properties are checked per (automaton, term) instance:
    positions it certifies as prunable are indeed fictive.
 5. separable-strong-chain: a separable essential position stays
    essential in every subterm along the one-level-at-a-time chain up to
-   the root.
+   the root; every essential position is separable on its own.
 6. oracle-agreement: the factored essentiality search agrees with a
-   direct double loop over all assignment pairs.
+   direct double loop over all pairs of once-run total assignments.
 7. prune-soundness: pruning preserves every run result and its node
    accounting is consistent.
 
@@ -40,12 +40,13 @@ from .automaton import (
     render_automaton,
     run,
 )
-from .errors import EnumerationBudgetExceeded, InvalidPositionError
-from .essential import is_essential_subtree, is_separable
+from .errors import EnumerationBudgetExceeded, FtaError
+from .essential import is_essential_subtree
 from .generate import DEFAULT_SIGNATURE, GenParams, SplitMix64, random_automaton, random_term
 from .reduction import cost_report, fictive_from_determining, freeze_fictive, runs_equal_all
 from .terms import (
     Position,
+    PositionSet,
     Signature,
     Term,
     is_prefix_closed,
@@ -121,34 +122,36 @@ class PropertyReport:
             mine.budget_exceeded += o.budget_exceeded
 
 
-def essential_by_definition(aut: Automaton, t: Term, p: Position, *,
-                            budget: int = DEFAULT_BUDGET) -> bool:
-    """Direct double loop over all pairs of total assignments.
+def essential_by_definition(aut: Automaton, t: Term, *,
+                            budget: int = DEFAULT_BUDGET) -> PositionSet:
+    """Essential positions of ``t`` by a direct double loop over all
+    pairs of total assignments.
 
-    Keeps none of the factored-search structure: pairs are filtered by
-    the agreement condition after the fact.  Used as the independent
-    oracle for :func:`fta.essential.is_essential_subtree`.
+    Keeps none of the factored-search structure: each total assignment
+    is run once, and at every position all pairs are filtered by the
+    agreement condition after the fact.  Used as the independent oracle
+    for :func:`fta.essential.essential_positions`.
     """
-    if p not in positions(t):
-        raise InvalidPositionError(f"{p} is not a position of the term")
     vs = sorted(variables(t))
-    inner = variables(subterm_at(t, p))
-    outer_idx = [i for i, v in enumerate(vs) if v not in inner]
     consts = aut.signature.constants
     count = len(consts) ** len(vs)
     if count * count > budget:
         raise EnumerationBudgetExceeded(count * count, budget)
-    evaluated = []
-    for values in product(consts, repeat=len(vs)):
-        tr = run(aut, dict(zip(vs, values)), t)
-        evaluated.append((values, tr.per_position[p], tr.result))
-    for values1, sub1, root1 in evaluated:
-        for values2, sub2, root2 in evaluated:
-            if any(values1[i] != values2[i] for i in outer_idx):
-                continue
-            if sub1 != sub2 and root1 != root2:
-                return True
-    return False
+    runs = [(values, run(aut, dict(zip(vs, values)), t))
+            for values in product(consts, repeat=len(vs))]
+
+    def essential(p: Position) -> bool:
+        inner = variables(subterm_at(t, p))
+        outer_idx = [i for i, v in enumerate(vs) if v not in inner]
+        evaluated = [(values, tr.per_position[p], tr.result) for values, tr in runs]
+        return any(
+            sub1 != sub2 and root1 != root2
+            for values1, sub1, root1 in evaluated
+            for values2, sub2, root2 in evaluated
+            if all(values1[i] == values2[i] for i in outer_idx)
+        )
+
+    return PositionSet(p for p in positions(t) if essential(p))
 
 
 def verify_properties(aut: Automaton, t: Term, *, budget: int = DEFAULT_BUDGET,
@@ -157,17 +160,6 @@ def verify_properties(aut: Automaton, t: Term, *, budget: int = DEFAULT_BUDGET,
     report = PropertyReport.empty()
     aut_text = render_automaton(aut)
     term_text = render_term(t)
-
-    def attempt(name: str, fn) -> None:
-        outcome = report.outcomes[name]
-        outcome.instances_checked += 1
-        try:
-            details = fn()
-        except EnumerationBudgetExceeded:
-            outcome.budget_exceeded += 1
-            return
-        for detail in details:
-            outcome.failures.append(PropertyFailure(name, detail, aut_text, term_text, seed))
 
     pos = positions(t)
 
@@ -221,11 +213,16 @@ def verify_properties(aut: Automaton, t: Term, *, budget: int = DEFAULT_BUDGET,
         ]
 
     def p5():
+        """Every essential position p is separable on its own: with the
+        default ``zs``, ``is_separable(aut, t, [p])`` fixes exactly the
+        variables outside p (each such leaf is independent of p), so it
+        is separable iff p is essential, its witness is the ``gamma1``
+        of p's witness restricted to them, and it enumerates no more
+        than the search at p, within a budget the report already met.
+        """
         rep = need_reduction().essentiality
         details = []
         for p in rep.essential_positions:
-            if not is_separable(aut, t, [p], budget=budget).separable:
-                continue
             # cut 0 is the whole term, where the report already found p essential
             for cut in range(len(p.indices), 0, -1):
                 prefix = Position(p.indices[:cut])
@@ -238,15 +235,13 @@ def verify_properties(aut: Automaton, t: Term, *, budget: int = DEFAULT_BUDGET,
 
     def p6():
         rep = need_reduction().essentiality
-        details = []
-        for p in pos:
-            fast = p in rep.essential_positions
-            slow = essential_by_definition(aut, t, p, budget=budget)
-            if fast != slow:
-                details.append(
-                    f"essentiality of {p}: search says {fast}, enumeration says {slow}"
-                )
-        return details
+        oracle = essential_by_definition(aut, t, budget=budget)
+        return [
+            f"essentiality of {p}: search says {p in rep.essential_positions},"
+            f" enumeration says {p in oracle}"
+            for p in pos
+            if (p in rep.essential_positions) != (p in oracle)
+        ]
 
     def p7():
         red = need_reduction()
@@ -258,13 +253,16 @@ def verify_properties(aut: Automaton, t: Term, *, budget: int = DEFAULT_BUDGET,
             details.append(f"inconsistent node accounting: {original} -> {reduced}")
         return details
 
-    attempt(PROPERTY_NAMES[0], p1)
-    attempt(PROPERTY_NAMES[1], p2)
-    attempt(PROPERTY_NAMES[2], p3)
-    attempt(PROPERTY_NAMES[3], p4)
-    attempt(PROPERTY_NAMES[4], p5)
-    attempt(PROPERTY_NAMES[5], p6)
-    attempt(PROPERTY_NAMES[6], p7)
+    for name, check in zip(PROPERTY_NAMES, (p1, p2, p3, p4, p5, p6, p7)):
+        outcome = report.outcomes[name]
+        outcome.instances_checked += 1
+        try:
+            details = check()
+        except EnumerationBudgetExceeded:
+            outcome.budget_exceeded += 1
+            continue
+        for detail in details:
+            outcome.failures.append(PropertyFailure(name, detail, aut_text, term_text, seed))
     return report
 
 
@@ -288,7 +286,13 @@ def check_random_instances(*, seed: int, count: int,
 
 def replay_failure(artifact_json: str, *, budget: int = DEFAULT_BUDGET) -> PropertyReport:
     """Re-run the suite on a serialized failure artifact."""
-    payload = json.loads(artifact_json)
+    try:
+        payload = json.loads(artifact_json)
+    except json.JSONDecodeError as exc:
+        raise FtaError(f"replay artifact is not JSON: {exc}") from None
+    for key in ("automaton", "term"):
+        if not isinstance(payload, dict) or not isinstance(payload.get(key), str):
+            raise FtaError(f"replay artifact has no {key!r} string")
     sig, aut = parse_automaton(payload["automaton"])
     t = parse_term(payload["term"], sig)
     return verify_properties(aut, t, budget=budget, seed=payload.get("seed"))

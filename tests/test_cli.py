@@ -173,6 +173,28 @@ class TestVerify:
     def test_missing_inputs(self, capsys):
         assert main(["verify"]) == 2
 
+    @pytest.mark.parametrize("options, artifact", [
+        (["--random", "--max-depth", "-1"], None),
+        (["--random", "--max-vars", "-1"], None),
+        (["--random", "--max-states", "0"], None),
+        ([], "not json"),
+        ([], json.dumps({"term": "x1"})),
+        ([], json.dumps({"automaton": SAMPLE_AUTOMATON})),
+    ], ids=["max-depth", "max-vars", "max-states", "not-json", "no-automaton", "no-term"])
+    def test_bad_input_is_usage_error(self, tmp_path, capsys, options, artifact):
+        if artifact is not None:
+            path = tmp_path / "artifact.json"
+            path.write_text(artifact, encoding="utf-8")
+            options = ["--replay", str(path)]
+        try:
+            rc = main(["verify", *options])
+        except SystemExit as exc:
+            rc = exc.code
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "error:" in err
+        assert "Traceback" not in err
+
     def test_failure_artifacts_and_replay(self, aut_file, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
         rc = main(["verify", aut_file, "-t", "f2(f1(x1,g(x1)),x1)",

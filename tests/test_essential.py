@@ -71,7 +71,7 @@ class TestReport:
         rep = essential_positions(aut, term)
         assert rep.essential_positions == ESSENTIAL
         assert rep.fictive_positions == FICTIVE
-        assert (rep.essential_positions | rep.fictive_positions) == positions(term)
+        assert set(rep.essential_positions) | set(rep.fictive_positions) == positions(term)
         assert not (set(rep.essential_positions) & set(rep.fictive_positions))
 
     def test_prefix_closed_on_sample(self, aut, term):

@@ -22,6 +22,7 @@ from fta import (
     is_essential_subtree,
     is_prefix_closed,
     is_prefix_determined,
+    is_separable,
     depth,
     freeze_fictive,
     ind_positions,
@@ -30,6 +31,7 @@ from fta import (
     partial_run,
     positions,
     random_automaton,
+    random_term,
     render_term,
     replace_at,
     run,
@@ -76,6 +78,11 @@ def nonlinear_terms(draw, max_leaves=8, max_var=2):
     for _ in range(draw(st.integers(0, 2))):
         t = Node("g", (t,))
     return t
+
+
+def linear_terms():
+    """Terms without repeated variables, as the seeded generator draws them."""
+    return st.builds(lambda seed: random_term(GenParams(seed=seed)), st.integers(0, 2 ** 32))
 
 
 def automata():
@@ -170,9 +177,10 @@ def test_freeze_is_sound_even_with_repeated_variables(aut, t):
 @settings(max_examples=30, deadline=None)
 @given(automata(), terms(max_leaves=7, max_var=3))
 def test_search_agrees_with_enumeration_oracle(aut, t):
+    oracle = essential_by_definition(aut, t)
     for p in positions(t):
         fast = is_essential_subtree(aut, t, p) is not None
-        assert essential_by_definition(aut, t, p) == fast
+        assert (p in oracle) == fast
 
 
 @settings(max_examples=30, deadline=None)
@@ -181,7 +189,7 @@ def test_witnesses_self_verify(aut, t):
     report = essential_positions(aut, t)
     for w in report.witnesses.values():
         assert w.verify(aut, t)
-    assert (report.essential_positions | report.fictive_positions) == positions(t)
+    assert set(report.essential_positions) | set(report.fictive_positions) == positions(t)
 
 
 @settings(max_examples=40, deadline=None)
@@ -189,3 +197,25 @@ def test_witnesses_self_verify(aut, t):
 def test_essential_vars_read_from_leaf_verdicts(aut, t):
     # a variable is essential exactly when its leaf occurrences are
     assert essential_positions(aut, t).essential_vars == essential_vars(aut, t)
+
+
+def assert_essential_positions_separable_alone(aut, t):
+    # verify's p5 relies on this instead of calling is_separable
+    report = essential_positions(aut, t)
+    for p, w in report.witnesses.items():
+        outer = variables(t) - variables(subterm_at(t, p))
+        result = is_separable(aut, t, [p])
+        assert result.separable
+        assert result.witness == {v: w.gamma1[v] for v in outer}
+
+
+@settings(max_examples=40, deadline=None)
+@given(automata(), linear_terms())
+def test_essential_position_separable_alone_on_linear_terms(aut, t):
+    assert_essential_positions_separable_alone(aut, t)
+
+
+@settings(max_examples=40, deadline=None)
+@given(automata(), nonlinear_terms())
+def test_essential_position_separable_alone_on_nonlinear_terms(aut, t):
+    assert_essential_positions_separable_alone(aut, t)

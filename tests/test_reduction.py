@@ -63,11 +63,12 @@ class TestDeterminingSubtree:
 def determining_by_definition(aut, t):
     """Smallest proper subtree (ties: least indices) that matches the
     whole term under every assignment and is essential by the oracle."""
+    oracle = essential_by_definition(aut, t)
     matching = [
         p for p in positions(t)
         if p != ROOT
         and runs_equal_all(aut, t, subterm_at(t, p))
-        and essential_by_definition(aut, t, p)
+        and p in oracle
     ]
     return min(matching, key=lambda p: (node_count(subterm_at(t, p)), p.indices),
                default=None)

@@ -1,7 +1,10 @@
 import json
 
+import pytest
+
 from fta import (
     PROPERTY_NAMES,
+    EnumerationBudgetExceeded,
     check_random_instances,
     essential_by_definition,
     is_essential_subtree,
@@ -30,13 +33,22 @@ class TestSuiteOnSample:
 
 class TestOracle:
     def test_matches_search_on_sample(self, aut, term):
+        oracle = essential_by_definition(aut, term)
         for p in positions(term):
             fast = is_essential_subtree(aut, term, p) is not None
-            assert essential_by_definition(aut, term, p) == fast
+            assert (p in oracle) == fast
 
     def test_known_verdicts(self, aut, term):
-        assert essential_by_definition(aut, term, P("1.1"))
-        assert not essential_by_definition(aut, term, P("2.1"))
+        oracle = essential_by_definition(aut, term)
+        assert P("1.1") in oracle
+        assert P("2.1") not in oracle
+
+    def test_budget_counts_pairs_of_total_assignments(self, aut, term):
+        # four variables over two constants: 16 assignments, 256 pairs
+        assert essential_by_definition(aut, term, budget=256)
+        with pytest.raises(EnumerationBudgetExceeded) as info:
+            essential_by_definition(aut, term, budget=255)
+        assert (info.value.required, info.value.cap) == (256, 255)
 
 
 class TestRandomBatch:
