@@ -43,7 +43,6 @@ from .terms import (
     Term,
     Var,
     render_term,
-    substitute,
 )
 
 #: Default cap on exhaustive searches (assignments or candidate pairs
@@ -300,6 +299,11 @@ def run(aut: Automaton, gamma: Mapping[int, str], t: Term) -> RunTrace:
 
     ``gamma`` must bind every variable of ``t``; bindings for other
     variables are ignored (runs only depend on the variables that occur).
+
+    A variable leaf bound to the constant c gets the state of the leaf c.
+    So fixing some variables of ``t`` to constants needs no substituted
+    copy: the state at each position of the fixed term is the state that
+    ``t``'s run has there under any assignment extending those values.
     """
     check_assignment(aut.signature, gamma)
     per: dict[Position, str] = {}
@@ -327,17 +331,18 @@ def run(aut: Automaton, gamma: Mapping[int, str], t: Term) -> RunTrace:
 def partial_run(aut: Automaton, gamma: Mapping[int, str], t: Term) -> Term:
     """Reduce ``t`` as far as the (possibly partial) ``gamma`` allows.
 
-    Substitutes the bound variables, then collapses every node whose
-    children are all state leaves (constants included) into its state
-    leaf, to fixpoint.  A total assignment yields a single state leaf
-    equal to the run result; unbound variables block reduction above
-    them.  A single bottom-up pass reaches the fixpoint, and the result
-    is independent of collapse order.
+    Turns every bound variable into its constant's state leaf (see
+    :func:`run`) and collapses every node whose children are all state
+    leaves into its state leaf, to fixpoint.  A total assignment yields
+    a single state leaf equal to the run result; unbound variables block
+    reduction above them.  One bottom-up pass reaches the fixpoint, and
+    the result is independent of collapse order.
     """
     check_assignment(aut.signature, gamma)
-    grounded = substitute(t, {v: Node(c) for v, c in gamma.items()})
 
     def collapse(node: Term) -> Term:
+        if isinstance(node, Var) and node.index in gamma:
+            return StateLeaf(aut.step(gamma[node.index], ()))
         if isinstance(node, (Var, StateLeaf)):
             return node
         kids = tuple(collapse(c) for c in node.children)
@@ -345,7 +350,7 @@ def partial_run(aut: Automaton, gamma: Mapping[int, str], t: Term) -> Term:
             return StateLeaf(aut.step(node.symbol, tuple(k.state for k in kids)))
         return Node(node.symbol, kids)
 
-    return collapse(grounded)
+    return collapse(t)
 
 
 def canonical_ground(aut: Automaton) -> dict[str, Term]:

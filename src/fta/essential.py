@@ -33,16 +33,13 @@ from .errors import (
     NotIndependentError,
 )
 from .terms import (
-    Node,
     Position,
     PositionSet,
     Term,
     Var,
-    ind_positions,
     independent,
     positions,
     subterm_at,
-    substitute,
     variables,
 )
 
@@ -127,19 +124,23 @@ class _RunCache:
 
 
 def _witness_at(aut: Automaton, t: Term, p: Position, budget: int,
-                trace: Callable[[Mapping[int, str]], RunTrace]) -> WitnessPair | None:
+                trace: Callable[[Mapping[int, str]], RunTrace],
+                fixed: Assignment | None = None) -> WitnessPair | None:
     """Canonical-first witness search, factored by the subtree's variables.
 
     The search space is: assignments to the variables outside the
     subtree, crossed with ordered pairs of assignments to the subtree's
     variables.  A subtree without variables always gets the same state,
     so it can never be essential and the search is skipped.  ``trace``
-    runs ``t``; it is asked for each total assignment once.
+    runs ``t``; it is asked for each total assignment once.  Outer
+    variables bound by ``fixed`` stay fixed (see :func:`fta.automaton.run`)
+    and only the ones it leaves free are enumerated.
     """
     inner = sorted(variables(subterm_at(t, p)))
     if not inner:
         return None
-    outer = sorted(variables(t) - set(inner))
+    fixed = fixed or {}
+    outer = sorted(variables(t) - set(inner) - set(fixed))
     consts = aut.signature.constants
     n_inner = len(consts) ** len(inner)
     n_outer = len(consts) ** len(outer)
@@ -148,7 +149,7 @@ def _witness_at(aut: Automaton, t: Term, p: Position, budget: int,
         raise EnumerationBudgetExceeded(total_pairs, budget)
 
     for outer_values in product(consts, repeat=len(outer)):
-        base = dict(zip(outer, outer_values))
+        base = fixed | dict(zip(outer, outer_values))
         evaluated = []
         for inner_values in product(consts, repeat=len(inner)):
             gamma = dict(base)
@@ -241,11 +242,14 @@ def is_separable(aut: Automaton, t: Term, ys: Iterable[Position],
     """Can the ``ys`` stay essential after fixing the other set's variables?
 
     Searches for an assignment to D = (variables under ``zs``) minus
-    (variables under ``ys``) whose substitution leaves every position of
-    ``ys`` essential; the first such assignment in canonical order is the
-    witness.  When ``zs`` is omitted it defaults to all positions
-    independent of some member of ``ys``; the explicit form additionally
-    requires ``zs`` to be essential and independent of ``ys``.
+    (variables under ``ys``) that leaves every position of ``ys``
+    essential once D is fixed; the first such assignment in canonical
+    order is the witness.  Each one is checked on ``t`` itself with D
+    bound (see :func:`fta.automaton.run`).  When ``zs`` is omitted it
+    defaults to all positions independent of some member of ``ys``, so
+    D is every variable occurring outside the ``ys``; the explicit form
+    additionally requires ``zs`` to be essential and independent of
+    ``ys``.
     """
     pos = positions(t)
     ys = sorted(set(ys), key=lambda p: p.order_key)
@@ -256,11 +260,9 @@ def is_separable(aut: Automaton, t: Term, ys: Iterable[Position],
     for y in ys:
         if _witness_at(aut, t, y, budget, trace) is None:
             raise NotEssentialError(f"position {y} is not essential")
+    y_vars = set().union(*(variables(subterm_at(t, y)) for y in ys))
     if zs is None:
-        zset: set[Position] = set()
-        for y in ys:
-            zset |= set(ind_positions(t, y))
-        zs = sorted(zset, key=lambda p: p.order_key)
+        z_vars = variables(t) if ys else frozenset()
     else:
         zs = sorted(set(zs), key=lambda p: p.order_key)
         if not sets_independent(t, ys, zs):
@@ -268,18 +270,10 @@ def is_separable(aut: Automaton, t: Term, ys: Iterable[Position],
         for z in zs:
             if _witness_at(aut, t, z, budget, trace) is None:
                 raise NotEssentialError(f"position {z} is not essential")
-
-    y_vars: set[int] = set()
-    for y in ys:
-        y_vars |= variables(subterm_at(t, y))
-    z_vars: set[int] = set()
-    for z in zs:
-        z_vars |= variables(subterm_at(t, z))
-    domain = sorted(z_vars - y_vars)
+        z_vars = set().union(*(variables(subterm_at(t, z)) for z in zs))
+    domain = z_vars - y_vars
 
     for gamma in enumerate_assignments(domain, aut.signature, budget=budget):
-        fixed = substitute(t, {v: Node(c) for v, c in gamma.items()})
-        fixed_trace = _RunCache(aut, fixed).trace
-        if all(_witness_at(aut, fixed, y, budget, fixed_trace) is not None for y in ys):
+        if all(_witness_at(aut, t, y, budget, trace, gamma) is not None for y in ys):
             return SeparabilityResult(True, gamma)
     return SeparabilityResult(False, None)

@@ -28,7 +28,6 @@ from .automaton import (
 from .errors import FtaError, PremiseViolatedError
 from .essential import EssentialityReport, essential_positions
 from .terms import (
-    Node,
     Position,
     PositionSet,
     ROOT,
@@ -38,7 +37,6 @@ from .terms import (
     positions,
     replace_at,
     subterm_at,
-    substitute,
     variable_positions,
     variables,
 )
@@ -155,7 +153,9 @@ def freeze_fictive(aut: Automaton, t: Term, *,
     Every maximal fictive position whose variables occur only inside its
     subtree is frozen: the variables are fixed to the first constants
     and the resulting ground subtree is replaced by its state's minimal
-    ground representative.  If a determining subtree exists and is
+    ground representative.  Every such state is read from one run of
+    ``t`` under the first canonical assignment (see
+    :func:`fta.automaton.run`).  If a determining subtree exists and is
     smaller than the frozen term, it becomes the reduced term instead.
     With ``check=True`` the reduction is re-verified exhaustively.
     """
@@ -163,7 +163,7 @@ def freeze_fictive(aut: Automaton, t: Term, *,
     fictive = set(report.fictive_positions)
     occurrences = variable_positions(t)
     reps = canonical_ground(aut)
-    consts = aut.signature.constants
+    first_states = None
 
     frozen: list[Position] = []
     pruned = t
@@ -179,8 +179,10 @@ def freeze_fictive(aut: Automaton, t: Term, *,
         )
         if not local:
             continue
-        grounded = substitute(sub, {v: Node(consts[0]) for v in sub_vars})
-        state = run(aut, {}, grounded).result
+        if first_states is None:
+            first = dict.fromkeys(occurrences, aut.signature.constants[0])
+            first_states = run(aut, first, t).per_position
+        state = first_states[p]
         if node_count(reps[state]) >= node_count(sub):
             continue  # representative would not shrink the term
         pruned = replace_at(pruned, p, reps[state])

@@ -137,9 +137,6 @@ class Position:
         """Reflexive prefix relation: every position extends the root."""
         return self.indices == other.indices[: len(self.indices)]
 
-    def child(self, i: int) -> "Position":
-        return Position(self.indices + (i,))
-
     def parent(self) -> "Position":
         if not self.indices:
             raise InvalidPositionError("the root has no parent")

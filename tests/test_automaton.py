@@ -134,6 +134,10 @@ class TestPartialRun:
         out = partial_run(aut, {}, t)
         assert out == parse_term("f1(x1,@q0)", sig, allow_state_leaves=True)
 
+    def test_bound_variable_beside_unbound(self, sig, aut):
+        out = partial_run(aut, {2: "1"}, parse_term("f1(x1,x2)", sig))
+        assert render_term(out) == "f1(x1,@q1)"
+
     def test_subterm_fully_bound(self, aut, term):
         sub = subterm_at(term, P("2.1"))
         assert partial_run(aut, {3: "0", 4: "1"}, sub) == StateLeaf("q1")

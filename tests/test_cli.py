@@ -21,6 +21,18 @@ def wide_term(n=25):
     return text
 
 
+@pytest.mark.parametrize("command", [
+    lambda aut, bad: ["check", bad],
+    lambda aut, bad: ["run", aut, "-f", bad],
+    lambda aut, bad: ["verify", "--replay", bad],
+], ids=["check", "run", "verify-replay"])
+def test_non_utf8_file_is_input_error(command, aut_file, tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff\xfe\x00")
+    assert main(command(aut_file, str(bad))) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 class TestCheck:
     def test_ok(self, aut_file, capsys):
         assert main(["check", aut_file]) == 0
@@ -130,6 +142,12 @@ class TestSeparable:
         assert main(["separable", aut_file, "-t", SAMPLE_TERM,
                      "--set", "1", "--wrt", "1.1"]) == 4
         assert "sets not independent" in capsys.readouterr().err
+
+    def test_not_separable(self, aut_file, capsys):
+        # x3 picks which of 1.1 and 2.1 the root reads
+        assert main(["separable", aut_file, "-t", "f2(f1(x1,x3),f1(x2,g(x3)))",
+                     "--set", "1.1,2.1"]) == 1
+        assert capsys.readouterr().out.strip() == "not separable"
 
 
 class TestPrune:

@@ -151,6 +151,15 @@ class TestSeparability:
         result = is_separable(aut, term, PS("1.1"), PS("2.2"))
         assert result.separable and result.witness == {}
 
+    def test_not_separable(self, sig, aut):
+        # each leaf is separable alone, but x3 picks which one the root reads
+        t = parse_term("f2(f1(x1,x3),f1(x2,g(x3)))", sig)
+        assert is_separable(aut, t, PS("1.1")).separable
+        assert is_separable(aut, t, PS("2.1")).separable
+        result = is_separable(aut, t, PS("1.1", "2.1"))
+        assert not result.separable
+        assert result.witness is None
+
     def test_substituted_term_keeps_set_essential(self, aut, term):
         from fta import Node, substitute
         result = is_separable(aut, term, PS("1.1"))

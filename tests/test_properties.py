@@ -24,6 +24,7 @@ from fta import (
     is_prefix_determined,
     is_separable,
     depth,
+    enumerate_assignments,
     freeze_fictive,
     ind_positions,
     node_count,
@@ -219,3 +220,47 @@ def test_essential_position_separable_alone_on_linear_terms(aut, t):
 @given(automata(), nonlinear_terms())
 def test_essential_position_separable_alone_on_nonlinear_terms(aut, t):
     assert_essential_positions_separable_alone(aut, t)
+
+
+def separable_by_definition(aut, t, ys):
+    """The first assignment to the variables outside the ``ys`` that
+    keeps every y essential in the substituted term, or None."""
+    y_vars = set().union(*(variables(subterm_at(t, y)) for y in ys))
+    for gamma in enumerate_assignments(variables(t) - y_vars, aut.signature):
+        fixed = substitute(t, {v: Node(c) for v, c in gamma.items()})
+        if all(is_essential_subtree(aut, fixed, y) is not None for y in ys):
+            return gamma
+    return None
+
+
+def assert_separable_by_definition(aut, t, data):
+    essential = list(essential_positions(aut, t).essential_positions)
+    if not essential:
+        return  # no set to separate
+    ys = data.draw(st.lists(st.sampled_from(essential), min_size=1, max_size=3, unique=True))
+    result = is_separable(aut, t, ys)
+    assert result.witness == separable_by_definition(aut, t, ys)
+    assert result.separable == (result.witness is not None)
+
+
+@settings(max_examples=40, deadline=None)
+@given(automata(), linear_terms(), st.data())
+def test_separable_matches_substitution_on_linear_terms(aut, t, data):
+    assert_separable_by_definition(aut, t, data)
+
+
+@settings(max_examples=40, deadline=None)
+@given(automata(), nonlinear_terms(), st.data())
+def test_separable_matches_substitution_on_nonlinear_terms(aut, t, data):
+    assert_separable_by_definition(aut, t, data)
+
+
+def partial_assignments():
+    return st.dictionaries(st.integers(1, 4), st.sampled_from(SIG.constants))
+
+
+@settings(max_examples=100, deadline=None)
+@given(automata(), st.one_of(linear_terms(), nonlinear_terms()), partial_assignments())
+def test_partial_run_matches_substitution(aut, t, gamma):
+    fixed = substitute(t, {v: Node(c) for v, c in gamma.items()})
+    assert partial_run(aut, gamma, t) == partial_run(aut, {}, fixed)
