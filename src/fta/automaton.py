@@ -23,9 +23,11 @@ Assignments map variable indices to nullary symbols and are written
 from __future__ import annotations
 
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Iterator, Mapping
+from types import MappingProxyType
+from typing import Iterator
 
 from .errors import (
     AutomatonSyntaxError,
@@ -36,12 +38,14 @@ from .errors import (
     ValidationError,
 )
 from .terms import (
+    CompiledTerm,
     Node,
     Position,
     Signature,
     StateLeaf,
     Term,
     Var,
+    compile_term,
     render_term,
 )
 
@@ -60,14 +64,18 @@ class Automaton:
     """States, final states and the transition tables over a signature.
 
     ``rules`` maps ``(symbol, argument-state-tuple)`` to the resulting
-    state; constants use the empty tuple.  Construction does not check
-    completeness: run :func:`validate` (parsing does so automatically).
+    state; constants use the empty tuple.  It is a read-only copy of the
+    mapping passed in.  Construction does not check completeness: run
+    :func:`validate` (parsing does so automatically).
     """
 
     signature: Signature
     states: tuple[str, ...]
     final: frozenset[str]
-    rules: dict[tuple[str, tuple[str, ...]], str] = field(repr=False)
+    rules: Mapping[tuple[str, tuple[str, ...]], str] = field(repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "rules", MappingProxyType(dict(self.rules)))
 
     def step(self, symbol: str, args: tuple[str, ...]) -> str:
         state = self.rules.get((symbol, args))
@@ -78,10 +86,38 @@ class Automaton:
 
 @dataclass(frozen=True)
 class RunTrace:
-    """The state at every position of a term, for one run."""
+    """The state at every node of a term, for one run.
+
+    ``states`` holds the state of each node by its id in the term's
+    compiled form (:class:`fta.terms.CompiledTerm`); ``per_position`` is
+    a read-only view of the same states by position.
+    """
 
     result: str
-    per_position: dict[Position, str]
+    states: tuple[str, ...] = field(repr=False)
+    per_position: Mapping[Position, str]
+
+
+class _StatesByPosition(Mapping):
+    """Read-only view of a run's node states, keyed by position."""
+
+    __slots__ = ("_states", "_term")
+
+    def __init__(self, states: tuple[str, ...], term: CompiledTerm):
+        self._states = states
+        self._term = term
+
+    def __getitem__(self, p: Position) -> str:
+        return self._states[self._term.node_of[p]]
+
+    def __iter__(self) -> Iterator[Position]:
+        return iter(self._term.positions)
+
+    def __len__(self) -> int:
+        return len(self._states)
+
+    def __repr__(self) -> str:
+        return repr(dict(self))
 
 
 def _lhs(symbol: str, args: tuple[str, ...]) -> str:
@@ -299,6 +335,9 @@ def run(aut: Automaton, gamma: Mapping[int, str], t: Term) -> RunTrace:
 
     ``gamma`` must bind every variable of ``t``; bindings for other
     variables are ignored (runs only depend on the variables that occur).
+    The nodes of ``t``'s compiled form are evaluated in id order, which
+    is post-order, so the first error met is the one a recursive
+    evaluation would meet.
 
     A variable leaf bound to the constant c gets the state of the leaf c.
     So fixing some variables of ``t`` to constants needs no substituted
@@ -306,26 +345,23 @@ def run(aut: Automaton, gamma: Mapping[int, str], t: Term) -> RunTrace:
     ``t``'s run has there under any assignment extending those values.
     """
     check_assignment(aut.signature, gamma)
-    per: dict[Position, str] = {}
-
-    def ev(node: Term, path: tuple[int, ...]) -> str:
-        if isinstance(node, Var):
-            c = gamma.get(node.index)
+    term = compile_term(t)
+    states: list[str] = []
+    for kind, label, kids in zip(term.kinds, term.labels, term.children):
+        if kind is Node:
+            state = aut.step(label, tuple(states[k] for k in kids))
+        elif kind is Var:
+            c = gamma.get(label)
             if c is None:
-                raise UnboundVariableError(f"x{node.index} is not bound by the assignment")
+                raise UnboundVariableError(f"x{label} is not bound by the assignment")
             state = aut.step(c, ())
-        elif isinstance(node, StateLeaf):
-            if node.state not in aut.states:
-                raise FtaError(f"@{node.state} is not a state of the automaton")
-            state = node.state
         else:
-            args = tuple(ev(c, path + (i,)) for i, c in enumerate(node.children, 1))
-            state = aut.step(node.symbol, args)
-        per[Position(path)] = state
-        return state
-
-    result = ev(t, ())
-    return RunTrace(result=result, per_position=per)
+            if label not in aut.states:
+                raise FtaError(f"@{label} is not a state of the automaton")
+            state = label
+        states.append(state)
+    frozen = tuple(states)
+    return RunTrace(frozen[-1], frozen, _StatesByPosition(frozen, term))
 
 
 def partial_run(aut: Automaton, gamma: Mapping[int, str], t: Term) -> Term:
@@ -339,18 +375,20 @@ def partial_run(aut: Automaton, gamma: Mapping[int, str], t: Term) -> Term:
     the result is independent of collapse order.
     """
     check_assignment(aut.signature, gamma)
-
-    def collapse(node: Term) -> Term:
-        if isinstance(node, Var) and node.index in gamma:
-            return StateLeaf(aut.step(gamma[node.index], ()))
-        if isinstance(node, (Var, StateLeaf)):
-            return node
-        kids = tuple(collapse(c) for c in node.children)
-        if all(isinstance(k, StateLeaf) for k in kids):
-            return StateLeaf(aut.step(node.symbol, tuple(k.state for k in kids)))
-        return Node(node.symbol, kids)
-
-    return collapse(t)
+    term = compile_term(t)
+    done: list[Term] = []
+    for kind, label, kids in zip(term.kinds, term.labels, term.children):
+        if kind is Var:
+            done.append(StateLeaf(aut.step(gamma[label], ())) if label in gamma else Var(label))
+        elif kind is StateLeaf:
+            done.append(StateLeaf(label))
+        else:
+            args = tuple(done[k] for k in kids)
+            if all(isinstance(a, StateLeaf) for a in args):
+                done.append(StateLeaf(aut.step(label, tuple(a.state for a in args))))
+            else:
+                done.append(Node(label, args))
+    return done[term.root]
 
 
 def canonical_ground(aut: Automaton) -> dict[str, Term]:

@@ -393,9 +393,6 @@ def main(argv=None) -> int:
     except (FtaError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except RecursionError:
-        print("error: term is nested too deeply", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

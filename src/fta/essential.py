@@ -16,13 +16,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Callable, Iterable, Mapping
+from types import MappingProxyType
+from typing import Iterable, Mapping
 
 from .automaton import (
     DEFAULT_BUDGET,
     Assignment,
     Automaton,
-    RunTrace,
     enumerate_assignments,
     run,
 )
@@ -37,8 +37,8 @@ from .terms import (
     PositionSet,
     Term,
     Var,
+    compile_term,
     independent,
-    positions,
     subterm_at,
     variables,
 )
@@ -55,20 +55,28 @@ __all__ = [
 ]
 
 
+def _read_only(mapping: Mapping) -> Mapping:
+    return MappingProxyType(dict(mapping))
+
+
 @dataclass(frozen=True)
 class WitnessPair:
     """Two assignments certifying that a subtree occurrence is essential.
 
     The assignments agree on every variable outside the subtree,
     disagree on the subtree's state (``sub_states``) and on the whole
-    term's state (``root_states``).
+    term's state (``root_states``).  Both are read-only.
     """
 
     position: Position
-    gamma1: Assignment
-    gamma2: Assignment
+    gamma1: Mapping[int, str]
+    gamma2: Mapping[int, str]
     sub_states: tuple[str, str]
     root_states: tuple[str, str]
+
+    def __post_init__(self):
+        object.__setattr__(self, "gamma1", _read_only(self.gamma1))
+        object.__setattr__(self, "gamma2", _read_only(self.gamma2))
 
     def verify(self, aut: Automaton, t: Term) -> bool:
         """Re-run both assignments and re-check every invariant."""
@@ -93,82 +101,117 @@ class EssentialityReport:
     essential_positions: PositionSet
     fictive_positions: PositionSet
     essential_vars: frozenset[int]
-    witnesses: dict[Position, WitnessPair]
+    witnesses: Mapping[Position, WitnessPair]
+
+    def __post_init__(self):
+        object.__setattr__(self, "witnesses", _read_only(self.witnesses))
 
 
 @dataclass(frozen=True)
 class SeparabilityResult:
     separable: bool
-    witness: Assignment | None
+    witness: Mapping[int, str] | None
+
+    def __post_init__(self):
+        if self.witness is not None:
+            object.__setattr__(self, "witness", _read_only(self.witness))
 
 
-class _RunCache:
-    """Memoizes run traces of one term, keyed by assignment values."""
+class _Rows:
+    """Node states of one term's run under each total assignment, made
+    on first use; one query keeps one and so runs each assignment once.
 
-    MAX_ENTRIES = 1 << 14
+    An assignment is numbered in mixed radix: each variable contributes
+    the index of its constant, the lowest variable being the most
+    significant digit, so numbers follow canonical enumeration order.
+    """
 
     def __init__(self, aut: Automaton, t: Term):
         self.aut = aut
         self.t = t
-        self.vars = tuple(sorted(variables(t)))
-        self._cache: dict[tuple[str, ...], RunTrace] = {}
+        self.consts = aut.signature.constants
+        self.index = {c: i for i, c in enumerate(self.consts)}
+        k = len(self.consts)
+        self.weight = {v: k ** e for e, v in enumerate(sorted(compile_term(t).variables,
+                                                              reverse=True))}
+        self._by_number: dict[int, tuple[str, ...]] = {}
 
-    def trace(self, gamma: Mapping[int, str]) -> RunTrace:
-        key = tuple(gamma[v] for v in self.vars)
-        tr = self._cache.get(key)
-        if tr is None:
-            tr = run(self.aut, gamma, self.t)
-            if len(self._cache) < self.MAX_ENTRIES:
-                self._cache[key] = tr
-        return tr
+    def number(self, gamma: Mapping[int, str]) -> int:
+        return sum(self.weight[v] * self.index[c] for v, c in gamma.items())
+
+    def assignment(self, number: int, order: Iterable[int]) -> Assignment:
+        k = len(self.consts)
+        return {v: self.consts[number // self.weight[v] % k] for v in order}
+
+    def __getitem__(self, number: int) -> tuple[str, ...]:
+        row = self._by_number.get(number)
+        if row is None:
+            row = self._by_number[number] = run(self.aut, self.assignment(number, self.weight),
+                                                self.t).states
+        return row
 
 
-def _witness_at(aut: Automaton, t: Term, p: Position, budget: int,
-                trace: Callable[[Mapping[int, str]], RunTrace],
-                fixed: Assignment | None = None) -> WitnessPair | None:
+def _witness_at(aut: Automaton, t: Term, p: Position, budget: int, rows: _Rows,
+                fixed: Mapping[int, str] | None = None) -> WitnessPair | None:
     """Canonical-first witness search, factored by the subtree's variables.
 
     The search space is: assignments to the variables outside the
     subtree, crossed with ordered pairs of assignments to the subtree's
     variables.  A subtree without variables always gets the same state,
-    so it can never be essential and the search is skipped.  ``trace``
-    runs ``t``; it is asked for each total assignment once.  Outer
-    variables bound by ``fixed`` stay fixed (see :func:`fta.automaton.run`)
-    and only the ones it leaves free are enumerated.
+    so it can never be essential and the search is skipped.  Each total
+    assignment's states are read from ``rows``.  Outer variables bound
+    by ``fixed`` stay fixed (see :func:`fta.automaton.run`) and only the
+    ones it leaves free are enumerated.
+
+    Within one outer assignment the inner assignments are grouped by
+    (subtree state, root state), keeping each group's first member in
+    canonical order.  The first pair of the double loop over them is
+    then the first member of the earliest group that has a group
+    differing in both states, paired with the earliest member of such a
+    group, so the search is linear in the inner assignments.
     """
-    inner = sorted(variables(subterm_at(t, p)))
+    term = compile_term(t)
+    node = term.node_of[p]
+    inner = sorted(term.variables_at[node])
     if not inner:
         return None
     fixed = fixed or {}
-    outer = sorted(variables(t) - set(inner) - set(fixed))
-    consts = aut.signature.constants
-    n_inner = len(consts) ** len(inner)
-    n_outer = len(consts) ** len(outer)
+    outer = sorted(term.variables - set(inner) - set(fixed))
+    k = len(aut.signature.constants)
+    n_inner = k ** len(inner)
+    n_outer = k ** len(outer)
     total_pairs = n_outer * n_inner * n_inner
     if total_pairs > budget:
         raise EnumerationBudgetExceeded(total_pairs, budget)
 
-    for outer_values in product(consts, repeat=len(outer)):
-        base = fixed | dict(zip(outer, outer_values))
-        evaluated = []
-        for inner_values in product(consts, repeat=len(inner)):
-            gamma = dict(base)
-            gamma.update(zip(inner, inner_values))
-            tr = trace(gamma)
-            evaluated.append((gamma, tr.per_position[p], tr.result))
-        for gamma1, sub1, root1 in evaluated:
-            for gamma2, sub2, root2 in evaluated:
-                if sub1 != sub2 and root1 != root2:
-                    return WitnessPair(p, gamma1, gamma2, (sub1, sub2), (root1, root2))
+    weight = rows.weight
+    inner_numbers = [sum(weight[v] * i for v, i in zip(inner, digits))
+                     for digits in product(range(k), repeat=len(inner))]
+    order = [*fixed, *outer, *inner]
+    base = rows.number(fixed)
+    root = term.root
+    for digits in product(range(k), repeat=len(outer)):
+        start = base + sum(weight[v] * i for v, i in zip(outer, digits))
+        first: dict[tuple[str, str], int] = {}
+        for number in inner_numbers:
+            states = rows[start + number]
+            first.setdefault((states[node], states[root]), start + number)
+        for (sub1, root1), n1 in first.items():
+            partners = [(n2, sub2, root2) for (sub2, root2), n2 in first.items()
+                        if sub2 != sub1 and root2 != root1]
+            if partners:
+                n2, sub2, root2 = min(partners)
+                return WitnessPair(p, rows.assignment(n1, order), rows.assignment(n2, order),
+                                   (sub1, sub2), (root1, root2))
     return None
 
 
 def is_essential_subtree(aut: Automaton, t: Term, p: Position, *,
                          budget: int = DEFAULT_BUDGET) -> WitnessPair | None:
     """Witness that the subtree occurrence at ``p`` is essential, or None."""
-    if p not in positions(t):
+    if p not in compile_term(t).node_of:
         raise InvalidPositionError(f"{p} is not a position of the term")
-    return _witness_at(aut, t, p, budget, lambda gamma: run(aut, gamma, t))
+    return _witness_at(aut, t, p, budget, _Rows(aut, t))
 
 
 def essential_positions(aut: Automaton, t: Term, *,
@@ -181,18 +224,19 @@ def essential_positions(aut: Automaton, t: Term, *,
     essential exactly when its leaf occurrences are essential positions
     (a pair witnessing such a leaf differs in v alone).
     """
-    trace = _RunCache(aut, t).trace
+    term = compile_term(t)
+    rows = _Rows(aut, t)
     ess: list[Position] = []
     fict: list[Position] = []
     witnesses: dict[Position, WitnessPair] = {}
-    for p in positions(t):
-        w = _witness_at(aut, t, p, budget, trace)
+    for p in term.position_set:
+        w = _witness_at(aut, t, p, budget, rows)
         if w is None:
             fict.append(p)
         else:
             ess.append(p)
             witnesses[p] = w
-    evars = frozenset(leaf.index for p in ess if isinstance(leaf := subterm_at(t, p), Var))
+    evars = frozenset(term.labels[i] for p in ess if term.kinds[i := term.node_of[p]] is Var)
     return EssentialityReport(PositionSet(ess), PositionSet(fict), evars, witnesses)
 
 
@@ -228,10 +272,10 @@ def essential_vars(aut: Automaton, t: Term, *,
 def sets_independent(t: Term, ys: Iterable[Position], zs: Iterable[Position]) -> bool:
     """True iff every position of one set is independent of every position
     of the other."""
-    pos = positions(t)
+    node_of = compile_term(t).node_of
     ys, zs = list(ys), list(zs)
     for p in (*ys, *zs):
-        if p not in pos:
+        if p not in node_of:
             raise InvalidPositionError(f"{p} is not a position of the term")
     return all(independent(y, z) for y in ys for z in zs)
 
@@ -251,29 +295,29 @@ def is_separable(aut: Automaton, t: Term, ys: Iterable[Position],
     additionally requires ``zs`` to be essential and independent of
     ``ys``.
     """
-    pos = positions(t)
+    term = compile_term(t)
     ys = sorted(set(ys), key=lambda p: p.order_key)
     for y in ys:
-        if y not in pos:
+        if y not in term.node_of:
             raise InvalidPositionError(f"{y} is not a position of the term")
-    trace = _RunCache(aut, t).trace
+    rows = _Rows(aut, t)
     for y in ys:
-        if _witness_at(aut, t, y, budget, trace) is None:
+        if _witness_at(aut, t, y, budget, rows) is None:
             raise NotEssentialError(f"position {y} is not essential")
-    y_vars = set().union(*(variables(subterm_at(t, y)) for y in ys))
+    y_vars = set().union(*(term.variables_at[term.node_of[y]] for y in ys))
     if zs is None:
-        z_vars = variables(t) if ys else frozenset()
+        z_vars = term.variables if ys else frozenset()
     else:
         zs = sorted(set(zs), key=lambda p: p.order_key)
         if not sets_independent(t, ys, zs):
             raise NotIndependentError("sets not independent")
         for z in zs:
-            if _witness_at(aut, t, z, budget, trace) is None:
+            if _witness_at(aut, t, z, budget, rows) is None:
                 raise NotEssentialError(f"position {z} is not essential")
-        z_vars = set().union(*(variables(subterm_at(t, z)) for z in zs))
+        z_vars = set().union(*(term.variables_at[term.node_of[z]] for z in zs))
     domain = z_vars - y_vars
 
     for gamma in enumerate_assignments(domain, aut.signature, budget=budget):
-        if all(_witness_at(aut, t, y, budget, trace, gamma) is not None for y in ys):
+        if all(_witness_at(aut, t, y, budget, rows, gamma) is not None for y in ys):
             return SeparabilityResult(True, gamma)
     return SeparabilityResult(False, None)

@@ -70,16 +70,30 @@ def random_term(params: GenParams) -> Term:
     ops = [(name, arity) for name, arity in sig.symbols if arity > 0]
     pool = list(range(1, params.var_pool + 1))
 
-    def build(depth_left: int) -> Term:
+    # Pre-order: a node draws its own choices before its children's.
+    # Operations still collecting children wait here as [symbol, arity,
+    # children]; a node at stack height h has max_depth - h levels left.
+    open_nodes: list[list] = []
+    while True:
+        depth_left = params.max_depth - len(open_nodes)
         leaf = depth_left <= 0 or not ops or rng.below(3) == 0
-        if leaf:
-            if pool and rng.below(2) == 0:
-                return Var(pool.pop(rng.below(len(pool))))
-            return Node(consts[rng.below(len(consts))])
-        symbol, arity = ops[rng.below(len(ops))]
-        return Node(symbol, tuple(build(depth_left - 1) for _ in range(arity)))
-
-    return build(params.max_depth)
+        if not leaf:
+            symbol, arity = ops[rng.below(len(ops))]
+            open_nodes.append([symbol, arity, []])
+            continue
+        if pool and rng.below(2) == 0:
+            done: Term = Var(pool.pop(rng.below(len(pool))))
+        else:
+            done = Node(consts[rng.below(len(consts))])
+        while open_nodes:
+            symbol, arity, children = open_nodes[-1]
+            children.append(done)
+            if len(children) < arity:
+                break
+            open_nodes.pop()
+            done = Node(symbol, tuple(children))
+        else:
+            return done
 
 
 def random_automaton(params: GenParams) -> Automaton:

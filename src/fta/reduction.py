@@ -30,11 +30,10 @@ from .essential import EssentialityReport, essential_positions
 from .terms import (
     Position,
     PositionSet,
-    ROOT,
     Term,
+    compile_term,
     ind_positions,
     node_count,
-    positions,
     replace_at,
     subterm_at,
     variable_positions,
@@ -86,27 +85,30 @@ def determining_subtree(aut: Automaton, t: Term, *,
     variables, so it is essential exactly when the root state is not
     constant; one pass over the assignments decides both conditions.
     """
+    term = compile_term(t)
     candidates = sorted(
-        (p for p in positions(t) if p != ROOT),
-        key=lambda p: (node_count(subterm_at(t, p)), p.indices),
+        range(term.root),  # every node but the root
+        key=lambda i: (node_count(subterm_at(t, term.positions[i])), term.positions[i].indices),
     )
-    matching, root_varies = _matching_positions(aut, t, candidates, budget)
-    return matching[0] if matching and root_varies else None
+    matching, root_varies = _matching_nodes(aut, t, candidates, budget)
+    return term.positions[matching[0]] if matching and root_varies else None
 
 
-def _matching_positions(aut: Automaton, t: Term, candidates: list[Position],
-                        budget: int) -> tuple[list[Position], bool]:
-    """The ``candidates`` whose subtree gets the whole term's state under
-    every assignment, in order, and whether the root state varies (exact
-    only if some candidate is left).  One run of ``t`` per assignment
-    gives every candidate its subtree's state."""
+def _matching_nodes(aut: Automaton, t: Term, candidates: list[int],
+                    budget: int) -> tuple[list[int], bool]:
+    """The ``candidates`` (node ids of ``t``'s compiled form) whose
+    subtree gets the whole term's state under every assignment, in
+    order, and whether the root state varies (exact only if some
+    candidate is left).  One run of ``t`` per assignment gives every
+    candidate its subtree's state."""
     if not candidates:
         return [], False
     roots = set()
     for gamma in enumerate_assignments(variables(t), aut.signature, budget=budget):
-        tr = run(aut, gamma, t)
-        roots.add(tr.result)
-        candidates = [p for p in candidates if tr.per_position[p] == tr.result]
+        states = run(aut, gamma, t).states
+        root = states[-1]
+        roots.add(root)
+        candidates = [i for i in candidates if states[i] == root]
         if not candidates:
             break
     return candidates, len(roots) > 1
@@ -131,7 +133,8 @@ def fictive_from_determining(aut: Automaton, t: Term, p: Position, *,
     p_vars = variables(subterm_at(t, p))
     if not p_vars:
         raise PremiseViolatedError(f"position {p} is not essential")
-    matching, root_varies = _matching_positions(aut, t, [p], budget)
+    term = compile_term(t)
+    matching, root_varies = _matching_nodes(aut, t, [term.node_of[p]], budget)
     if not matching:
         raise PremiseViolatedError(
             f"the subtree at {p} does not match the term's state everywhere"
@@ -140,7 +143,7 @@ def fictive_from_determining(aut: Automaton, t: Term, p: Position, *,
         raise PremiseViolatedError(f"position {p} is not essential")
     claim = []
     for q in ind_positions(t, p):
-        q_vars = variables(subterm_at(t, q))
+        q_vars = term.variables_at[term.node_of[q]]
         if q_vars and not (q_vars & p_vars):
             claim.append(q)
     return PositionSet(claim)
@@ -160,6 +163,7 @@ def freeze_fictive(aut: Automaton, t: Term, *,
     With ``check=True`` the reduction is re-verified exhaustively.
     """
     report = essential_positions(aut, t, budget=budget)
+    term = compile_term(t)
     fictive = set(report.fictive_positions)
     occurrences = variable_positions(t)
     reps = canonical_ground(aut)
@@ -170,19 +174,19 @@ def freeze_fictive(aut: Automaton, t: Term, *,
     for p in sorted(fictive, key=lambda q: q.order_key):
         if any(anc in fictive for anc in _proper_prefixes(p)):
             continue  # not maximal
-        sub = subterm_at(t, p)
-        sub_vars = variables(sub)
+        node = term.node_of[p]
         local = all(
             p.is_prefix_of(occ)
-            for v in sub_vars
+            for v in term.variables_at[node]
             for occ in occurrences[v]
         )
         if not local:
             continue
         if first_states is None:
             first = dict.fromkeys(occurrences, aut.signature.constants[0])
-            first_states = run(aut, first, t).per_position
-        state = first_states[p]
+            first_states = run(aut, first, t).states
+        state = first_states[node]
+        sub = subterm_at(t, p)
         if node_count(reps[state]) >= node_count(sub):
             continue  # representative would not shrink the term
         pruned = replace_at(pruned, p, reps[state])

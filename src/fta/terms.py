@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Union
 
 from .errors import (
@@ -108,6 +110,13 @@ class Position:
         if any(i < 1 for i in ix):
             raise InvalidPositionError(f"child indices must be positive: {ix}")
         object.__setattr__(self, "indices", ix)
+
+    @classmethod
+    def _trusted(cls, indices: tuple[int, ...]) -> "Position":
+        """A position from indices already known to be valid."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "indices", indices)
+        return p
 
     @classmethod
     def parse(cls, text: str) -> "Position":
@@ -257,39 +266,53 @@ class _TermParser:
         return tok
 
     def term(self) -> Term:
-        kind, value, at = self._take("a term")
-        if kind == "state":
-            if not self.allow_state_leaves:
-                self._fail(TermSyntaxError, f"state leaf @{value} not allowed here", at)
-            return StateLeaf(value)
-        if kind != "name":
-            self._fail(TermSyntaxError, f"expected a term, found {value!r}", at)
-        m = _VAR_RE.match(value)
-        if m:
-            return Var(int(m.group(1)))
-        arity = self.sig.arity(value)
-        if arity is None:
-            self._fail(UnknownSymbolError, f"unknown symbol {value!r}", at)
-        nxt = self._peek()
-        if arity == 0:
-            if nxt is not None and nxt[0] == "(":
-                self._fail(ArityMismatchError, f"{value} is a constant and takes no arguments", at)
-            return Node(value)
-        if nxt is None or nxt[0] != "(":
-            self._fail(ArityMismatchError, f"{value} expects {arity} arguments", at)
-        self._take("'('")
-        args = [self.term()]
+        """Parse one term.  Operations whose arguments are still being
+        read wait on an explicit stack as ``[symbol, arity, offset, args]``,
+        so nesting depth is not limited by the interpreter's stack."""
+        open_nodes: list[list] = []
         while True:
-            tok = self._take("',' or ')'")
-            if tok[0] == ")":
-                break
-            if tok[0] != ",":
-                self._fail(TermSyntaxError, f"expected ',' or ')', found {tok[1]!r}", tok[2])
-            args.append(self.term())
-        if len(args) != arity:
-            self._fail(ArityMismatchError,
-                       f"{value} expects {arity} arguments, got {len(args)}", at)
-        return Node(value, tuple(args))
+            kind, value, at = self._take("a term")
+            if kind == "state":
+                if not self.allow_state_leaves:
+                    self._fail(TermSyntaxError, f"state leaf @{value} not allowed here", at)
+                done: Term = StateLeaf(value)
+            elif kind != "name":
+                self._fail(TermSyntaxError, f"expected a term, found {value!r}", at)
+            elif m := _VAR_RE.match(value):
+                done = Var(int(m.group(1)))
+            else:
+                arity = self.sig.arity(value)
+                if arity is None:
+                    self._fail(UnknownSymbolError, f"unknown symbol {value!r}", at)
+                nxt = self._peek()
+                if arity == 0:
+                    if nxt is not None and nxt[0] == "(":
+                        self._fail(ArityMismatchError,
+                                   f"{value} is a constant and takes no arguments", at)
+                    done = Node(value)
+                else:
+                    if nxt is None or nxt[0] != "(":
+                        self._fail(ArityMismatchError, f"{value} expects {arity} arguments", at)
+                    self._take("'('")
+                    open_nodes.append([value, arity, at, []])
+                    continue
+            # ``done`` is complete: hand it to the innermost open operation,
+            # closing every operation that ends here.
+            while open_nodes:
+                symbol, arity, at, args = open_nodes[-1]
+                args.append(done)
+                tok = self._take("',' or ')'")
+                if tok[0] == ",":
+                    break
+                if tok[0] != ")":
+                    self._fail(TermSyntaxError, f"expected ',' or ')', found {tok[1]!r}", tok[2])
+                if len(args) != arity:
+                    self._fail(ArityMismatchError,
+                               f"{symbol} expects {arity} arguments, got {len(args)}", at)
+                open_nodes.pop()
+                done = Node(symbol, tuple(args))
+            else:
+                return done
 
 
 def parse_term(text: str, sig: Signature, *, allow_state_leaves: bool = False) -> Term:
@@ -311,13 +334,114 @@ def parse_term(text: str, sig: Signature, *, allow_state_leaves: bool = False) -
 
 def render_term(t: Term) -> str:
     """Canonical prefix notation; inverse of :func:`parse_term`."""
-    if isinstance(t, Var):
-        return f"x{t.index}"
-    if isinstance(t, StateLeaf):
-        return f"@{t.state}"
-    if not t.children:
-        return t.symbol
-    return t.symbol + "(" + ",".join(render_term(c) for c in t.children) + ")"
+    out: list[str] = []
+    todo: list[Term | str] = [t]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            out.append(item)
+        elif isinstance(item, Var):
+            out.append(f"x{item.index}")
+        elif isinstance(item, StateLeaf):
+            out.append(f"@{item.state}")
+        elif not item.children:
+            out.append(item.symbol)
+        else:
+            out.append(item.symbol + "(")
+            todo.append(")")
+            kids = item.children
+            for i in range(len(kids) - 1, 0, -1):
+                todo.append(kids[i])
+                todo.append(",")
+            todo.append(kids[0])
+    return "".join(out)
+
+
+# ---------------------------------------------------------------------------
+# compiled form
+
+
+class CompiledTerm:
+    """A term flattened into post-order arrays.
+
+    Node ids number the nodes in post-order: every child before its
+    parent, siblings left to right, the root last.  Evaluating nodes in
+    id order is therefore the order of a recursive bottom-up evaluation.
+    For node i, ``kinds[i]`` is its class (:class:`Var`,
+    :class:`StateLeaf` or :class:`Node`), ``labels[i]`` its variable
+    index, state or symbol, and ``children[i]`` the ids of its children.
+    The position table, its inverse and the variables below each node
+    are built on first use.
+    """
+
+    def __init__(self, t: Term):
+        kinds: list[type] = []
+        labels: list[object] = []
+        children: list[tuple[int, ...]] = []
+        finished: list[int] = []  # ids whose parent is not finished yet
+        todo: list[tuple[Term, bool]] = [(t, False)]
+        while todo:
+            node, expanded = todo.pop()
+            if isinstance(node, Node):
+                n = len(node.children)
+                if n and not expanded:
+                    todo.append((node, True))
+                    todo.extend((c, False) for c in reversed(node.children))
+                    continue
+                kind, label = Node, node.symbol
+                kids = tuple(finished[len(finished) - n:])
+                del finished[len(finished) - n:]
+            else:
+                kind, label = (Var, node.index) if isinstance(node, Var) else (StateLeaf, node.state)
+                kids = ()
+            finished.append(len(kinds))
+            kinds.append(kind)
+            labels.append(label)
+            children.append(kids)
+        self.kinds = tuple(kinds)
+        self.labels = tuple(labels)
+        self.children = tuple(children)
+        self.root = len(kinds) - 1
+        self.variables = frozenset(v for k, v in zip(kinds, labels) if k is Var)
+
+    @cached_property
+    def positions(self) -> tuple[Position, ...]:
+        """Position of each node, by node id; each built once."""
+        paths: list = [None] * len(self.kinds)
+        paths[self.root] = ROOT
+        for i in range(self.root, -1, -1):  # parents before children
+            above = paths[i].indices
+            for j, k in enumerate(self.children[i], 1):
+                paths[k] = Position._trusted(above + (j,))
+        return tuple(paths)
+
+    @cached_property
+    def node_of(self) -> Mapping[Position, int]:
+        """Node id of each position."""
+        return MappingProxyType({p: i for i, p in enumerate(self.positions)})
+
+    @cached_property
+    def position_set(self) -> PositionSet:
+        return PositionSet(self.positions)
+
+    @cached_property
+    def variables_at(self) -> tuple[frozenset[int], ...]:
+        """Variables of the subtree at each node, by node id."""
+        acc: list[frozenset[int]] = []
+        for kind, label, kids in zip(self.kinds, self.labels, self.children):
+            acc.append(frozenset((label,)) if kind is Var
+                       else frozenset().union(*(acc[k] for k in kids)))
+        return tuple(acc)
+
+
+def compile_term(t: Term) -> CompiledTerm:
+    """The compiled form of ``t``: built on first use and kept with ``t``,
+    so every later query on the same term object reuses it."""
+    compiled = t.__dict__.get("_compiled")
+    if compiled is None:
+        compiled = CompiledTerm(t)
+        object.__setattr__(t, "_compiled", compiled)
+    return compiled
 
 
 # ---------------------------------------------------------------------------
@@ -326,15 +450,7 @@ def render_term(t: Term) -> str:
 
 def positions(t: Term) -> PositionSet:
     """All positions of ``t``; one per node, prefix-closed."""
-    acc = []
-    stack: list[tuple[Term, tuple[int, ...]]] = [(t, ())]
-    while stack:
-        node, path = stack.pop()
-        acc.append(Position(path))
-        if isinstance(node, Node):
-            for i, child in enumerate(node.children, 1):
-                stack.append((child, path + (i,)))
-    return PositionSet(acc)
+    return compile_term(t).position_set
 
 
 def subterm_at(t: Term, p: Position) -> Term:
@@ -351,21 +467,31 @@ def subterm_at(t: Term, p: Position) -> Term:
 
 def replace_at(t: Term, p: Position, replacement: Term) -> Term:
     """A copy of ``t`` with the subtree at ``p`` replaced."""
-    if not p.indices:
-        return replacement
-    if not isinstance(t, Node) or p.indices[0] > len(t.children):
-        raise InvalidPositionError(f"{p} is not a position of the term")
-    i = p.indices[0]
-    children = list(t.children)
-    children[i - 1] = replace_at(children[i - 1], Position(p.indices[1:]), replacement)
-    return Node(t.symbol, tuple(children))
+    path = []
+    node = t
+    for level, i in enumerate(p.indices):
+        if not isinstance(node, Node) or i > len(node.children):
+            rest = Position(p.indices[level:])
+            raise InvalidPositionError(f"{rest} is not a position of the term")
+        path.append(node)
+        node = node.children[i - 1]
+    for parent, i in zip(reversed(path), reversed(p.indices)):
+        children = list(parent.children)
+        children[i - 1] = replacement
+        replacement = Node(parent.symbol, tuple(children))
+    return replacement
 
 
 def depth(t: Term) -> int:
     """0 for leaves, else one more than the deepest child."""
-    if isinstance(t, (Var, StateLeaf)) or not t.children:
-        return 0
-    return 1 + max(depth(c) for c in t.children)
+    deepest = 0
+    todo = [(t, 0)]
+    while todo:
+        node, d = todo.pop()
+        deepest = max(deepest, d)
+        if isinstance(node, Node):
+            todo.extend((c, d + 1) for c in node.children)
+    return deepest
 
 
 def variables(t: Term) -> frozenset[int]:
@@ -383,11 +509,12 @@ def variables(t: Term) -> frozenset[int]:
 
 def variable_positions(t: Term) -> dict[int, tuple[Position, ...]]:
     """Leaf positions of each variable, in iteration order."""
+    term = compile_term(t)
     acc: dict[int, list[Position]] = {}
-    for p in positions(t):
-        node = subterm_at(t, p)
-        if isinstance(node, Var):
-            acc.setdefault(node.index, []).append(p)
+    for p in term.position_set:
+        i = term.node_of[p]
+        if term.kinds[i] is Var:
+            acc.setdefault(term.labels[i], []).append(p)
     return {v: tuple(ps) for v, ps in acc.items()}
 
 
@@ -408,11 +535,16 @@ def substitute(t: Term, binding: Mapping[int, Term]) -> Term:
     Unbound variables stay; variables inside replacement terms are not
     substituted again.
     """
-    if isinstance(t, Var):
-        return binding.get(t.index, t)
-    if isinstance(t, StateLeaf) or not t.children:
-        return t
-    return Node(t.symbol, tuple(substitute(c, binding) for c in t.children))
+    term = compile_term(t)
+    done: list[Term] = []
+    for kind, label, kids in zip(term.kinds, term.labels, term.children):
+        if kind is Var:
+            done.append(binding.get(label, Var(label)))
+        elif kind is StateLeaf:
+            done.append(StateLeaf(label))
+        else:
+            done.append(Node(label, tuple(done[k] for k in kids)))
+    return done[term.root]
 
 
 def independent(p: Position, q: Position) -> bool:
@@ -425,7 +557,7 @@ def independent(p: Position, q: Position) -> bool:
 
 def ind_positions(t: Term, p: Position) -> PositionSet:
     """All positions of ``t`` independent of ``p``."""
-    pos = positions(t)
+    pos = compile_term(t).position_set
     if p not in pos:
         raise InvalidPositionError(f"{p} is not a position of the term")
     return PositionSet(q for q in pos if independent(p, q))

@@ -49,6 +49,7 @@ from .terms import (
     PositionSet,
     Signature,
     Term,
+    compile_term,
     is_prefix_closed,
     is_prefix_determined,
     ind_positions,
@@ -137,13 +138,15 @@ def essential_by_definition(aut: Automaton, t: Term, *,
     count = len(consts) ** len(vs)
     if count * count > budget:
         raise EnumerationBudgetExceeded(count * count, budget)
-    runs = [(values, run(aut, dict(zip(vs, values)), t))
+    runs = [(values, run(aut, dict(zip(vs, values)), t).states)
             for values in product(consts, repeat=len(vs))]
+    node_of = compile_term(t).node_of
 
     def essential(p: Position) -> bool:
         inner = variables(subterm_at(t, p))
         outer_idx = [i for i, v in enumerate(vs) if v not in inner]
-        evaluated = [(values, tr.per_position[p], tr.result) for values, tr in runs]
+        node = node_of[p]
+        evaluated = [(values, states[node], states[-1]) for values, states in runs]
         return any(
             sub1 != sub2 and root1 != root2
             for values1, sub1, root1 in evaluated

@@ -94,6 +94,32 @@ class TestRun:
         assert main(["run", aut_file, "-t", "f1(x1"]) == 2
 
 
+class TestDeepChain:
+    """A unary chain far deeper than the interpreter's recursion limit."""
+
+    DEPTH = 3000
+
+    @pytest.fixture()
+    def chain_file(self, tmp_path):
+        path = tmp_path / "chain.term"
+        path.write_text("g(" * self.DEPTH + "f1(x1,x2)" + ")" * self.DEPTH, encoding="utf-8")
+        return str(path)
+
+    def test_total_run_with_trace(self, aut_file, chain_file, capsys):
+        assert main(["run", aut_file, "-f", chain_file, "--assign", "x1=1,x2=1", "--trace"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        # f1(1,1) is q1, negated an even number of times
+        assert out[:3] == ["q1", "ε q1", "1 q0"]
+        below = ".".join(["1"] * self.DEPTH)
+        assert len(out) == 1 + self.DEPTH + 3
+        assert out[-3:] == [f"{below} q1", f"{below}.1 q1", f"{below}.2 q1"]
+
+    def test_partial_run(self, aut_file, chain_file, capsys):
+        assert main(["run", aut_file, "-f", chain_file, "--assign", "x1=1"]) == 0
+        expected = "g(" * self.DEPTH + "f1(@q1,x2)" + ")" * self.DEPTH
+        assert capsys.readouterr().out.strip() == expected
+
+
 class TestEssential:
     def test_essential_position(self, aut_file, capsys):
         assert main(["essential", aut_file, "-t", SAMPLE_TERM, "--position", "1.1"]) == 0

@@ -182,3 +182,50 @@ class TestBudget:
         with pytest.raises(EnumerationBudgetExceeded):
             is_essential_subtree(aut, term, P("1.1"), budget=16)
         assert is_essential_subtree(aut, term, P("1.1"), budget=64) is not None
+
+
+@pytest.mark.parametrize("read", [
+    lambda aut, t: aut.rules,
+    lambda aut, t: run(aut, {1: "0", 2: "1", 3: "1", 4: "0"}, t).per_position,
+    lambda aut, t: essential_positions(aut, t).witnesses,
+    lambda aut, t: is_essential_subtree(aut, t, P("1.1")).gamma1,
+    lambda aut, t: is_essential_subtree(aut, t, P("1.1")).gamma2,
+    lambda aut, t: is_separable(aut, t, PS("1.1")).witness,
+], ids=["rules", "per_position", "witnesses", "gamma1", "gamma2", "separable_witness"])
+def test_values_are_read_only(aut, term, read):
+    mapping = read(aut, term)
+    key = next(iter(mapping))
+    with pytest.raises(TypeError):
+        mapping[key] = mapping[key]
+
+
+class TestRunsOncePerAssignment:
+    @pytest.fixture()
+    def runs(self, monkeypatch):
+        import fta.essential
+        calls = []
+        real = fta.essential.run
+
+        def counting(aut, gamma, t):
+            calls.append(tuple(sorted(gamma.items())))
+            return real(aut, gamma, t)
+
+        monkeypatch.setattr(fta.essential, "run", counting)
+        return calls
+
+    def test_essential_positions(self, aut, term, runs):
+        essential_positions(aut, term)
+        assert len(runs) == len(set(runs)) == 2 ** 4
+
+    def test_is_separable_on_more_assignments_than_fit_a_bounded_cache(self, sig, aut, runs):
+        # 15 variables: x15 selects which half the root reads, so the two
+        # leaves f2(x1,x2) and f2(x8,x9) are not separable together, and
+        # every one of the 2**15 assignments is asked for
+        def half(a):
+            rest = f"x{a + 6}"
+            for v in range(a + 5, a + 1, -1):
+                rest = f"f2(x{v},{rest})"
+            return f"f1(f2(x{a},x{a + 1}),{rest})"
+        t = parse_term(f"f2(f1({half(1)},x15),f1({half(8)},g(x15)))", sig)
+        assert not is_separable(aut, t, PS("1.1.1", "2.1.1")).separable
+        assert len(runs) == len(set(runs)) == 2 ** 15

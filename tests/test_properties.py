@@ -6,16 +6,24 @@ term; the properties that need linearity live in the
 seeded suite (fta.verify) and its tests.
 """
 
+from itertools import product
+
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from fta import (
     DEFAULT_SIGNATURE,
+    Automaton,
+    FtaError,
     GenParams,
     Node,
+    Position,
+    RunTrace,
     SplitMix64,
     StateLeaf,
+    UnboundVariableError,
     Var,
+    check_assignment,
     essential_by_definition,
     essential_positions,
     essential_vars,
@@ -264,3 +272,97 @@ def partial_assignments():
 def test_partial_run_matches_substitution(aut, t, gamma):
     fixed = substitute(t, {v: Node(c) for v, c in gamma.items()})
     assert partial_run(aut, gamma, t) == partial_run(aut, {}, fixed)
+
+
+def run_by_recursion(aut, gamma, t):
+    """Reference for ``run``: recursive bottom-up evaluation, returning
+    the root state and the state at each position in post-order."""
+    check_assignment(aut.signature, gamma)
+    per = {}
+
+    def ev(node, path):
+        if isinstance(node, Var):
+            c = gamma.get(node.index)
+            if c is None:
+                raise UnboundVariableError(f"x{node.index} is not bound by the assignment")
+            state = aut.step(c, ())
+        elif isinstance(node, StateLeaf):
+            if node.state not in aut.states:
+                raise FtaError(f"@{node.state} is not a state of the automaton")
+            state = node.state
+        else:
+            args = tuple(ev(c, path + (i,)) for i, c in enumerate(node.children, 1))
+            state = aut.step(node.symbol, args)
+        per[Position(path)] = state
+        return state
+
+    return ev(t, ()), per
+
+
+def outcome(f):
+    try:
+        return f()
+    except FtaError as exc:
+        return type(exc), str(exc)
+
+
+def mixed_terms():
+    """Terms whose leaves include state leaves, some of them unknown."""
+    state_leaves = st.sampled_from(["q0", "q1", "q2", "q9"]).map(StateLeaf)
+    return st.recursive(
+        st.one_of(leaves(), state_leaves),
+        lambda ch: st.one_of(
+            st.builds(lambda a: Node("g", (a,)), ch),
+            st.builds(lambda a, b: Node("f1", (a, b)), ch, ch),
+        ),
+        max_leaves=10,
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(automata(), st.one_of(linear_terms(), nonlinear_terms(), mixed_terms()),
+       st.dictionaries(st.integers(1, 4), st.sampled_from(SIG.constants)), st.data())
+def test_run_matches_recursive_reference(aut, t, gamma, data):
+    # some automata lose transitions, some assignments leave variables unbound
+    dropped = data.draw(st.lists(st.sampled_from(sorted(aut.rules)), max_size=3))
+    aut = Automaton(aut.signature, aut.states, aut.final,
+                    {k: v for k, v in aut.rules.items() if k not in dropped})
+    expected = outcome(lambda: run_by_recursion(aut, gamma, t))
+    got = outcome(lambda: run(aut, gamma, t))
+    if isinstance(got, RunTrace):
+        got = got.result, dict(got.per_position)
+        assert got == expected
+        assert list(got[1]) == list(expected[1])  # post-order, as the recursion fills it
+    assert got == expected
+
+
+def witness_by_double_loop(aut, t, p):
+    """Reference for the witness search: the first pair of a plain
+    double loop over the inner assignments of each outer assignment."""
+    inner = sorted(variables(subterm_at(t, p)))
+    if not inner:
+        return None
+    outer = sorted(variables(t) - set(inner))
+    consts = aut.signature.constants
+    for outer_values in product(consts, repeat=len(outer)):
+        evaluated = []
+        for inner_values in product(consts, repeat=len(inner)):
+            gamma = dict(zip(outer, outer_values)) | dict(zip(inner, inner_values))
+            tr = run(aut, gamma, t)
+            evaluated.append((gamma, tr.per_position[p], tr.result))
+        for gamma1, sub1, root1 in evaluated:
+            for gamma2, sub2, root2 in evaluated:
+                if sub1 != sub2 and root1 != root2:
+                    return gamma1, gamma2, (sub1, sub2), (root1, root2)
+    return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32), st.integers(2, 4),
+       st.one_of(linear_terms(), nonlinear_terms(max_var=3)))
+def test_grouped_witness_search_returns_first_pair_of_double_loop(seed, states, t):
+    aut = random_automaton(GenParams(seed=seed, state_count=states))
+    for p in positions(t):
+        w = is_essential_subtree(aut, t, p)
+        got = None if w is None else (w.gamma1, w.gamma2, w.sub_states, w.root_states)
+        assert got == witness_by_double_loop(aut, t, p)

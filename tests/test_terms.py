@@ -102,6 +102,17 @@ class TestParseRender:
         assert render_term(t) == "f1(x1,@q0)"
 
 
+def test_deep_chain_without_recursion_limit(sig):
+    levels = 3000
+    text = "g(" * levels + "f1(x1,x2)" + ")" * levels
+    t = parse_term(text, sig)
+    assert render_term(t) == text
+    assert depth(t) == levels + 1
+    deepest = Position([1] * levels + [2])
+    assert subterm_at(replace_at(t, deepest, Var(3)), deepest) == Var(3)
+    assert variables(substitute(t, {2: Var(3)})) == {1, 3}
+
+
 class TestPosition:
     def test_parse_root_spellings(self):
         assert P("") == ROOT
