@@ -77,7 +77,6 @@ from .terms import (
     replace_at,
     substitute,
     subterm_at,
-    variable_positions,
     variables,
 )
 from .verify import (

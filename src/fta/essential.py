@@ -14,6 +14,7 @@ triple is returned, which makes every answer reproducible.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from itertools import product
 from types import MappingProxyType
@@ -117,9 +118,12 @@ class SeparabilityResult:
             object.__setattr__(self, "witness", _read_only(self.witness))
 
 
-class _Rows:
-    """Node states of one term's run under each total assignment, made
-    on first use; one query keeps one and so runs each assignment once.
+class RunStore:
+    """Node states of one term's run under each total assignment, each
+    made on first use, so every assignment is run at most once.  Every
+    analysis of the package reads its runs here (see :func:`run_store`);
+    only the exhaustive re-checks call :func:`fta.automaton.run`
+    themselves, so they check the store independently.
 
     An assignment is numbered in mixed radix: each variable contributes
     the index of its constant, the lowest variable being the most
@@ -128,16 +132,21 @@ class _Rows:
 
     def __init__(self, aut: Automaton, t: Term):
         self.aut = aut
-        self.t = t
+        self.term = compile_term(t)
+        self._t = weakref.ref(t)  # the term keeps the store, not the reverse
         self.consts = aut.signature.constants
-        self.index = {c: i for i, c in enumerate(self.consts)}
         k = len(self.consts)
-        self.weight = {v: k ** e for e, v in enumerate(sorted(compile_term(t).variables,
+        self.weight = {v: k ** e for e, v in enumerate(sorted(self.term.variables,
                                                               reverse=True))}
         self._by_number: dict[int, tuple[str, ...]] = {}
 
-    def number(self, gamma: Mapping[int, str]) -> int:
-        return sum(self.weight[v] * self.index[c] for v, c in gamma.items())
+    def numbers(self, budget: int) -> range:
+        """Every assignment's number, in canonical order; raises before
+        any run when there are more than ``budget``."""
+        count = len(self.consts) ** len(self.weight)
+        if count > budget:
+            raise EnumerationBudgetExceeded(count, budget)
+        return range(count)
 
     def assignment(self, number: int, order: Iterable[int]) -> Assignment:
         k = len(self.consts)
@@ -147,11 +156,22 @@ class _Rows:
         row = self._by_number.get(number)
         if row is None:
             row = self._by_number[number] = run(self.aut, self.assignment(number, self.weight),
-                                                self.t).states
+                                                self._t()).states
         return row
 
 
-def _witness_at(aut: Automaton, t: Term, p: Position, budget: int, rows: _Rows,
+def run_store(aut: Automaton, t: Term) -> RunStore:
+    """The run store of ``t`` for ``aut``.  Like the compiled form it is
+    kept with the term object; it is replaced when another automaton
+    object asks."""
+    store = t.__dict__.get("_runs")
+    if store is None or store.aut is not aut:
+        store = RunStore(aut, t)
+        object.__setattr__(t, "_runs", store)
+    return store
+
+
+def _witness_at(store: RunStore, p: Position, budget: int,
                 fixed: Mapping[int, str] | None = None) -> WitnessPair | None:
     """Canonical-first witness search, factored by the subtree's variables.
 
@@ -159,7 +179,7 @@ def _witness_at(aut: Automaton, t: Term, p: Position, budget: int, rows: _Rows,
     subtree, crossed with ordered pairs of assignments to the subtree's
     variables.  A subtree without variables always gets the same state,
     so it can never be essential and the search is skipped.  Each total
-    assignment's states are read from ``rows``.  Outer variables bound
+    assignment's states are read from ``store``.  Outer variables bound
     by ``fixed`` stay fixed (see :func:`fta.automaton.run`) and only the
     ones it leaves free are enumerated.
 
@@ -170,38 +190,36 @@ def _witness_at(aut: Automaton, t: Term, p: Position, budget: int, rows: _Rows,
     differing in both states, paired with the earliest member of such a
     group, so the search is linear in the inner assignments.
     """
-    term = compile_term(t)
+    term = store.term
     node = term.node_of[p]
     inner = sorted(term.variables_at[node])
     if not inner:
         return None
     fixed = fixed or {}
     outer = sorted(term.variables - set(inner) - set(fixed))
-    k = len(aut.signature.constants)
-    n_inner = k ** len(inner)
-    n_outer = k ** len(outer)
-    total_pairs = n_outer * n_inner * n_inner
+    k = len(store.consts)
+    total_pairs = k ** (len(outer) + 2 * len(inner))
     if total_pairs > budget:
         raise EnumerationBudgetExceeded(total_pairs, budget)
 
-    weight = rows.weight
+    weight = store.weight
     inner_numbers = [sum(weight[v] * i for v, i in zip(inner, digits))
                      for digits in product(range(k), repeat=len(inner))]
     order = [*fixed, *outer, *inner]
-    base = rows.number(fixed)
+    base = sum(weight[v] * store.consts.index(c) for v, c in fixed.items())
     root = term.root
     for digits in product(range(k), repeat=len(outer)):
         start = base + sum(weight[v] * i for v, i in zip(outer, digits))
         first: dict[tuple[str, str], int] = {}
         for number in inner_numbers:
-            states = rows[start + number]
+            states = store[start + number]
             first.setdefault((states[node], states[root]), start + number)
         for (sub1, root1), n1 in first.items():
             partners = [(n2, sub2, root2) for (sub2, root2), n2 in first.items()
                         if sub2 != sub1 and root2 != root1]
             if partners:
                 n2, sub2, root2 = min(partners)
-                return WitnessPair(p, rows.assignment(n1, order), rows.assignment(n2, order),
+                return WitnessPair(p, store.assignment(n1, order), store.assignment(n2, order),
                                    (sub1, sub2), (root1, root2))
     return None
 
@@ -209,9 +227,10 @@ def _witness_at(aut: Automaton, t: Term, p: Position, budget: int, rows: _Rows,
 def is_essential_subtree(aut: Automaton, t: Term, p: Position, *,
                          budget: int = DEFAULT_BUDGET) -> WitnessPair | None:
     """Witness that the subtree occurrence at ``p`` is essential, or None."""
-    if p not in compile_term(t).node_of:
+    store = run_store(aut, t)
+    if p not in store.term.node_of:
         raise InvalidPositionError(f"{p} is not a position of the term")
-    return _witness_at(aut, t, p, budget, _Rows(aut, t))
+    return _witness_at(store, p, budget)
 
 
 def essential_positions(aut: Automaton, t: Term, *,
@@ -224,20 +243,14 @@ def essential_positions(aut: Automaton, t: Term, *,
     essential exactly when its leaf occurrences are essential positions
     (a pair witnessing such a leaf differs in v alone).
     """
-    term = compile_term(t)
-    rows = _Rows(aut, t)
-    ess: list[Position] = []
-    fict: list[Position] = []
-    witnesses: dict[Position, WitnessPair] = {}
-    for p in term.position_set:
-        w = _witness_at(aut, t, p, budget, rows)
-        if w is None:
-            fict.append(p)
-        else:
-            ess.append(p)
-            witnesses[p] = w
+    store = run_store(aut, t)
+    term = store.term
+    witnesses = {p: w for p in term.position_set
+                 if (w := _witness_at(store, p, budget)) is not None}
+    ess = PositionSet(witnesses)
+    fict = PositionSet(p for p in term.position_set if p not in witnesses)
     evars = frozenset(term.labels[i] for p in ess if term.kinds[i := term.node_of[p]] is Var)
-    return EssentialityReport(PositionSet(ess), PositionSet(fict), evars, witnesses)
+    return EssentialityReport(ess, fict, evars, witnesses)
 
 
 def essential_vars(aut: Automaton, t: Term, *,
@@ -245,28 +258,17 @@ def essential_vars(aut: Automaton, t: Term, *,
     """Variables whose value alone can flip the term's resulting state.
 
     A variable is essential when two assignments differing only there
-    produce different states at the root.
+    produce different states at the root.  It suffices to compare each
+    assignment with the one that gives the variable the next constant.
     """
-    vs = sorted(variables(t))
-    consts = aut.signature.constants
-    count = len(consts) ** len(vs)
-    if count > budget:
-        raise EnumerationBudgetExceeded(count, budget)
-    roots = {
-        values: run(aut, dict(zip(vs, values)), t).result
-        for values in product(consts, repeat=len(vs))
-    }
-    result = set()
-    for i, v in enumerate(vs):
-        for values, root in roots.items():
-            if any(
-                roots[values[:i] + (c,) + values[i + 1:]] != root
-                for c in consts
-                if c != values[i]
-            ):
-                result.add(v)
-                break
-    return frozenset(result)
+    store = run_store(aut, t)
+    numbers = store.numbers(budget)
+    k = len(store.consts)
+    root = store.term.root
+    return frozenset(
+        v for v, w in store.weight.items()
+        if any(store[n][root] != store[n + w][root] for n in numbers if n // w % k < k - 1)
+    )
 
 
 def sets_independent(t: Term, ys: Iterable[Position], zs: Iterable[Position]) -> bool:
@@ -295,14 +297,14 @@ def is_separable(aut: Automaton, t: Term, ys: Iterable[Position],
     additionally requires ``zs`` to be essential and independent of
     ``ys``.
     """
-    term = compile_term(t)
+    store = run_store(aut, t)
+    term = store.term
     ys = sorted(set(ys), key=lambda p: p.order_key)
     for y in ys:
         if y not in term.node_of:
             raise InvalidPositionError(f"{y} is not a position of the term")
-    rows = _Rows(aut, t)
     for y in ys:
-        if _witness_at(aut, t, y, budget, rows) is None:
+        if _witness_at(store, y, budget) is None:
             raise NotEssentialError(f"position {y} is not essential")
     y_vars = set().union(*(term.variables_at[term.node_of[y]] for y in ys))
     if zs is None:
@@ -312,12 +314,12 @@ def is_separable(aut: Automaton, t: Term, ys: Iterable[Position],
         if not sets_independent(t, ys, zs):
             raise NotIndependentError("sets not independent")
         for z in zs:
-            if _witness_at(aut, t, z, budget, rows) is None:
+            if _witness_at(store, z, budget) is None:
                 raise NotEssentialError(f"position {z} is not essential")
         z_vars = set().union(*(term.variables_at[term.node_of[z]] for z in zs))
     domain = z_vars - y_vars
 
     for gamma in enumerate_assignments(domain, aut.signature, budget=budget):
-        if all(_witness_at(aut, t, y, budget, rows, gamma) is not None for y in ys):
+        if all(_witness_at(store, y, budget, gamma) is not None for y in ys):
             return SeparabilityResult(True, gamma)
     return SeparabilityResult(False, None)

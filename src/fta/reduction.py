@@ -26,17 +26,17 @@ from .automaton import (
     run,
 )
 from .errors import FtaError, PremiseViolatedError
-from .essential import EssentialityReport, essential_positions
+from .essential import EssentialityReport, essential_positions, run_store
 from .terms import (
     Position,
     PositionSet,
     Term,
+    Var,
     compile_term,
     ind_positions,
     node_count,
     replace_at,
     subterm_at,
-    variable_positions,
     variables,
 )
 
@@ -86,10 +86,9 @@ def determining_subtree(aut: Automaton, t: Term, *,
     constant; one pass over the assignments decides both conditions.
     """
     term = compile_term(t)
-    candidates = sorted(
-        range(term.root),  # every node but the root
-        key=lambda i: (node_count(subterm_at(t, term.positions[i])), term.positions[i].indices),
-    )
+    # every node but the root; equal sizes keep id order, which is the
+    # lexicographic order of positions neither of which extends the other
+    candidates = sorted(range(term.root), key=term.sizes.__getitem__)
     matching, root_varies = _matching_nodes(aut, t, candidates, budget)
     return term.positions[matching[0]] if matching and root_varies else None
 
@@ -99,13 +98,14 @@ def _matching_nodes(aut: Automaton, t: Term, candidates: list[int],
     """The ``candidates`` (node ids of ``t``'s compiled form) whose
     subtree gets the whole term's state under every assignment, in
     order, and whether the root state varies (exact only if some
-    candidate is left).  One run of ``t`` per assignment gives every
-    candidate its subtree's state."""
+    candidate is left).  The run of ``t`` under each assignment gives
+    every candidate its subtree's state."""
     if not candidates:
         return [], False
+    store = run_store(aut, t)
     roots = set()
-    for gamma in enumerate_assignments(variables(t), aut.signature, budget=budget):
-        states = run(aut, gamma, t).states
+    for number in store.numbers(budget):
+        states = store[number]
         root = states[-1]
         roots.add(root)
         candidates = [i for i in candidates if states[i] == root]
@@ -130,10 +130,11 @@ def fictive_from_determining(aut: Automaton, t: Term, p: Position, *,
     claimed; a shared variable can flip the subtree and the root
     together, making such a position genuinely essential.
     """
-    p_vars = variables(subterm_at(t, p))
+    term = compile_term(t)
+    others = ind_positions(t, p)  # rejects a position ``t`` does not have
+    p_vars = term.variables_at[term.node_of[p]]
     if not p_vars:
         raise PremiseViolatedError(f"position {p} is not essential")
-    term = compile_term(t)
     matching, root_varies = _matching_nodes(aut, t, [term.node_of[p]], budget)
     if not matching:
         raise PremiseViolatedError(
@@ -141,12 +142,8 @@ def fictive_from_determining(aut: Automaton, t: Term, p: Position, *,
         )
     if not root_varies:
         raise PremiseViolatedError(f"position {p} is not essential")
-    claim = []
-    for q in ind_positions(t, p):
-        q_vars = term.variables_at[term.node_of[q]]
-        if q_vars and not (q_vars & p_vars):
-            claim.append(q)
-    return PositionSet(claim)
+    return PositionSet(q for q in others
+                       if (q_vars := term.variables_at[term.node_of[q]]) and not q_vars & p_vars)
 
 
 def freeze_fictive(aut: Automaton, t: Term, *,
@@ -156,7 +153,7 @@ def freeze_fictive(aut: Automaton, t: Term, *,
     Every maximal fictive position whose variables occur only inside its
     subtree is frozen: the variables are fixed to the first constants
     and the resulting ground subtree is replaced by its state's minimal
-    ground representative.  Every such state is read from one run of
+    ground representative.  Every such state is read from the run of
     ``t`` under the first canonical assignment (see
     :func:`fta.automaton.run`).  If a determining subtree exists and is
     smaller than the frozen term, it becomes the reduced term instead.
@@ -164,43 +161,37 @@ def freeze_fictive(aut: Automaton, t: Term, *,
     """
     report = essential_positions(aut, t, budget=budget)
     term = compile_term(t)
-    fictive = set(report.fictive_positions)
-    occurrences = variable_positions(t)
+    sizes = term.sizes
+    var_leaves = [(v, i) for i, (kind, v) in enumerate(zip(term.kinds, term.labels)) if kind is Var]
+    first_leaf, last_leaf = dict(reversed(var_leaves)), dict(var_leaves)  # by variable
     reps = canonical_ground(aut)
-    first_states = None
+    store = run_store(aut, t)
+    below_fictive = bytearray(len(term.kinds))
 
     frozen: list[Position] = []
     pruned = t
-    for p in sorted(fictive, key=lambda q: q.order_key):
-        if any(anc in fictive for anc in _proper_prefixes(p)):
-            continue  # not maximal
+    for p in report.fictive_positions:  # shallowest first
         node = term.node_of[p]
-        local = all(
-            p.is_prefix_of(occ)
-            for v in term.variables_at[node]
-            for occ in occurrences[v]
-        )
-        if not local:
-            continue
-        if first_states is None:
-            first = dict.fromkeys(occurrences, aut.signature.constants[0])
-            first_states = run(aut, first, t).states
-        state = first_states[node]
-        sub = subterm_at(t, p)
-        if node_count(reps[state]) >= node_count(sub):
+        if below_fictive[node]:
+            continue  # not maximal
+        first = node - sizes[node] + 1  # the subtree's ids are first..node
+        below_fictive[first:node] = b"\1" * (node - first)
+        if not all(first <= first_leaf[v] and last_leaf[v] <= node
+                   for v in term.variables_at[node]):
+            continue  # a variable occurs outside the subtree
+        state = store[0][node]
+        if node_count(reps[state]) >= sizes[node]:
             continue  # representative would not shrink the term
         pruned = replace_at(pruned, p, reps[state])
         frozen.append(p)
 
     determining = determining_subtree(aut, t, budget=budget)
     reduced = pruned
-    if determining is not None:
-        candidate = subterm_at(t, determining)
-        if node_count(candidate) < node_count(pruned):
-            reduced = candidate
+    if determining is not None and sizes[term.node_of[determining]] < node_count(pruned):
+        reduced = subterm_at(t, determining)
 
     result = ReductionReport(
-        original_nodes=node_count(t),
+        original_nodes=len(term.kinds),
         reduced_nodes=node_count(reduced),
         determining_position=determining,
         frozen_positions=PositionSet(frozen),
@@ -228,7 +219,3 @@ def cost_report(t: Term, t2: Term) -> tuple[int, int, float]:
     reduced = node_count(t2)
     return (original, reduced, 1.0 - reduced / original)
 
-
-def _proper_prefixes(p: Position):
-    for i in range(len(p.indices)):
-        yield Position(p.indices[:i])

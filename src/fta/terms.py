@@ -83,10 +83,27 @@ class Var:
 
 @dataclass(frozen=True)
 class Node:
-    """Operation symbol applied to children (none for constants)."""
+    """Operation symbol applied to children (none for constants).  Equality
+    and hashing compare the compiled arrays and ``repr`` shows the
+    rendered term, so none of them recurses."""
 
     symbol: str
     children: tuple["Term", ...] = ()
+
+    def _arrays(self) -> tuple:
+        term = compile_term(self)
+        return term.kinds, term.labels, term.children
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Node):
+            return NotImplemented
+        return self is other or self._arrays() == other._arrays()
+
+    def __hash__(self) -> int:
+        return hash(self._arrays())
+
+    def __repr__(self) -> str:
+        return f"<Node {render_term(self)}>"
 
 
 @dataclass(frozen=True)
@@ -101,7 +118,8 @@ Term = Union[Var, Node, StateLeaf]
 
 @dataclass(frozen=True)
 class Position:
-    """Path from the root as a sequence of 1-based child indices."""
+    """Path from the root as a sequence of 1-based child indices; its
+    hash is computed once, so a deep position is not walked again."""
 
     indices: tuple[int, ...] = ()
 
@@ -110,13 +128,18 @@ class Position:
         if any(i < 1 for i in ix):
             raise InvalidPositionError(f"child indices must be positive: {ix}")
         object.__setattr__(self, "indices", ix)
+        object.__setattr__(self, "_hash", hash(ix))
 
     @classmethod
     def _trusted(cls, indices: tuple[int, ...]) -> "Position":
         """A position from indices already known to be valid."""
         p = object.__new__(cls)
         object.__setattr__(p, "indices", indices)
+        object.__setattr__(p, "_hash", hash(indices))
         return p
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def parse(cls, text: str) -> "Position":
@@ -369,15 +392,17 @@ class CompiledTerm:
     id order is therefore the order of a recursive bottom-up evaluation.
     For node i, ``kinds[i]`` is its class (:class:`Var`,
     :class:`StateLeaf` or :class:`Node`), ``labels[i]`` its variable
-    index, state or symbol, and ``children[i]`` the ids of its children.
-    The position table, its inverse and the variables below each node
-    are built on first use.
+    index, state or symbol, ``children[i]`` the ids of its children and
+    ``sizes[i]`` its subtree's node count, so that subtree is the ids
+    ``i - sizes[i] + 1`` to ``i``.  The position table, its inverse and
+    the variables below each node are built on first use.
     """
 
     def __init__(self, t: Term):
         kinds: list[type] = []
         labels: list[object] = []
         children: list[tuple[int, ...]] = []
+        sizes: list[int] = []
         finished: list[int] = []  # ids whose parent is not finished yet
         todo: list[tuple[Term, bool]] = [(t, False)]
         while todo:
@@ -394,6 +419,8 @@ class CompiledTerm:
             else:
                 kind, label = (Var, node.index) if isinstance(node, Var) else (StateLeaf, node.state)
                 kids = ()
+            # the subtree starts where its first child's subtree starts
+            sizes.append(len(kinds) - kids[0] + sizes[kids[0]] if kids else 1)
             finished.append(len(kinds))
             kinds.append(kind)
             labels.append(label)
@@ -401,6 +428,7 @@ class CompiledTerm:
         self.kinds = tuple(kinds)
         self.labels = tuple(labels)
         self.children = tuple(children)
+        self.sizes = tuple(sizes)
         self.root = len(kinds) - 1
         self.variables = frozenset(v for k, v in zip(kinds, labels) if k is Var)
 
@@ -505,17 +533,6 @@ def variables(t: Term) -> frozenset[int]:
         elif isinstance(node, Node):
             stack.extend(node.children)
     return frozenset(acc)
-
-
-def variable_positions(t: Term) -> dict[int, tuple[Position, ...]]:
-    """Leaf positions of each variable, in iteration order."""
-    term = compile_term(t)
-    acc: dict[int, list[Position]] = {}
-    for p in term.position_set:
-        i = term.node_of[p]
-        if term.kinds[i] is Var:
-            acc.setdefault(term.labels[i], []).append(p)
-    return {v: tuple(ps) for v, ps in acc.items()}
 
 
 def node_count(t: Term) -> int:

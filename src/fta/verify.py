@@ -140,12 +140,12 @@ def essential_by_definition(aut: Automaton, t: Term, *,
         raise EnumerationBudgetExceeded(count * count, budget)
     runs = [(values, run(aut, dict(zip(vs, values)), t).states)
             for values in product(consts, repeat=len(vs))]
-    node_of = compile_term(t).node_of
+    term = compile_term(t)
 
     def essential(p: Position) -> bool:
-        inner = variables(subterm_at(t, p))
+        node = term.node_of[p]
+        inner = term.variables_at[node]
         outer_idx = [i for i, v in enumerate(vs) if v not in inner]
-        node = node_of[p]
         evaluated = [(values, states[node], states[-1]) for values, states in runs]
         return any(
             sub1 != sub2 and root1 != root2

@@ -119,6 +119,34 @@ class TestDeepChain:
         expected = "g(" * self.DEPTH + "f1(@q1,x2)" + ")" * self.DEPTH
         assert capsys.readouterr().out.strip() == expected
 
+    def test_prune(self, aut_file, chain_file, capsys):
+        assert main(["prune", aut_file, "-f", chain_file, "--verify"]) == 0
+        below = ".".join(["1"] * self.DEPTH)
+        assert capsys.readouterr().out.splitlines() == [
+            f"determining: {below} | reduced: f1(x1,x2) | nodes 3003→3 (99.9% saved)",
+            "soundness: OK (4 assignments)",
+        ]
+
+    def test_essential(self, aut_file, chain_file, capsys):
+        assert main(["essential", aut_file, "-f", chain_file]) == 0
+        out = capsys.readouterr().out.splitlines()
+        # every position is essential; an even number of negations leaves
+        # the root with the state of f1(x1,x2)
+        paths = [".".join(["1"] * n) for n in range(1, self.DEPTH + 1)]
+        below = paths[-1]
+        assert out[:3] == [
+            "essential positions: " + " ".join(["ε", *paths, f"{below}.1", f"{below}.2"]),
+            "fictive positions: ",
+            "essential variables: x1 x2",
+        ]
+        assert len(out) == 3 + self.DEPTH + 3
+        assert out[3] == "witness ε: gamma1 x1=0 x2=0 | gamma2 x1=1 x2=1 | sub q0,q1 | root q0,q1"
+        assert out[4] == "witness 1: gamma1 x1=0 x2=0 | gamma2 x1=1 x2=1 | sub q1,q0 | root q0,q1"
+        assert out[-2:] == [
+            f"witness {below}.1: gamma1 x1=0 x2=1 | gamma2 x1=1 x2=1 | sub q0,q1 | root q0,q1",
+            f"witness {below}.2: gamma1 x1=1 x2=0 | gamma2 x1=1 x2=1 | sub q0,q1 | root q0,q1",
+        ]
+
 
 class TestEssential:
     def test_essential_position(self, aut_file, capsys):

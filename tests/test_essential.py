@@ -6,18 +6,21 @@ from fta import (
     NotEssentialError,
     NotIndependentError,
     ROOT,
+    determining_subtree,
     essential_positions,
     essential_vars,
+    freeze_fictive,
     is_essential_subtree,
     is_prefix_closed,
     is_separable,
+    parse_automaton,
     parse_term,
     positions,
     run,
     sets_independent,
 )
 
-from conftest import P, PS
+from conftest import P, PS, SAMPLE_AUTOMATON, SAMPLE_TERM
 
 # Frozen from an independent enumeration of all assignment pairs over
 # the boolean semantics of the sample automaton (q0=0, q1=1; g=not,
@@ -90,11 +93,12 @@ class TestReport:
     def test_essential_vars_have_essential_leaf_occurrences(self, aut, term):
         # a root-flipping toggle forces different leaf states, so every
         # leaf occurrence of an essential variable is itself essential
-        from fta import variable_positions
+        from fta import Var, subterm_at
         rep = essential_positions(aut, term)
-        for v in rep.essential_vars:
-            for occ in variable_positions(term)[v]:
-                assert occ in rep.essential_positions
+        for p in positions(term):
+            leaf = subterm_at(term, p)
+            if isinstance(leaf, Var) and leaf.index in rep.essential_vars:
+                assert p in rep.essential_positions
 
 
 class TestEssentialVars:
@@ -203,6 +207,7 @@ class TestRunsOncePerAssignment:
     @pytest.fixture()
     def runs(self, monkeypatch):
         import fta.essential
+        import fta.reduction
         calls = []
         real = fta.essential.run
 
@@ -211,11 +216,36 @@ class TestRunsOncePerAssignment:
             return real(aut, gamma, t)
 
         monkeypatch.setattr(fta.essential, "run", counting)
+        monkeypatch.setattr(fta.reduction, "run", counting)
         return calls
 
-    def test_essential_positions(self, aut, term, runs):
-        essential_positions(aut, term)
+    def test_essential_positions(self, sig, aut, runs):
+        # a term of its own: the session's term may already hold its runs
+        t = parse_term(SAMPLE_TERM, sig)
+        essential_positions(aut, t)
         assert len(runs) == len(set(runs)) == 2 ** 4
+        runs.clear()
+        essential_positions(aut, t)
+        assert runs == []
+
+    def test_freeze_fictive(self, sig, aut, runs):
+        freeze_fictive(aut, parse_term(SAMPLE_TERM, sig))
+        assert len(runs) == len(set(runs)) == 2 ** 4
+
+    def test_alternating_automata_get_their_own_runs(self, sig, aut):
+        # f1 and f2 swap meanings: conjunction becomes disjunction
+        text = SAMPLE_AUTOMATON.replace("f1(", "f0(").replace("f2(", "f1(").replace("f0(", "f2(")
+        other = parse_automaton(text)[1]
+
+        def answers(a, t):
+            rep = essential_positions(a, t)
+            return (rep.essential_positions, rep.witnesses, essential_vars(a, t),
+                    determining_subtree(a, t), freeze_fictive(a, t).reduced_term)
+
+        t = parse_term(SAMPLE_TERM, sig)
+        for a in (aut, other, aut, other):
+            assert answers(a, t) == answers(a, parse_term(SAMPLE_TERM, sig))
+        assert answers(aut, t) != answers(other, t)
 
     def test_is_separable_on_more_assignments_than_fit_a_bounded_cache(self, sig, aut, runs):
         # 15 variables: x15 selects which half the root reads, so the two

@@ -4,13 +4,15 @@ from fta import (
     DEFAULT_SIGNATURE,
     GenParams,
     SplitMix64,
+    Var,
     depth,
+    positions,
     random_automaton,
     random_term,
     render_automaton,
     render_term,
+    subterm_at,
     validate,
-    variable_positions,
     variables,
 )
 
@@ -50,7 +52,8 @@ class TestRandomTerm:
     @pytest.mark.parametrize("seed", range(30))
     def test_linear(self, seed):
         t = random_term(GenParams(seed=seed, max_depth=4, var_pool=4))
-        assert all(len(occ) == 1 for occ in variable_positions(t).values())
+        leaves = [s for p in positions(t) if isinstance(s := subterm_at(t, p), Var)]
+        assert len(leaves) == len(set(leaves))
 
 
 class TestRandomAutomaton:

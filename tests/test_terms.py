@@ -24,7 +24,6 @@ from fta import (
     replace_at,
     substitute,
     subterm_at,
-    variable_positions,
     variables,
 )
 
@@ -111,6 +110,10 @@ def test_deep_chain_without_recursion_limit(sig):
     deepest = Position([1] * levels + [2])
     assert subterm_at(replace_at(t, deepest, Var(3)), deepest) == Var(3)
     assert variables(substitute(t, {2: Var(3)})) == {1, 3}
+    same = parse_term(text, sig)
+    assert t == same and hash(t) == hash(same)
+    assert t != parse_term(text.replace("x2", "x3"), sig)
+    assert repr(t).endswith(f"{text}>")
 
 
 class TestPosition:
@@ -210,11 +213,6 @@ class TestDepthVars:
         assert variables(term) == {1, 2, 3, 4}
         assert variables(parse_term("f1(0,1)", sig)) == frozenset()
         assert variables(subterm_at(term, P("2.1"))) == {3, 4}
-
-    def test_variable_positions(self, term):
-        occ = variable_positions(term)
-        assert set(occ[1]) == PS("1.1.1", "2.2.1.2")
-        assert set(occ[3]) == PS("2.1.1.1", "2.1.1.2.2")
 
 
 class TestSubstitute:
