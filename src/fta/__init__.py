@@ -44,7 +44,6 @@ from .essential import (
     essential_vars,
     is_essential_subtree,
     is_separable,
-    sets_independent,
 )
 from .generate import DEFAULT_SIGNATURE, GenParams, SplitMix64, random_automaton, random_term
 from .reduction import (

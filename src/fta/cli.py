@@ -108,10 +108,12 @@ def cmd_run(args) -> int:
         trace = run(aut, gamma, t)
         lines = [trace.result]
         trace_json = None
-        if args.trace:
+        if args.trace:  # only the form that gets printed
             items = sorted(trace.per_position.items(), key=lambda kv: kv[0].order_key)
-            lines += [f"{p} {state}" for p, state in items]
-            trace_json = {str(p): state for p, state in items}
+            if args.json:
+                trace_json = {str(p): state for p, state in items}
+            else:
+                lines += [f"{p} {state}" for p, state in items]
         _emit(args, lines, command="run",
               inputs={"automaton": args.automaton, "term": render_term(t),
                       "assign": _assignment_json(gamma)},

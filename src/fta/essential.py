@@ -39,7 +39,6 @@ from .terms import (
     Term,
     Var,
     compile_term,
-    independent,
     subterm_at,
     variables,
 )
@@ -51,7 +50,6 @@ __all__ = [
     "is_essential_subtree",
     "essential_positions",
     "essential_vars",
-    "sets_independent",
     "is_separable",
 ]
 
@@ -172,7 +170,8 @@ def run_store(aut: Automaton, t: Term) -> RunStore:
 
 
 def _witness_at(store: RunStore, p: Position, budget: int,
-                fixed: Mapping[int, str] | None = None) -> WitnessPair | None:
+                fixed: Mapping[int, str] | None = None,
+                top: int | None = None) -> WitnessPair | None:
     """Canonical-first witness search, factored by the subtree's variables.
 
     The search space is: assignments to the variables outside the
@@ -181,7 +180,8 @@ def _witness_at(store: RunStore, p: Position, budget: int,
     so it can never be essential and the search is skipped.  Each total
     assignment's states are read from ``store``.  Outer variables bound
     by ``fixed`` stay fixed (see :func:`fta.automaton.run`) and only the
-    ones it leaves free are enumerated.
+    ones it leaves free are enumerated.  The "root" state is the one at
+    node ``top``, the compiled term's root unless given.
 
     Within one outer assignment the inner assignments are grouped by
     (subtree state, root state), keeping each group's first member in
@@ -207,7 +207,7 @@ def _witness_at(store: RunStore, p: Position, budget: int,
                      for digits in product(range(k), repeat=len(inner))]
     order = [*fixed, *outer, *inner]
     base = sum(weight[v] * store.consts.index(c) for v, c in fixed.items())
-    root = term.root
+    root = term.root if top is None else top
     for digits in product(range(k), repeat=len(outer)):
         start = base + sum(weight[v] * i for v, i in zip(outer, digits))
         first: dict[tuple[str, str], int] = {}
@@ -231,6 +231,26 @@ def is_essential_subtree(aut: Automaton, t: Term, p: Position, *,
     if p not in store.term.node_of:
         raise InvalidPositionError(f"{p} is not a position of the term")
     return _witness_at(store, p, budget)
+
+
+def essential_in_subterm(aut: Automaton, t: Term, top: Position, p: Position, *,
+                         budget: int = DEFAULT_BUDGET) -> bool:
+    """Whether the subtree at ``p`` is essential for the subterm of ``t``
+    at ``top``, a prefix of ``p``: the verdict, and the budget check, of
+    ``is_essential_subtree(aut, subterm_at(t, top), p.suffix_after(top))``.
+
+    It is read from ``t``'s run store and makes no run of its own once
+    the store holds every assignment: the subterm's run is ``t``'s run
+    at the subterm's node ids, whatever the variables outside the
+    subterm are, so those stay at the first constant.
+    """
+    store = run_store(aut, t)
+    term = store.term
+    node, inner = term.node_of.get(top), term.node_of.get(p)
+    if node is None or inner is None or not node - term.sizes[node] < inner <= node:
+        raise InvalidPositionError(f"{top} is not a prefix of {p} in the term")
+    outside = term.variables - term.variables_at[node]
+    return _witness_at(store, p, budget, dict.fromkeys(outside, store.consts[0]), node) is not None
 
 
 def essential_positions(aut: Automaton, t: Term, *,
@@ -271,17 +291,6 @@ def essential_vars(aut: Automaton, t: Term, *,
     )
 
 
-def sets_independent(t: Term, ys: Iterable[Position], zs: Iterable[Position]) -> bool:
-    """True iff every position of one set is independent of every position
-    of the other."""
-    node_of = compile_term(t).node_of
-    ys, zs = list(ys), list(zs)
-    for p in (*ys, *zs):
-        if p not in node_of:
-            raise InvalidPositionError(f"{p} is not a position of the term")
-    return all(independent(y, z) for y in ys for z in zs)
-
-
 def is_separable(aut: Automaton, t: Term, ys: Iterable[Position],
                  zs: Iterable[Position] | None = None, *,
                  budget: int = DEFAULT_BUDGET) -> SeparabilityResult:
@@ -311,7 +320,10 @@ def is_separable(aut: Automaton, t: Term, ys: Iterable[Position],
         z_vars = term.variables if ys else frozenset()
     else:
         zs = sorted(set(zs), key=lambda p: p.order_key)
-        if not sets_independent(t, ys, zs):
+        for z in zs:
+            if z not in term.node_of:
+                raise InvalidPositionError(f"{z} is not a position of the term")
+        if not all(term.independent(term.node_of[y], term.node_of[z]) for y in ys for z in zs):
             raise NotIndependentError("sets not independent")
         for z in zs:
             if _witness_at(store, z, budget) is None:

@@ -164,7 +164,7 @@ def freeze_fictive(aut: Automaton, t: Term, *,
     sizes = term.sizes
     var_leaves = [(v, i) for i, (kind, v) in enumerate(zip(term.kinds, term.labels)) if kind is Var]
     first_leaf, last_leaf = dict(reversed(var_leaves)), dict(var_leaves)  # by variable
-    reps = canonical_ground(aut)
+    reps = None  # representatives, built once a subtree can be frozen
     store = run_store(aut, t)
     below_fictive = bytearray(len(term.kinds))
 
@@ -179,6 +179,8 @@ def freeze_fictive(aut: Automaton, t: Term, *,
         if not all(first <= first_leaf[v] and last_leaf[v] <= node
                    for v in term.variables_at[node]):
             continue  # a variable occurs outside the subtree
+        if reps is None:
+            reps = canonical_ground(aut)
         state = store[0][node]
         if node_count(reps[state]) >= sizes[node]:
             continue  # representative would not shrink the term

@@ -452,6 +452,11 @@ class CompiledTerm:
     def position_set(self) -> PositionSet:
         return PositionSet(self.positions)
 
+    def independent(self, i: int, j: int) -> bool:
+        """True iff neither node lies in the other's subtree, that is
+        iff their subtrees' id ranges are disjoint."""
+        return j <= i - self.sizes[i] or i <= j - self.sizes[j]
+
     @cached_property
     def variables_at(self) -> tuple[frozenset[int], ...]:
         """Variables of the subtree at each node, by node id."""
@@ -574,10 +579,11 @@ def independent(p: Position, q: Position) -> bool:
 
 def ind_positions(t: Term, p: Position) -> PositionSet:
     """All positions of ``t`` independent of ``p``."""
-    pos = compile_term(t).position_set
-    if p not in pos:
+    term = compile_term(t)
+    node = term.node_of.get(p)
+    if node is None:
         raise InvalidPositionError(f"{p} is not a position of the term")
-    return PositionSet(q for q in pos if independent(p, q))
+    return PositionSet(q for i, q in enumerate(term.positions) if term.independent(node, i))
 
 
 def is_prefix_closed(ps: Iterable[Position]) -> bool:
@@ -587,7 +593,21 @@ def is_prefix_closed(ps: Iterable[Position]) -> bool:
 
 
 def is_prefix_determined(ps: Iterable[Position], qs: Iterable[Position]) -> bool:
-    """True iff the set contains every extension (within ``qs``) of each member."""
-    s = set(ps)
-    return all(q in s for p in s for q in qs if p.is_prefix_of(q))
+    """True iff the set contains every extension (within ``qs``) of each member.
 
+    One pass over ``qs``: a q must be in ``ps`` when some prefix of it
+    is, and each prefix's verdict is worked out once, from its parent's.
+    """
+    inside = {p.indices for p in ps}
+    covered = {(): () in inside}  # by index tuple: does some prefix lie in ``ps``?
+    for q in qs:
+        ix, above = q.indices, []
+        while ix not in covered:
+            above.append(ix)
+            ix = ix[:-1]
+        verdict = covered[ix]
+        for ix in reversed(above):
+            verdict = covered[ix] = verdict or ix in inside
+        if verdict and q.indices not in inside:
+            return False
+    return True

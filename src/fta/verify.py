@@ -14,7 +14,8 @@ Seven properties are checked per (automaton, term) instance:
    essential in every subterm along the one-level-at-a-time chain up to
    the root; every essential position is separable on its own.
 6. oracle-agreement: the factored essentiality search agrees with a
-   direct double loop over all pairs of once-run total assignments.
+   direct double loop over the pairs of once-run total assignments that
+   agree outside the subtree.
 7. prune-soundness: pruning preserves every run result and its node
    accounting is consistent.
 
@@ -41,7 +42,7 @@ from .automaton import (
     run,
 )
 from .errors import EnumerationBudgetExceeded, FtaError
-from .essential import is_essential_subtree
+from .essential import essential_in_subterm
 from .generate import DEFAULT_SIGNATURE, GenParams, SplitMix64, random_automaton, random_term
 from .reduction import cost_report, fictive_from_determining, freeze_fictive, runs_equal_all
 from .terms import (
@@ -56,7 +57,6 @@ from .terms import (
     parse_term,
     positions,
     render_term,
-    subterm_at,
     variables,
 )
 
@@ -125,13 +125,16 @@ class PropertyReport:
 
 def essential_by_definition(aut: Automaton, t: Term, *,
                             budget: int = DEFAULT_BUDGET) -> PositionSet:
-    """Essential positions of ``t`` by a direct double loop over all
-    pairs of total assignments.
+    """Essential positions of ``t`` by a direct double loop over pairs
+    of total assignments.
 
     Keeps none of the factored-search structure: each total assignment
-    is run once, and at every position all pairs are filtered by the
-    agreement condition after the fact.  Used as the independent oracle
-    for :func:`fta.essential.essential_positions`.
+    is run once, by this function itself (it never reads the run store).
+    At every position the runs are put in buckets by their values
+    outside the subtree, and the double loop runs inside each bucket, so
+    it sees exactly the pairs that agree outside the subtree.  The budget
+    still counts all pairs.  Used as the independent oracle for
+    :func:`fta.essential.essential_positions`.
     """
     vs = sorted(variables(t))
     consts = aut.signature.constants
@@ -146,12 +149,15 @@ def essential_by_definition(aut: Automaton, t: Term, *,
         node = term.node_of[p]
         inner = term.variables_at[node]
         outer_idx = [i for i, v in enumerate(vs) if v not in inner]
-        evaluated = [(values, states[node], states[-1]) for values, states in runs]
+        buckets: dict[tuple[str, ...], list[tuple[str, str]]] = {}
+        for values, states in runs:
+            buckets.setdefault(tuple(values[i] for i in outer_idx), []).append(
+                (states[node], states[-1]))
         return any(
             sub1 != sub2 and root1 != root2
-            for values1, sub1, root1 in evaluated
-            for values2, sub2, root2 in evaluated
-            if all(values1[i] == values2[i] for i in outer_idx)
+            for pairs in buckets.values()
+            for sub1, root1 in pairs
+            for sub2, root2 in pairs
         )
 
     return PositionSet(p for p in positions(t) if essential(p))
@@ -161,9 +167,6 @@ def verify_properties(aut: Automaton, t: Term, *, budget: int = DEFAULT_BUDGET,
                       seed: int | None = None) -> PropertyReport:
     """Run all seven properties on one instance."""
     report = PropertyReport.empty()
-    aut_text = render_automaton(aut)
-    term_text = render_term(t)
-
     pos = positions(t)
 
     # One reduction backs properties 1 and 3-7; it exceeds the budget
@@ -222,6 +225,8 @@ def verify_properties(aut: Automaton, t: Term, *, budget: int = DEFAULT_BUDGET,
         is separable iff p is essential, its witness is the ``gamma1``
         of p's witness restricted to them, and it enumerates no more
         than the search at p, within a budget the report already met.
+        The verdict within each subterm is read from the whole term's run
+        store, so p5 makes no runs.
         """
         rep = need_reduction().essentiality
         details = []
@@ -229,8 +234,7 @@ def verify_properties(aut: Automaton, t: Term, *, budget: int = DEFAULT_BUDGET,
             # cut 0 is the whole term, where the report already found p essential
             for cut in range(len(p.indices), 0, -1):
                 prefix = Position(p.indices[:cut])
-                rel = p.suffix_after(prefix)
-                if is_essential_subtree(aut, subterm_at(t, prefix), rel, budget=budget) is None:
+                if not essential_in_subterm(aut, t, prefix, p, budget=budget):
                     details.append(
                         f"separable position {p} is not essential within the subtree at {prefix}"
                     )
@@ -256,6 +260,7 @@ def verify_properties(aut: Automaton, t: Term, *, budget: int = DEFAULT_BUDGET,
             details.append(f"inconsistent node accounting: {original} -> {reduced}")
         return details
 
+    texts = None  # the instance's automaton and term text, rendered for the first failure
     for name, check in zip(PROPERTY_NAMES, (p1, p2, p3, p4, p5, p6, p7)):
         outcome = report.outcomes[name]
         outcome.instances_checked += 1
@@ -264,8 +269,10 @@ def verify_properties(aut: Automaton, t: Term, *, budget: int = DEFAULT_BUDGET,
         except EnumerationBudgetExceeded:
             outcome.budget_exceeded += 1
             continue
+        if details and texts is None:
+            texts = render_automaton(aut), render_term(t)
         for detail in details:
-            outcome.failures.append(PropertyFailure(name, detail, aut_text, term_text, seed))
+            outcome.failures.append(PropertyFailure(name, detail, *texts, seed))
     return report
 
 

@@ -17,7 +17,7 @@ from fta import (
     parse_term,
     positions,
     run,
-    sets_independent,
+    verify_properties,
 )
 
 from conftest import P, PS, SAMPLE_AUTOMATON, SAMPLE_TERM
@@ -50,6 +50,13 @@ class TestWitnessSearch:
     def test_invalid_position(self, aut, term):
         with pytest.raises(InvalidPositionError):
             is_essential_subtree(aut, term, P("4.4"))
+
+    def test_subterm_verdict_needs_a_prefix(self, aut, term):
+        from fta.essential import essential_in_subterm
+        assert essential_in_subterm(aut, term, P("1"), P("1.1"))
+        for top, p in ((P("2"), P("1.1")), (P("1.1"), P("1")), (P("4"), P("1"))):
+            with pytest.raises(InvalidPositionError):
+                essential_in_subterm(aut, term, top, p)
 
     def test_witnesses_self_verify(self, aut, term):
         rep = essential_positions(aut, term)
@@ -116,15 +123,38 @@ class TestEssentialVars:
         assert essential_vars(aut, parse_term("f1(x1,0)", sig)) == frozenset()
 
 
-class TestSetsIndependent:
-    def test_examples(self, term):
-        assert sets_independent(term, PS("1.1"), PS("2.1", "2.2"))
-        assert not sets_independent(term, PS("1"), PS("1.1"))
-        assert sets_independent(term, set(), PS("1", "2"))
+def sets_independent(ys, zs):
+    """Reference: no position of one set is a prefix of one of the other."""
+    return all(not (y.is_prefix_of(z) or z.is_prefix_of(y)) for y in ys for z in zs)
 
-    def test_membership_required(self, term):
+
+class TestSetsIndependent:
+    """``is_separable`` with explicit ``zs`` rejects sets that are not
+    independent; it decides that from subtree id ranges."""
+
+    def test_examples(self, aut, term):
+        assert sets_independent(PS("1.1"), PS("2.1", "2.2"))
+        assert not sets_independent(PS("1"), PS("1.1"))
+        assert sets_independent(set(), PS("1", "2"))
+        assert is_separable(aut, term, set(), PS("1", "2")).separable
+        for ys, zs in ((PS("1.1"), PS("2.2", "1")), (PS("2.2.1"), PS("1.1", "2"))):
+            assert not sets_independent(ys, zs)
+            with pytest.raises(NotIndependentError):
+                is_separable(aut, term, ys, zs)
+
+    def test_membership_required(self, aut, term):
         with pytest.raises(InvalidPositionError):
-            sets_independent(term, PS("8"), PS("1"))
+            is_separable(aut, term, PS("1.1"), PS("8"))
+
+    def test_every_pair_of_essential_positions(self, aut, term):
+        essential = list(essential_positions(aut, term).essential_positions)
+        for y in essential:
+            for z in essential:
+                if sets_independent({y}, {z}):
+                    is_separable(aut, term, {y}, {z})
+                else:
+                    with pytest.raises(NotIndependentError):
+                        is_separable(aut, term, {y}, {z})
 
 
 class TestSeparability:
@@ -246,6 +276,27 @@ class TestRunsOncePerAssignment:
         for a in (aut, other, aut, other):
             assert answers(a, t) == answers(a, parse_term(SAMPLE_TERM, sig))
         assert answers(aut, t) != answers(other, t)
+
+    def test_verify_properties(self, sig, aut, monkeypatch):
+        # the store runs every assignment once, the oracle and p7's
+        # runs_equal_all run their own, and p5 reads the store
+        import fta.essential
+        import fta.reduction
+        import fta.verify
+        counts = dict.fromkeys(("fta.essential", "fta.reduction", "fta.verify"), 0)
+
+        def counting(real, name):
+            def wrapped(aut, gamma, t):
+                counts[name] += 1
+                return real(aut, gamma, t)
+            return wrapped
+
+        for module in (fta.essential, fta.reduction, fta.verify):
+            monkeypatch.setattr(module, "run", counting(module.run, module.__name__))
+        report = verify_properties(aut, parse_term(SAMPLE_TERM, sig))
+        assert report.total_failures == report.total_budget_exceeded == 0
+        n = 2 ** 4
+        assert counts == {"fta.essential": n, "fta.reduction": 2 * n, "fta.verify": n}
 
     def test_is_separable_on_more_assignments_than_fit_a_bounded_cache(self, sig, aut, runs):
         # 15 variables: x15 selects which half the root reads, so the two

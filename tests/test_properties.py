@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from fta import (
     DEFAULT_SIGNATURE,
     Automaton,
+    EnumerationBudgetExceeded,
     FtaError,
     GenParams,
     Node,
@@ -47,7 +48,9 @@ from fta import (
     substitute,
     subterm_at,
     variables,
+    verify_properties,
 )
+from fta.essential import essential_in_subterm
 
 SIG = DEFAULT_SIGNATURE
 
@@ -92,6 +95,22 @@ def nonlinear_terms(draw, max_leaves=8, max_var=2):
 def linear_terms():
     """Terms without repeated variables, as the seeded generator draws them."""
     return st.builds(lambda seed: random_term(GenParams(seed=seed)), st.integers(0, 2 ** 32))
+
+
+def chains(levels=2000):
+    """Deep terms: a spine of ``levels`` nodes, each a ``g`` or a binary
+    node whose other child is a leaf, over at most three variables."""
+    def build(seed):
+        rng = SplitMix64(seed)
+        leaf = [Var(1), Var(2), Var(3), Node("0"), Node("1")]
+        t = leaf[rng.below(3)]
+        for _ in range(levels):
+            kind = rng.below(4)
+            other = leaf[rng.below(len(leaf))]
+            t = (Node("g", (t,)) if kind == 0 else
+                 Node("f1" if kind == 1 else "f2", (t, other) if kind < 3 else (other, t)))
+        return t
+    return st.builds(build, st.integers(0, 2 ** 32))
 
 
 def automata():
@@ -366,3 +385,128 @@ def test_grouped_witness_search_returns_first_pair_of_double_loop(seed, states, 
         w = is_essential_subtree(aut, t, p)
         got = None if w is None else (w.gamma1, w.gamma2, w.sub_states, w.root_states)
         assert got == witness_by_double_loop(aut, t, p)
+
+
+# ---------------------------------------------------------------------------
+# the verify properties' fast paths against references kept here
+
+
+def ind_positions_by_definition(t, p):
+    return {q for q in positions(t) if not (p.is_prefix_of(q) or q.is_prefix_of(p))}
+
+
+def prefix_determined_by_definition(ps, qs):
+    return all(q in ps for p in ps for q in qs if p.is_prefix_of(q))
+
+
+def assert_position_algebra_by_definition(t, data):
+    pos = list(positions(t))
+    picks = pos if len(pos) <= 40 else data.draw(
+        st.lists(st.sampled_from(pos), min_size=1, max_size=4))
+    for p in picks:
+        assert ind_positions(t, p) == ind_positions_by_definition(t, p)
+    # arbitrary sets: ``qs`` not prefix closed, ``ps`` not a subset of it
+    outside = [Position((9,)), Position((1, 9)), Position((2, 1, 9))]
+    for _ in range(4):
+        qs = set(data.draw(st.lists(st.sampled_from(pos), max_size=12)))
+        ps = set(data.draw(st.lists(st.sampled_from(pos + outside), max_size=6)))
+        if data.draw(st.booleans()):  # often determined: close ps downwards within qs
+            ps |= {q for q in qs if any(p.is_prefix_of(q) for p in ps)}
+        assert is_prefix_determined(ps, qs) == prefix_determined_by_definition(ps, qs)
+    p = data.draw(st.sampled_from(pos))
+    assert is_prefix_determined(ind_positions(t, p), pos)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(linear_terms(), nonlinear_terms()), st.data())
+def test_position_algebra_matches_definition(t, data):
+    assert_position_algebra_by_definition(t, data)
+
+
+@settings(max_examples=5, deadline=None)
+@given(chains(), st.data())
+def test_position_algebra_matches_definition_on_deep_chains(t, data):
+    assert_position_algebra_by_definition(t, data)
+
+
+def essential_by_all_pairs(aut, t):
+    """Reference for the oracle: every pair of total assignments at every
+    position, filtered by agreement outside the subtree."""
+    vs = sorted(variables(t))
+    runs = [(values, run(aut, dict(zip(vs, values)), t))
+            for values in product(aut.signature.constants, repeat=len(vs))]
+    essential = set()
+    for p in positions(t):
+        inner = variables(subterm_at(t, p))
+        outer_idx = [i for i, v in enumerate(vs) if v not in inner]
+        evaluated = [(values, tr.per_position[p], tr.result) for values, tr in runs]
+        if any(sub1 != sub2 and root1 != root2
+               for values1, sub1, root1 in evaluated
+               for values2, sub2, root2 in evaluated
+               if all(values1[i] == values2[i] for i in outer_idx)):
+            essential.add(p)
+    return essential
+
+
+@settings(max_examples=40, deadline=None)
+@given(automata(), st.one_of(linear_terms(), nonlinear_terms()))
+def test_bucketed_oracle_matches_all_pairs(aut, t):
+    assert essential_by_definition(aut, t) == essential_by_all_pairs(aut, t)
+
+
+@settings(max_examples=3, deadline=None)
+@given(automata(), chains())
+def test_bucketed_oracle_matches_all_pairs_on_chains(aut, t):
+    assert essential_by_definition(aut, t) == essential_by_all_pairs(aut, t)
+
+
+def verdict(f):
+    try:
+        return f()
+    except EnumerationBudgetExceeded as exc:
+        return exc.required, exc.cap
+
+
+def subterm_verdict_by_definition(aut, t, top, p, budget):
+    sub = subterm_at(t, top)
+    return verdict(lambda: is_essential_subtree(aut, sub, p.suffix_after(top),
+                                                budget=budget) is not None)
+
+
+def p5_by_definition(aut, t, budget):
+    """p5's outcome (budget exceeded, failure count) from fresh subterms."""
+    try:
+        ess = essential_positions(aut, t, budget=budget).essential_positions
+        failures = sum(
+            not is_essential_subtree(aut, subterm_at(t, Position(p.indices[:cut])),
+                                     Position(p.indices[cut:]), budget=budget)
+            for p in ess for cut in range(len(p), 0, -1))
+    except EnumerationBudgetExceeded:
+        return 1, 0
+    return 0, failures
+
+
+BUDGETS = st.sampled_from([2, 4, 8, 16, 64, 256, 2 ** 20])
+
+
+@settings(max_examples=60, deadline=None)
+@given(automata(), st.one_of(linear_terms(), nonlinear_terms(max_var=3)), BUDGETS)
+def test_p5_reads_the_store_like_fresh_subterms(aut, t, budget):
+    for p in positions(t):
+        for cut in range(len(p), 0, -1):
+            top = Position(p.indices[:cut])
+            got = verdict(lambda: essential_in_subterm(aut, t, top, p, budget=budget))
+            assert got == subterm_verdict_by_definition(aut, t, top, p, budget)
+    outcome = verify_properties(aut, t, budget=budget).outcomes["separable-strong-chain"]
+    assert (outcome.budget_exceeded, len(outcome.failures)) == p5_by_definition(aut, t, budget)
+
+
+@settings(max_examples=5, deadline=None)
+@given(automata(), chains(), BUDGETS, st.data())
+def test_p5_reads_the_store_like_fresh_subterms_on_deep_chains(aut, t, budget, data):
+    pos = list(positions(t))
+    for _ in range(3):
+        p = data.draw(st.sampled_from(pos[-60:]))  # deep, so its subterms stay small
+        top = Position(p.indices[:data.draw(st.integers(len(p) - 40, len(p)))])
+        got = verdict(lambda: essential_in_subterm(aut, t, top, p, budget=budget))
+        assert got == subterm_verdict_by_definition(aut, t, top, p, budget)

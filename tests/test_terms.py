@@ -271,6 +271,11 @@ class TestPrefixPredicates:
         assert is_prefix_determined(ind_positions(term, P("2")), positions(term))
         assert not is_prefix_determined(PS("ε"), PS("ε", "1"))
         assert is_prefix_determined(set(), positions(term))
+        # ``qs`` need not be prefix closed, nor ``ps`` a subset of it
+        assert not is_prefix_determined(PS("1"), PS("1.1"))
+        assert not is_prefix_determined(PS("ε"), PS("2.2"))
+        assert is_prefix_determined(PS("1", "1.1"), PS("1.1", "2"))
+        assert is_prefix_determined(PS("3", "2.2.1"), PS("2.2", "1"))
 
     def test_every_ind_set_is_prefix_determined(self, term):
         for p in positions(term):
