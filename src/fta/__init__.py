@@ -66,7 +66,6 @@ from .terms import (
     Var,
     depth,
     ind_positions,
-    independent,
     is_prefix_closed,
     is_prefix_determined,
     node_count,

@@ -27,7 +27,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import product
 from types import MappingProxyType
-from typing import Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     AutomatonSyntaxError,
@@ -77,11 +77,109 @@ class Automaton:
     def __post_init__(self):
         object.__setattr__(self, "rules", MappingProxyType(dict(self.rules)))
 
-    def step(self, symbol: str, args: tuple[str, ...]) -> str:
-        state = self.rules.get((symbol, args))
-        if state is None:
-            raise FtaError(f"no transition for {_lhs(symbol, args)}")
+
+class CompiledAutomaton:
+    """An automaton with integer states and one flat transition table
+    per symbol.
+
+    ``names[i]`` is the state with id i: the declared states in
+    declaration order, then every other state a rule mentions (only an
+    unvalidated automaton has those); ``ids`` is the inverse and
+    ``declared`` the number of declared states.  The rule
+    ``f(q1,...,qn) -> q`` puts q's id into ``tables[f]`` at the index of
+    the argument ids a1..an in base ``len(names)`` with the digits
+    a1+1, ..., an+1 (bijective numeration), so argument tuples of every
+    length have their own index.  The other entries hold -1.  A table
+    that would be more than twice as long as its rules, plus 64, is a
+    dict from index to id instead, as for a lone rule of high arity in
+    an unvalidated automaton.
+    """
+
+    def __init__(self, aut: Automaton):
+        names = dict.fromkeys(aut.states)
+        for (_, args), target in aut.rules.items():
+            names.update(dict.fromkeys((*args, target)))
+        self.names = tuple(names)
+        self.ids = {q: i for i, q in enumerate(self.names)}
+        self.declared = len(set(aut.states))
+        self.base = len(self.names)
+        entries: dict[str, dict[int, int]] = {}
+        for (symbol, args), target in aut.rules.items():
+            entries.setdefault(symbol, {})[self.index(self.ids[q] for q in args)] = self.ids[target]
+        self.tables: dict[str, list[int] | dict[int, int]] = {}
+        for symbol, targets in entries.items():
+            size = max(targets) + 1
+            if size > 2 * len(targets) + 64:
+                self.tables[symbol] = targets
+                continue
+            table = self.tables[symbol] = [-1] * size
+            for index, target in targets.items():
+                table[index] = target
+        self.constants = {c: targets[0] for c, targets in entries.items() if 0 in targets}
+
+    def index(self, args: Iterable[int]) -> int:
+        """Table index of the argument state ids ``args``."""
+        index = 0
+        for a in args:
+            index = index * self.base + a + 1
+        return index
+
+    def target(self, symbol: str, args: Sequence[int]) -> int:
+        """Id of the state the rule for ``symbol`` over the argument ids
+        ``args`` leads to, or -1 when there is no such rule."""
+        try:
+            return self.tables[symbol][self.index(args)]
+        except LookupError:
+            return -1
+
+    def step(self, symbol: str, args: Sequence[int]) -> int:
+        """:meth:`target`, raising :class:`FtaError` when there is no rule."""
+        state = self.target(symbol, args)
+        if state < 0:
+            raise _no_transition(symbol, tuple(self.names[a] for a in args))
         return state
+
+    def state_ids(self, gamma: Mapping[int, str], term: CompiledTerm) -> list[int]:
+        """The state id at every node of ``term``, by node id, for the
+        run under ``gamma`` (see :func:`run`, which also checks
+        ``gamma``)."""
+        tables, base, constants = self.tables, self.base, self.constants
+        ids, declared = self.ids, self.declared
+        states: list[int] = []
+        for kind, label, kids in zip(term.kinds, term.labels, term.children):
+            if kind is Node:
+                index = 0
+                for k in kids:
+                    index = index * base + states[k] + 1
+                try:
+                    state = tables[label][index]
+                except LookupError:
+                    state = -1
+                if state < 0:
+                    raise _no_transition(label, tuple(self.names[states[k]] for k in kids))
+            elif kind is Var:
+                c = gamma.get(label)
+                if c is None:
+                    raise UnboundVariableError(f"x{label} is not bound by the assignment")
+                state = constants.get(c, -1)
+                if state < 0:
+                    raise _no_transition(c, ())
+            else:
+                state = ids.get(label, declared)
+                if state >= declared:
+                    raise FtaError(f"@{label} is not a state of the automaton")
+            states.append(state)
+        return states
+
+
+def compile_automaton(aut: Automaton) -> CompiledAutomaton:
+    """The compiled form of ``aut``: built on first use and kept with
+    ``aut``, so every later run with the same automaton object reuses it."""
+    compiled = aut.__dict__.get("_compiled")
+    if compiled is None:
+        compiled = CompiledAutomaton(aut)
+        object.__setattr__(aut, "_compiled", compiled)
+    return compiled
 
 
 @dataclass(frozen=True)
@@ -90,12 +188,15 @@ class RunTrace:
 
     ``states`` holds the state of each node by its id in the term's
     compiled form (:class:`fta.terms.CompiledTerm`); ``per_position`` is
-    a read-only view of the same states by position.
+    a read-only view of the same states by position, and ``ids`` holds
+    them as state ids of the automaton's compiled form
+    (:class:`CompiledAutomaton`, whose ``names`` maps them back).
     """
 
     result: str
     states: tuple[str, ...] = field(repr=False)
     per_position: Mapping[Position, str]
+    ids: tuple[int, ...] = field(repr=False, compare=False)
 
 
 class _StatesByPosition(Mapping):
@@ -122,6 +223,10 @@ class _StatesByPosition(Mapping):
 
 def _lhs(symbol: str, args: tuple[str, ...]) -> str:
     return symbol if not args else f"{symbol}({','.join(args)})"
+
+
+def _no_transition(symbol: str, args: tuple[str, ...]) -> FtaError:
+    return FtaError(f"no transition for {_lhs(symbol, args)}")
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +442,9 @@ def run(aut: Automaton, gamma: Mapping[int, str], t: Term) -> RunTrace:
     variables are ignored (runs only depend on the variables that occur).
     The nodes of ``t``'s compiled form are evaluated in id order, which
     is post-order, so the first error met is the one a recursive
-    evaluation would meet.
+    evaluation would meet.  Each node's state is one lookup in the
+    compiled automaton's tables (:class:`CompiledAutomaton`); the state
+    ids become names once, at the end.
 
     A variable leaf bound to the constant c gets the state of the leaf c.
     So fixing some variables of ``t`` to constants needs no substituted
@@ -346,22 +453,10 @@ def run(aut: Automaton, gamma: Mapping[int, str], t: Term) -> RunTrace:
     """
     check_assignment(aut.signature, gamma)
     term = compile_term(t)
-    states: list[str] = []
-    for kind, label, kids in zip(term.kinds, term.labels, term.children):
-        if kind is Node:
-            state = aut.step(label, tuple(states[k] for k in kids))
-        elif kind is Var:
-            c = gamma.get(label)
-            if c is None:
-                raise UnboundVariableError(f"x{label} is not bound by the assignment")
-            state = aut.step(c, ())
-        else:
-            if label not in aut.states:
-                raise FtaError(f"@{label} is not a state of the automaton")
-            state = label
-        states.append(state)
-    frozen = tuple(states)
-    return RunTrace(frozen[-1], frozen, _StatesByPosition(frozen, term))
+    compiled = compile_automaton(aut)
+    ids = tuple(compiled.state_ids(gamma, term))
+    states = tuple(map(compiled.names.__getitem__, ids))
+    return RunTrace(states[-1], states, _StatesByPosition(states, term), ids)
 
 
 def partial_run(aut: Automaton, gamma: Mapping[int, str], t: Term) -> Term:
@@ -376,19 +471,39 @@ def partial_run(aut: Automaton, gamma: Mapping[int, str], t: Term) -> Term:
     """
     check_assignment(aut.signature, gamma)
     term = compile_term(t)
-    done: list[Term] = []
+    compiled = compile_automaton(aut)
+    tables, base, names = compiled.tables, compiled.base, compiled.names
+    done: list[int | Term] = []  # a collapsed subtree's state id, else its term
     for kind, label, kids in zip(term.kinds, term.labels, term.children):
-        if kind is Var:
-            done.append(StateLeaf(aut.step(gamma[label], ())) if label in gamma else Var(label))
-        elif kind is StateLeaf:
-            done.append(StateLeaf(label))
-        else:
-            args = tuple(done[k] for k in kids)
-            if all(isinstance(a, StateLeaf) for a in args):
-                done.append(StateLeaf(aut.step(label, tuple(a.state for a in args))))
-            else:
-                done.append(Node(label, args))
-    return done[term.root]
+        if kind is Node:
+            index = 0
+            for k in kids:
+                a = done[k]
+                if type(a) is not int:
+                    break
+                index = index * base + a + 1
+            else:  # every child collapsed
+                try:
+                    state = tables[label][index]
+                except LookupError:
+                    state = -1
+                if state < 0:
+                    raise _no_transition(label, tuple(names[done[k]] for k in kids))
+                done.append(state)
+                continue
+            args = tuple([StateLeaf(names[b]) if type(b) is int else b
+                          for b in [done[k] for k in kids]])
+            # ``a`` is the first child that did not collapse; if it and the
+            # rest are state leaves, a state no rule reads blocks the node
+            if type(a) is StateLeaf and all(type(b) is StateLeaf for b in args):
+                raise _no_transition(label, tuple(b.state for b in args))
+            done.append(Node(label, args))
+        elif kind is Var:
+            done.append(compiled.step(gamma[label], ()) if label in gamma else Var(label))
+        else:  # a state no rule mentions has no id, so it stays a leaf
+            done.append(compiled.ids.get(label, StateLeaf(label)))
+    out = done[term.root]
+    return StateLeaf(names[out]) if type(out) is int else out
 
 
 def canonical_ground(aut: Automaton) -> dict[str, Term]:
@@ -400,13 +515,14 @@ def canonical_ground(aut: Automaton) -> dict[str, Term]:
     ground subtree evaluates to always has a representative.
     """
     sig = aut.signature
-    chosen: dict[str, tuple[int, Term, str]] = {}  # state -> (depth, term, text)
+    compiled = compile_automaton(aut)
+    chosen: dict[int, tuple[int, Term]] = {}  # state id -> (depth, term)
     layer = 0
     while True:
-        candidates: dict[str, tuple[tuple[int, str], Term]] = {}
+        candidates: dict[int, tuple[tuple[int, str], Term]] = {}
 
-        def offer(state: str, term: Term):
-            if state is None or state in chosen:
+        def offer(state: int, term: Term):
+            if state < 0 or state in chosen:
                 return
             text = render_term(term)
             key = (len(text), text)
@@ -415,9 +531,9 @@ def canonical_ground(aut: Automaton) -> dict[str, Term]:
 
         if layer == 0:
             for c in sig.constants:
-                offer(aut.rules.get((c, ())), Node(c))
+                offer(compiled.target(c, ()), Node(c))
         else:
-            ready = [q for q in aut.states if q in chosen]
+            ready = [q for q in range(compiled.declared) if q in chosen]
             for symbol, arity in sig.symbols:
                 if arity == 0:
                     continue
@@ -425,10 +541,10 @@ def canonical_ground(aut: Automaton) -> dict[str, Term]:
                     if max(chosen[q][0] for q in combo) != layer - 1:
                         continue
                     term = Node(symbol, tuple(chosen[q][1] for q in combo))
-                    offer(aut.rules.get((symbol, combo)), term)
+                    offer(compiled.target(symbol, combo), term)
         if not candidates:
             break
-        for state, ((_, text), term) in candidates.items():
-            chosen[state] = (layer, term, text)
+        for state, (_, term) in candidates.items():
+            chosen[state] = (layer, term)
         layer += 1
-    return {q: chosen[q][1] for q in aut.states if q in chosen}
+    return {compiled.names[q]: chosen[q][1] for q in range(compiled.declared) if q in chosen}

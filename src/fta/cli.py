@@ -30,7 +30,7 @@ from .errors import (
 )
 from .essential import essential_positions, is_essential_subtree, is_separable
 from .reduction import check_reduction, cost_report, freeze_fictive
-from .terms import Position, parse_term, render_term, variables
+from .terms import Position, compile_term, parse_term, render_term, variables
 from .verify import check_random_instances, replay_failure, verify_properties
 
 
@@ -38,9 +38,9 @@ def _assignment_json(gamma):
     return {f"x{v}": gamma[v] for v in sorted(gamma)}
 
 
-def _witness_json(w):
+def _witness_json(w, position_name):
     return {
-        "position": str(w.position),
+        "position": position_name,
         "gamma1": _assignment_json(w.gamma1),
         "gamma2": _assignment_json(w.gamma2),
         "sub_states": list(w.sub_states),
@@ -63,6 +63,13 @@ def _emit(args, lines, *, command, inputs, verdict=None, witnesses=None,
     else:
         for line in lines:
             print(line)
+
+
+def _position_names(t, ps) -> list[str]:
+    """The rendered name of each position of ``t`` in ``ps``, read from
+    the names table of ``t``'s compiled form."""
+    term = compile_term(t)
+    return [term.names[term.node_of[p]] for p in ps]
 
 
 def _load_automaton(path: str):
@@ -109,11 +116,12 @@ def cmd_run(args) -> int:
         lines = [trace.result]
         trace_json = None
         if args.trace:  # only the form that gets printed
-            items = sorted(trace.per_position.items(), key=lambda kv: kv[0].order_key)
+            term = compile_term(t)
+            items = [(term.names[i], trace.states[i]) for i in term.order]
             if args.json:
-                trace_json = {str(p): state for p, state in items}
+                trace_json = dict(items)
             else:
-                lines += [f"{p} {state}" for p, state in items]
+                lines += [f"{name} {state}" for name, state in items]
         _emit(args, lines, command="run",
               inputs={"automaton": args.automaton, "term": render_term(t),
                       "assign": _assignment_json(gamma)},
@@ -139,28 +147,30 @@ def cmd_essential(args) -> int:
             _emit(args, ["fictive"], command="essential", inputs=inputs, verdict="fictive")
             return 1
         _emit(args, ["essential"] + _witness_lines(w), command="essential",
-              inputs=inputs, verdict="essential", witnesses=[_witness_json(w)])
+              inputs=inputs, verdict="essential", witnesses=[_witness_json(w, str(p))])
         return 0
     rep = essential_positions(aut, t, budget=args.max_assignments)
+    essential = _position_names(t, rep.essential_positions)
+    fictive = _position_names(t, rep.fictive_positions)
+    witnesses = [rep.witnesses[p] for p in rep.essential_positions]
     lines = [
-        f"essential positions: {rep.essential_positions.render()}",
-        f"fictive positions: {rep.fictive_positions.render()}",
+        f"essential positions: {' '.join(essential)}",
+        f"fictive positions: {' '.join(fictive)}",
         "essential variables: "
         + (" ".join(f"x{v}" for v in sorted(rep.essential_vars)) or "(none)"),
     ]
-    for p in rep.essential_positions:
-        w = rep.witnesses[p]
+    for name, w in zip(essential, witnesses):
         lines.append(
-            f"witness {p}: gamma1 {render_assignment(w.gamma1)}"
+            f"witness {name}: gamma1 {render_assignment(w.gamma1)}"
             f" | gamma2 {render_assignment(w.gamma2)}"
             f" | sub {w.sub_states[0]},{w.sub_states[1]}"
             f" | root {w.root_states[0]},{w.root_states[1]}"
         )
     _emit(args, lines, command="essential", inputs=inputs, verdict="report",
-          witnesses=[_witness_json(rep.witnesses[p]) for p in rep.essential_positions],
+          witnesses=[_witness_json(w, name) for name, w in zip(essential, witnesses)],
           positions_out={
-              "essential": [str(p) for p in rep.essential_positions],
-              "fictive": [str(p) for p in rep.fictive_positions],
+              "essential": essential,
+              "fictive": fictive,
               "essential_vars": [f"x{v}" for v in sorted(rep.essential_vars)],
           })
     return 0
@@ -192,6 +202,7 @@ def cmd_prune(args) -> int:
     t = _load_term(args, sig)
     rep = freeze_fictive(aut, t, budget=args.max_assignments)
     original, reduced, saved = cost_report(t, rep.reduced_term)
+    frozen = _position_names(t, rep.frozen_positions)
     if reduced == original:
         lines = ["no reduction"]
     else:
@@ -201,8 +212,8 @@ def cmd_prune(args) -> int:
             f" | reduced: {render_term(rep.reduced_term)}"
             f" | nodes {original}→{reduced} ({saved * 100:.1f}% saved)"
         ]
-        if rep.frozen_positions:
-            lines.append(f"frozen positions: {rep.frozen_positions.render()}")
+        if frozen:
+            lines.append(f"frozen positions: {' '.join(frozen)}")
     soundness = None
     if args.verify:
         checked = check_reduction(aut, t, rep, budget=args.max_assignments)
@@ -214,7 +225,7 @@ def cmd_prune(args) -> int:
           positions_out={
               "determining": None if rep.determining_position is None
               else str(rep.determining_position),
-              "frozen": [str(p) for p in rep.frozen_positions],
+              "frozen": frozen,
           },
           report={"original_nodes": original, "reduced_nodes": reduced,
                   "saved_fraction": saved,
@@ -369,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("-f", "--term-file", help="file containing the term")
     p.add_argument("--random", action="store_true", help="check seeded random instances")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=int, default=100)
+    p.add_argument("--count", type=_at_least(0), default=100)
     p.add_argument("--max-depth", type=_at_least(0), default=4)
     p.add_argument("--max-vars", type=_at_least(0), default=4)
     p.add_argument("--max-states", type=_at_least(1), default=3)

@@ -24,6 +24,7 @@ from .automaton import (
     DEFAULT_BUDGET,
     Assignment,
     Automaton,
+    compile_automaton,
     enumerate_assignments,
     run,
 )
@@ -117,11 +118,12 @@ class SeparabilityResult:
 
 
 class RunStore:
-    """Node states of one term's run under each total assignment, each
-    made on first use, so every assignment is run at most once.  Every
-    analysis of the package reads its runs here (see :func:`run_store`);
-    only the exhaustive re-checks call :func:`fta.automaton.run`
-    themselves, so they check the store independently.
+    """State ids at every node of one term's run under each total
+    assignment (:attr:`fta.automaton.RunTrace.ids`), each row made on
+    first use, so every assignment is run at most once.  Every analysis
+    of the package reads its runs here (see :func:`run_store`); only the
+    exhaustive re-checks call :func:`fta.automaton.run` themselves, so
+    they check the store independently.
 
     An assignment is numbered in mixed radix: each variable contributes
     the index of its constant, the lowest variable being the most
@@ -136,7 +138,7 @@ class RunStore:
         k = len(self.consts)
         self.weight = {v: k ** e for e, v in enumerate(sorted(self.term.variables,
                                                               reverse=True))}
-        self._by_number: dict[int, tuple[str, ...]] = {}
+        self._by_number: dict[int, tuple[int, ...]] = {}
 
     def numbers(self, budget: int) -> range:
         """Every assignment's number, in canonical order; raises before
@@ -150,11 +152,11 @@ class RunStore:
         k = len(self.consts)
         return {v: self.consts[number // self.weight[v] % k] for v in order}
 
-    def __getitem__(self, number: int) -> tuple[str, ...]:
+    def __getitem__(self, number: int) -> tuple[int, ...]:
         row = self._by_number.get(number)
         if row is None:
             row = self._by_number[number] = run(self.aut, self.assignment(number, self.weight),
-                                                self._t()).states
+                                                self._t()).ids
         return row
 
 
@@ -210,7 +212,7 @@ def _witness_at(store: RunStore, p: Position, budget: int,
     root = term.root if top is None else top
     for digits in product(range(k), repeat=len(outer)):
         start = base + sum(weight[v] * i for v, i in zip(outer, digits))
-        first: dict[tuple[str, str], int] = {}
+        first: dict[tuple[int, int], int] = {}
         for number in inner_numbers:
             states = store[start + number]
             first.setdefault((states[node], states[root]), start + number)
@@ -219,8 +221,9 @@ def _witness_at(store: RunStore, p: Position, budget: int,
                         if sub2 != sub1 and root2 != root1]
             if partners:
                 n2, sub2, root2 = min(partners)
+                names = compile_automaton(store.aut).names
                 return WitnessPair(p, store.assignment(n1, order), store.assignment(n2, order),
-                                   (sub1, sub2), (root1, root2))
+                                   (names[sub1], names[sub2]), (names[root1], names[root2]))
     return None
 
 

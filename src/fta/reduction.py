@@ -22,6 +22,7 @@ from .automaton import (
     DEFAULT_BUDGET,
     Automaton,
     canonical_ground,
+    compile_automaton,
     enumerate_assignments,
     run,
 )
@@ -180,11 +181,11 @@ def freeze_fictive(aut: Automaton, t: Term, *,
                    for v in term.variables_at[node]):
             continue  # a variable occurs outside the subtree
         if reps is None:
-            reps = canonical_ground(aut)
-        state = store[0][node]
-        if node_count(reps[state]) >= sizes[node]:
+            reps, names = canonical_ground(aut), compile_automaton(aut).names
+        rep = reps[names[store[0][node]]]
+        if node_count(rep) >= sizes[node]:
             continue  # representative would not shrink the term
-        pruned = replace_at(pruned, p, reps[state])
+        pruned = replace_at(pruned, p, rep)
         frozen.append(p)
 
     determining = determining_subtree(aut, t, budget=budget)

@@ -222,9 +222,6 @@ class PositionSet:
     def __repr__(self) -> str:
         return "{" + ", ".join(str(p) for p in self._sorted) + "}"
 
-    def render(self) -> str:
-        return " ".join(str(p) for p in self._sorted)
-
 
 # ---------------------------------------------------------------------------
 # parsing / printing
@@ -394,8 +391,9 @@ class CompiledTerm:
     :class:`StateLeaf` or :class:`Node`), ``labels[i]`` its variable
     index, state or symbol, ``children[i]`` the ids of its children and
     ``sizes[i]`` its subtree's node count, so that subtree is the ids
-    ``i - sizes[i] + 1`` to ``i``.  The position table, its inverse and
-    the variables below each node are built on first use.
+    ``i - sizes[i] + 1`` to ``i``.  The position table, its inverse,
+    the rendered position names, the breadth-first order and the
+    variables below each node are built on first use.
     """
 
     def __init__(self, t: Term):
@@ -442,6 +440,28 @@ class CompiledTerm:
             for j, k in enumerate(self.children[i], 1):
                 paths[k] = Position._trusted(above + (j,))
         return tuple(paths)
+
+    @cached_property
+    def names(self) -> tuple[str, ...]:
+        """Rendered position of each node (its ``str``), by node id; each
+        built once, from its parent's, so all of them take time
+        proportional to their total length."""
+        names: list = [None] * len(self.kinds)
+        names[self.root] = "ε"
+        for i in range(self.root, -1, -1):  # parents before children
+            above = "" if i == self.root else names[i] + "."
+            for j, k in enumerate(self.children[i], 1):
+                names[k] = f"{above}{j}"
+        return tuple(names)
+
+    @cached_property
+    def order(self) -> tuple[int, ...]:
+        """Node ids in the length-then-lexicographic order of their
+        positions, which is breadth first, children left to right."""
+        order = [self.root]
+        for i in order:  # visits the ids appended while it runs
+            order.extend(self.children[i])
+        return tuple(order)
 
     @cached_property
     def node_of(self) -> Mapping[Position, int]:
@@ -567,14 +587,6 @@ def substitute(t: Term, binding: Mapping[int, Term]) -> Term:
         else:
             done.append(Node(label, tuple(done[k] for k in kids)))
     return done[term.root]
-
-
-def independent(p: Position, q: Position) -> bool:
-    """True iff neither position is a prefix of the other.
-
-    Independent positions address disjoint subtree occurrences.
-    """
-    return not (p.is_prefix_of(q) or q.is_prefix_of(p))
 
 
 def ind_positions(t: Term, p: Position) -> PositionSet:

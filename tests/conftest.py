@@ -1,6 +1,7 @@
 import pytest
 
-from fta import Position, parse_automaton, parse_term
+from fta import Position, parse_automaton, parse_term, positions
+from fta.terms import compile_term
 
 # Two-state automaton over {0,1}: g negates, f1 is conjunction-like,
 # f2 is disjunction-like; q1 is the only final state.
@@ -32,6 +33,14 @@ def P(text: str) -> Position:
 
 def PS(*texts: str) -> set:
     return {Position.parse(t) for t in texts}
+
+
+def assert_names_and_order(t):
+    """Each node's name is the ``str`` of its position, and ``order``
+    visits the nodes in the length-then-lexicographic order of theirs."""
+    term = compile_term(t)
+    assert term.names == tuple(str(p) for p in term.positions)
+    assert [term.positions[i] for i in term.order] == list(positions(t))
 
 
 @pytest.fixture(scope="session")

@@ -3,6 +3,7 @@ import pytest
 from fta import (
     Automaton,
     FtaError,
+    Node,
     StateLeaf,
     UnboundVariableError,
     UnknownSymbolError,
@@ -21,6 +22,8 @@ from fta import (
     subterm_at,
     validate,
 )
+
+from fta.automaton import compile_automaton
 
 from conftest import P, SAMPLE_AUTOMATON
 
@@ -101,7 +104,7 @@ class TestRun:
         trace = run(aut, G1, term)
         left = run(aut, G1, subterm_at(term, P("1"))).result
         right = run(aut, G1, subterm_at(term, P("2"))).result
-        assert trace.result == aut.step("f1", (left, right))
+        assert trace.result == aut.rules[("f1", (left, right))]
 
     def test_locality_extra_bindings_ignored(self, aut, term):
         extended = G3 | {9: "1"}
@@ -210,3 +213,19 @@ class TestCanonicalGround:
     def test_representatives_evaluate_to_their_state(self, aut):
         for state, rep in canonical_ground(aut).items():
             assert run(aut, {}, rep).result == state
+
+
+class TestCompiledAutomaton:
+    def test_state_ids_in_declaration_order(self, aut):
+        compiled = compile_automaton(aut)
+        assert compiled.names == ("q0", "q1") and compiled.declared == 2
+        assert compile_automaton(aut) is compiled
+        assert compiled.target("f1", (1, 1)) == 1 and compiled.target("f1", (0, 1)) == 0
+
+    def test_rule_of_high_arity_gets_a_sparse_table(self, sig, aut):
+        # a dense table would need 2**41 entries for this one rule
+        wide = Automaton(sig, aut.states, aut.final, dict(aut.rules) | {("h", ("q1",) * 40): "q0"})
+        assert isinstance(compile_automaton(wide).tables["h"], dict)
+        assert run(wide, {}, Node("h", (Node("1"),) * 40)).result == "q0"
+        with pytest.raises(FtaError, match=r"^no transition for h\(q0,q1,"):
+            run(wide, {}, Node("h", (Node("0"),) + (Node("1"),) * 39))

@@ -147,6 +147,20 @@ class TestDeepChain:
             f"witness {below}.2: gamma1 x1=1 x2=0 | gamma2 x1=1 x2=1 | sub q0,q1 | root q0,q1",
         ]
 
+    def test_essential_json(self, aut_file, chain_file, capsys):
+        assert main(["essential", aut_file, "-f", chain_file, "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        paths = [".".join(["1"] * n) for n in range(1, self.DEPTH + 1)]
+        below = paths[-1]
+        essential = ["ε", *paths, f"{below}.1", f"{below}.2"]
+        assert payload["positions"] == {"essential": essential, "fictive": [],
+                                        "essential_vars": ["x1", "x2"]}
+        assert [w["position"] for w in payload["witnesses"]] == essential
+        assert payload["witnesses"][-1] == {
+            "position": f"{below}.2", "gamma1": {"x1": "1", "x2": "0"},
+            "gamma2": {"x1": "1", "x2": "1"}, "sub_states": ["q0", "q1"],
+            "root_states": ["q0", "q1"]}
+
 
 class TestEssential:
     def test_essential_position(self, aut_file, capsys):
@@ -252,7 +266,9 @@ class TestVerify:
         ([], "not json"),
         ([], json.dumps({"term": "x1"})),
         ([], json.dumps({"automaton": SAMPLE_AUTOMATON})),
-    ], ids=["max-depth", "max-vars", "max-states", "not-json", "no-automaton", "no-term"])
+        (["--random", "--count", "-1"], None),
+    ], ids=["max-depth", "max-vars", "max-states", "not-json", "no-automaton", "no-term",
+            "count"])
     def test_bad_input_is_usage_error(self, tmp_path, capsys, options, artifact):
         if artifact is not None:
             path = tmp_path / "artifact.json"

@@ -9,7 +9,7 @@ seeded suite (fta.verify) and its tests.
 from itertools import product
 
 import hypothesis.strategies as st
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from fta import (
     DEFAULT_SIGNATURE,
@@ -50,7 +50,10 @@ from fta import (
     variables,
     verify_properties,
 )
+from fta.automaton import compile_automaton
 from fta.essential import essential_in_subterm
+
+from conftest import assert_names_and_order
 
 SIG = DEFAULT_SIGNATURE
 
@@ -183,7 +186,7 @@ def test_partial_run_is_confluent(aut, t, order_seed):
             break
         p = candidates[rng.below(len(candidates))]
         node = subterm_at(current, p)
-        state = aut.step(node.symbol, tuple(c.state for c in node.children))
+        state = aut.rules[(node.symbol, tuple(c.state for c in node.children))]
         current = replace_at(current, p, StateLeaf(state))
     assert current == expected
 
@@ -293,9 +296,20 @@ def test_partial_run_matches_substitution(aut, t, gamma):
     assert partial_run(aut, gamma, t) == partial_run(aut, {}, fixed)
 
 
+def step_by_dict(aut, symbol, args):
+    """Reference for one transition: a lookup of the (symbol, argument
+    states) key in the rule mapping."""
+    state = aut.rules.get((symbol, args))
+    if state is None:
+        lhs = symbol if not args else f"{symbol}({','.join(args)})"
+        raise FtaError(f"no transition for {lhs}")
+    return state
+
+
 def run_by_recursion(aut, gamma, t):
-    """Reference for ``run``: recursive bottom-up evaluation, returning
-    the root state and the state at each position in post-order."""
+    """Reference for ``run``: recursive bottom-up evaluation over the rule
+    mapping, returning the root state and the state at each position in
+    post-order."""
     check_assignment(aut.signature, gamma)
     per = {}
 
@@ -304,18 +318,36 @@ def run_by_recursion(aut, gamma, t):
             c = gamma.get(node.index)
             if c is None:
                 raise UnboundVariableError(f"x{node.index} is not bound by the assignment")
-            state = aut.step(c, ())
+            state = step_by_dict(aut, c, ())
         elif isinstance(node, StateLeaf):
             if node.state not in aut.states:
                 raise FtaError(f"@{node.state} is not a state of the automaton")
             state = node.state
         else:
             args = tuple(ev(c, path + (i,)) for i, c in enumerate(node.children, 1))
-            state = aut.step(node.symbol, args)
+            state = step_by_dict(aut, node.symbol, args)
         per[Position(path)] = state
         return state
 
     return ev(t, ()), per
+
+
+def partial_run_by_recursion(aut, gamma, t):
+    """Reference for ``partial_run``: recursive collapse over the rule
+    mapping."""
+    check_assignment(aut.signature, gamma)
+
+    def ev(node):
+        if isinstance(node, Var):
+            return StateLeaf(step_by_dict(aut, gamma[node.index], ())) if node.index in gamma else node
+        if isinstance(node, StateLeaf):
+            return node
+        args = tuple(ev(c) for c in node.children)
+        if all(isinstance(a, StateLeaf) for a in args):
+            return StateLeaf(step_by_dict(aut, node.symbol, tuple(a.state for a in args)))
+        return Node(node.symbol, args)
+
+    return ev(t)
 
 
 def outcome(f):
@@ -325,34 +357,90 @@ def outcome(f):
         return type(exc), str(exc)
 
 
+#: A state that no automaton declares but that unvalidated automata's
+#: rules may mention, and one that nothing mentions.
+UNDECLARED, UNKNOWN = "q8", "q9"
+
+
+@st.composite
+def unvalidated_automata(draw):
+    """Random automata with 1-4 states, built without validation: some
+    lose transitions, some rules lead to or read an undeclared state,
+    and some have an arity their symbol does not have."""
+    aut = random_automaton(GenParams(seed=draw(st.integers(0, 2 ** 32)),
+                                     state_count=draw(st.integers(1, 4))))
+    rules = dict(aut.rules)
+    keys = sorted(rules)
+    for key in draw(st.lists(st.sampled_from(keys), max_size=3, unique=True)):
+        del rules[key]
+    for key in draw(st.lists(st.sampled_from(keys), max_size=2, unique=True)):
+        rules[key] = UNDECLARED
+    states = st.sampled_from([*aut.states, UNDECLARED])
+    extra = st.tuples(st.sampled_from(["0", "g", "f1", "h"]),
+                      st.lists(states, max_size=3).map(tuple), states)
+    for symbol, args, target in draw(st.lists(extra, max_size=4)):
+        rules[(symbol, args)] = target
+    return Automaton(aut.signature, aut.states, aut.final, rules)
+
+
 def mixed_terms():
-    """Terms whose leaves include state leaves, some of them unknown."""
-    state_leaves = st.sampled_from(["q0", "q1", "q2", "q9"]).map(StateLeaf)
+    """Terms whose leaves include state leaves, some of them undeclared
+    or unknown, and whose nodes sometimes have the wrong arity."""
+    state_leaves = st.sampled_from(["q0", "q1", "q2", "q3", UNDECLARED, UNKNOWN]).map(StateLeaf)
     return st.recursive(
         st.one_of(leaves(), state_leaves),
         lambda ch: st.one_of(
             st.builds(lambda a: Node("g", (a,)), ch),
             st.builds(lambda a, b: Node("f1", (a, b)), ch, ch),
+            st.builds(lambda a, b: Node("g", (a, b)), ch, ch),
         ),
         max_leaves=10,
     )
 
 
-@settings(max_examples=200, deadline=None)
-@given(automata(), st.one_of(linear_terms(), nonlinear_terms(), mixed_terms()),
-       st.dictionaries(st.integers(1, 4), st.sampled_from(SIG.constants)), st.data())
-def test_run_matches_recursive_reference(aut, t, gamma, data):
-    # some automata lose transitions, some assignments leave variables unbound
-    dropped = data.draw(st.lists(st.sampled_from(sorted(aut.rules)), max_size=3))
-    aut = Automaton(aut.signature, aut.states, aut.final,
-                    {k: v for k, v in aut.rules.items() if k not in dropped})
+def edited(aut, drop=(), add=None):
+    rules = {k: v for k, v in aut.rules.items() if k not in drop} | (add or {})
+    return Automaton(aut.signature, aut.states, aut.final, rules)
+
+
+def at(aut, text, gamma):
+    """An example for the run test: ``text`` may hold state leaves."""
+    return example(aut, parse_term(text, SIG, allow_state_leaves=True), gamma)
+
+
+TWO = random_automaton(GenParams(seed=0, state_count=2))
+G_Q0 = ("g", ("q0",))
+
+
+@settings(max_examples=300, deadline=None)
+@given(unvalidated_automata(), st.one_of(linear_terms(), nonlinear_terms(), mixed_terms()),
+       st.dictionaries(st.integers(1, 4), st.sampled_from(SIG.constants)))
+# every error path, and undeclared rule targets read by further rules
+@at(edited(TWO, drop=[G_Q0]), "g(f1(x1,0))", {1: "0"})
+@at(edited(TWO, drop=[("1", ())]), "f2(x1,x2)", {1: "0", 2: "1"})
+@at(edited(TWO, add={("g", (UNDECLARED,)): "q1"}), f"g(@{UNDECLARED})", {})
+@at(TWO, f"f1(g(@{UNKNOWN}),@q1)", {})
+@at(TWO, "f1(x1,g(x2))", {2: "1"})
+@at(edited(TWO, add={("0", ()): UNDECLARED, ("g", (UNDECLARED,)): "q1"}), "g(g(x1))", {1: "0"})
+@at(edited(TWO, add={("0", ()): UNDECLARED}), "f1(x1,0)", {1: "0"})
+def test_run_matches_recursive_reference(aut, t, gamma):
+    # some assignments leave variables unbound
     expected = outcome(lambda: run_by_recursion(aut, gamma, t))
     got = outcome(lambda: run(aut, gamma, t))
     if isinstance(got, RunTrace):
+        names = compile_automaton(aut).names
+        assert tuple(names[i] for i in got.ids) == got.states
         got = got.result, dict(got.per_position)
         assert got == expected
         assert list(got[1]) == list(expected[1])  # post-order, as the recursion fills it
     assert got == expected
+    assert outcome(lambda: partial_run(aut, gamma, t)) == outcome(
+        lambda: partial_run_by_recursion(aut, gamma, t))
+
+
+@given(st.one_of(terms(), nonlinear_terms(), mixed_terms()))
+def test_position_names_and_order(t):
+    assert_names_and_order(t)
 
 
 def witness_by_double_loop(aut, t, p):

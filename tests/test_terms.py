@@ -14,7 +14,6 @@ from fta import (
     Var,
     depth,
     ind_positions,
-    independent,
     is_prefix_closed,
     is_prefix_determined,
     node_count,
@@ -27,7 +26,9 @@ from fta import (
     variables,
 )
 
-from conftest import P, PS, SAMPLE_TERM
+from fta.terms import compile_term
+
+from conftest import P, PS, SAMPLE_TERM, assert_names_and_order
 
 ALL_POSITIONS = PS(
     "ε", "1", "2", "1.1", "1.1.1", "1.1.2", "2.1", "2.1.1", "2.1.1.1",
@@ -170,6 +171,16 @@ class TestPositions:
         assert is_prefix_closed(positions(term))
 
 
+class TestNames:
+    def test_sample(self, term):
+        assert_names_and_order(term)
+        assert compile_term(term).names[-3:] == ("2.2", "2", "ε")
+
+    def test_deep_chain(self, sig):
+        levels = 3000
+        assert_names_and_order(parse_term("g(" * levels + "f1(x1,x2)" + ")" * levels, sig))
+
+
 class TestSubterm:
     def test_sample_subterms(self, sig, term):
         assert subterm_at(term, P("1")) == parse_term("g(f1(x1,x2))", sig)
@@ -235,18 +246,30 @@ class TestSubstitute:
         assert out == parse_term("f1(x2,x1)", sig)
 
 
+def independent(p, q):
+    """By definition: neither position is a prefix of the other."""
+    return not (p.is_prefix_of(q) or q.is_prefix_of(p))
+
+
 class TestIndependence:
-    def test_examples(self):
-        assert independent(P("1"), P("2"))
-        assert not independent(ROOT, P("1.1"))
-        assert independent(P("2"), P("1.1.1"))
+    def test_examples(self, term):
+        compiled = compile_term(term)
+
+        def ids_independent(p, q):
+            return compiled.independent(compiled.node_of[p], compiled.node_of[q])
+
+        assert ids_independent(P("1"), P("2"))
+        assert not ids_independent(ROOT, P("1.1"))
+        assert ids_independent(P("2"), P("1.1.1"))
 
     def test_symmetric_irreflexive(self, term):
-        pos = list(positions(term))
-        for p in pos:
-            assert not independent(p, p)
-            for q in pos:
-                assert independent(p, q) == independent(q, p)
+        compiled = compile_term(term)
+        pos = compiled.positions
+        for i, p in enumerate(pos):
+            assert not compiled.independent(i, i)
+            for j, q in enumerate(pos):
+                assert compiled.independent(i, j) == compiled.independent(j, i)
+                assert compiled.independent(i, j) == independent(p, q)
 
     def test_ind_positions_sample(self, term):
         assert ind_positions(term, P("2")) == PS("1", "1.1", "1.1.1", "1.1.2")
