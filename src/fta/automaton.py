@@ -33,6 +33,7 @@ from .errors import (
     AutomatonSyntaxError,
     EnumerationBudgetExceeded,
     FtaError,
+    InvalidPositionError,
     UnboundVariableError,
     UnknownSymbolError,
     ValidationError,
@@ -132,13 +133,6 @@ class CompiledAutomaton:
         except LookupError:
             return -1
 
-    def step(self, symbol: str, args: Sequence[int]) -> int:
-        """:meth:`target`, raising :class:`FtaError` when there is no rule."""
-        state = self.target(symbol, args)
-        if state < 0:
-            raise _no_transition(symbol, tuple(self.names[a] for a in args))
-        return state
-
     def state_ids(self, gamma: Mapping[int, str], term: CompiledTerm) -> list[int]:
         """The state id at every node of ``term``, by node id, for the
         run under ``gamma`` (see :func:`run`, which also checks
@@ -209,7 +203,10 @@ class _StatesByPosition(Mapping):
         self._term = term
 
     def __getitem__(self, p: Position) -> str:
-        return self._states[self._term.node_of[p]]
+        try:
+            return self._states[self._term.node_at(p)]
+        except (AttributeError, InvalidPositionError):  # not a position of the term
+            raise KeyError(p) from None
 
     def __iter__(self) -> Iterator[Position]:
         return iter(self._term.positions)
@@ -259,7 +256,7 @@ def parse_automaton(text: str) -> tuple[Signature, Automaton]:
             sig_pairs = []
             for tok in rest.split():
                 name, sep2, arity = tok.partition("/")
-                if not sep2 or not arity.isdigit():
+                if not sep2 or not arity.isdecimal():
                     raise AutomatonSyntaxError(f"bad symbol declaration {tok!r}", line_no)
                 sig_pairs.append((name, int(arity)))
         elif key == "states":
@@ -498,8 +495,13 @@ def partial_run(aut: Automaton, gamma: Mapping[int, str], t: Term) -> Term:
             if type(a) is StateLeaf and all(type(b) is StateLeaf for b in args):
                 raise _no_transition(label, tuple(b.state for b in args))
             done.append(Node(label, args))
+        elif kind is Var and label not in gamma:
+            done.append(Var(label))
         elif kind is Var:
-            done.append(compiled.step(gamma[label], ()) if label in gamma else Var(label))
+            state = compiled.constants.get(gamma[label], -1)
+            if state < 0:
+                raise _no_transition(gamma[label], ())
+            done.append(state)
         else:  # a state no rule mentions has no id, so it stays a leaf
             done.append(compiled.ids.get(label, StateLeaf(label)))
     out = done[term.root]

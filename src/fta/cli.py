@@ -29,7 +29,7 @@ from .errors import (
     ValidationError,
 )
 from .essential import essential_positions, is_essential_subtree, is_separable
-from .reduction import check_reduction, cost_report, freeze_fictive
+from .reduction import check_reduction, freeze_fictive
 from .terms import Position, compile_term, parse_term, render_term, variables
 from .verify import check_random_instances, replay_failure, verify_properties
 
@@ -66,10 +66,10 @@ def _emit(args, lines, *, command, inputs, verdict=None, witnesses=None,
 
 
 def _position_names(t, ps) -> list[str]:
-    """The rendered name of each position of ``t`` in ``ps``, read from
-    the names table of ``t``'s compiled form."""
+    """The rendered name of each position of ``t`` in ``ps``, in order,
+    read from the names table of ``t``'s compiled form."""
     term = compile_term(t)
-    return [term.names[term.node_of[p]] for p in ps]
+    return [term.names[i] for i in term.order if term.positions[i] in ps]
 
 
 def _load_automaton(path: str):
@@ -201,7 +201,8 @@ def cmd_prune(args) -> int:
     sig, aut = _load_automaton(args.automaton)
     t = _load_term(args, sig)
     rep = freeze_fictive(aut, t, budget=args.max_assignments)
-    original, reduced, saved = cost_report(t, rep.reduced_term)
+    original, reduced = rep.original_nodes, rep.reduced_nodes
+    saved = 1.0 - reduced / original
     frozen = _position_names(t, rep.frozen_positions)
     if reduced == original:
         lines = ["no reduction"]

@@ -171,10 +171,11 @@ def run_store(aut: Automaton, t: Term) -> RunStore:
     return store
 
 
-def _witness_at(store: RunStore, p: Position, budget: int,
+def _witness_at(store: RunStore, node: int, p: Position, budget: int,
                 fixed: Mapping[int, str] | None = None,
                 top: int | None = None) -> WitnessPair | None:
-    """Canonical-first witness search, factored by the subtree's variables.
+    """Canonical-first witness search at node ``node``, whose position
+    ``p`` the witness reports, factored by the subtree's variables.
 
     The search space is: assignments to the variables outside the
     subtree, crossed with ordered pairs of assignments to the subtree's
@@ -193,7 +194,6 @@ def _witness_at(store: RunStore, p: Position, budget: int,
     group, so the search is linear in the inner assignments.
     """
     term = store.term
-    node = term.node_of[p]
     inner = sorted(term.variables_at[node])
     if not inner:
         return None
@@ -231,9 +231,7 @@ def is_essential_subtree(aut: Automaton, t: Term, p: Position, *,
                          budget: int = DEFAULT_BUDGET) -> WitnessPair | None:
     """Witness that the subtree occurrence at ``p`` is essential, or None."""
     store = run_store(aut, t)
-    if p not in store.term.node_of:
-        raise InvalidPositionError(f"{p} is not a position of the term")
-    return _witness_at(store, p, budget)
+    return _witness_at(store, store.term.node_at(p), p, budget)
 
 
 def essential_in_subterm(aut: Automaton, t: Term, top: Position, p: Position, *,
@@ -249,11 +247,14 @@ def essential_in_subterm(aut: Automaton, t: Term, top: Position, p: Position, *,
     """
     store = run_store(aut, t)
     term = store.term
-    node, inner = term.node_of.get(top), term.node_of.get(p)
-    if node is None or inner is None or not node - term.sizes[node] < inner <= node:
+    try:
+        node, inner = term.node_at(top), term.node_at(p)
+    except InvalidPositionError:
+        node = inner = None
+    if inner is None or not node - term.sizes[node] < inner <= node:
         raise InvalidPositionError(f"{top} is not a prefix of {p} in the term")
-    outside = term.variables - term.variables_at[node]
-    return _witness_at(store, p, budget, dict.fromkeys(outside, store.consts[0]), node) is not None
+    fixed = dict.fromkeys(term.variables - term.variables_at[node], store.consts[0])
+    return _witness_at(store, inner, p, budget, fixed, node) is not None
 
 
 def essential_positions(aut: Automaton, t: Term, *,
@@ -268,12 +269,12 @@ def essential_positions(aut: Automaton, t: Term, *,
     """
     store = run_store(aut, t)
     term = store.term
-    witnesses = {p: w for p in term.position_set
-                 if (w := _witness_at(store, p, budget)) is not None}
-    ess = PositionSet(witnesses)
-    fict = PositionSet(p for p in term.position_set if p not in witnesses)
-    evars = frozenset(term.labels[i] for p in ess if term.kinds[i := term.node_of[p]] is Var)
-    return EssentialityReport(ess, fict, evars, witnesses)
+    witnesses = {i: w for i in term.order
+                 if (w := _witness_at(store, i, term.positions[i], budget)) is not None}
+    ess = PositionSet(w.position for w in witnesses.values())
+    fict = PositionSet(term.positions[i] for i in term.order if i not in witnesses)
+    evars = frozenset(term.labels[i] for i in witnesses if term.kinds[i] is Var)
+    return EssentialityReport(ess, fict, evars, {w.position: w for w in witnesses.values()})
 
 
 def essential_vars(aut: Automaton, t: Term, *,
@@ -312,29 +313,25 @@ def is_separable(aut: Automaton, t: Term, ys: Iterable[Position],
     store = run_store(aut, t)
     term = store.term
     ys = sorted(set(ys), key=lambda p: p.order_key)
-    for y in ys:
-        if y not in term.node_of:
-            raise InvalidPositionError(f"{y} is not a position of the term")
-    for y in ys:
-        if _witness_at(store, y, budget) is None:
+    y_nodes = [term.node_at(y) for y in ys]
+    for y, i in zip(ys, y_nodes):
+        if _witness_at(store, i, y, budget) is None:
             raise NotEssentialError(f"position {y} is not essential")
-    y_vars = set().union(*(term.variables_at[term.node_of[y]] for y in ys))
+    y_vars = set().union(*(term.variables_at[i] for i in y_nodes))
     if zs is None:
         z_vars = term.variables if ys else frozenset()
     else:
         zs = sorted(set(zs), key=lambda p: p.order_key)
-        for z in zs:
-            if z not in term.node_of:
-                raise InvalidPositionError(f"{z} is not a position of the term")
-        if not all(term.independent(term.node_of[y], term.node_of[z]) for y in ys for z in zs):
+        z_nodes = [term.node_at(z) for z in zs]
+        if not all(term.independent(i, j) for i in y_nodes for j in z_nodes):
             raise NotIndependentError("sets not independent")
-        for z in zs:
-            if _witness_at(store, z, budget) is None:
+        for z, j in zip(zs, z_nodes):
+            if _witness_at(store, j, z, budget) is None:
                 raise NotEssentialError(f"position {z} is not essential")
-        z_vars = set().union(*(term.variables_at[term.node_of[z]] for z in zs))
+        z_vars = set().union(*(term.variables_at[j] for j in z_nodes))
     domain = z_vars - y_vars
 
     for gamma in enumerate_assignments(domain, aut.signature, budget=budget):
-        if all(_witness_at(store, y, budget, gamma) is not None for y in ys):
+        if all(_witness_at(store, i, y, budget, gamma) is not None for y, i in zip(ys, y_nodes)):
             return SeparabilityResult(True, gamma)
     return SeparabilityResult(False, None)

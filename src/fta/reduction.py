@@ -34,7 +34,6 @@ from .terms import (
     Term,
     Var,
     compile_term,
-    ind_positions,
     node_count,
     replace_at,
     subterm_at,
@@ -132,23 +131,23 @@ def fictive_from_determining(aut: Automaton, t: Term, p: Position, *,
     together, making such a position genuinely essential.
     """
     term = compile_term(t)
-    others = ind_positions(t, p)  # rejects a position ``t`` does not have
-    p_vars = term.variables_at[term.node_of[p]]
+    node = term.node_at(p)
+    p_vars = term.variables_at[node]
     if not p_vars:
         raise PremiseViolatedError(f"position {p} is not essential")
-    matching, root_varies = _matching_nodes(aut, t, [term.node_of[p]], budget)
+    matching, root_varies = _matching_nodes(aut, t, [node], budget)
     if not matching:
         raise PremiseViolatedError(
             f"the subtree at {p} does not match the term's state everywhere"
         )
     if not root_varies:
         raise PremiseViolatedError(f"position {p} is not essential")
-    return PositionSet(q for q in others
-                       if (q_vars := term.variables_at[term.node_of[q]]) and not q_vars & p_vars)
+    return PositionSet(term.positions[i] for i, q_vars in enumerate(term.variables_at)
+                       if q_vars and not q_vars & p_vars and term.independent(node, i))
 
 
 def freeze_fictive(aut: Automaton, t: Term, *,
-                   budget: int = DEFAULT_BUDGET, check: bool = False) -> ReductionReport:
+                   budget: int = DEFAULT_BUDGET) -> ReductionReport:
     """Prune ``t`` without changing any run result.
 
     Every maximal fictive position whose variables occur only inside its
@@ -158,7 +157,7 @@ def freeze_fictive(aut: Automaton, t: Term, *,
     ``t`` under the first canonical assignment (see
     :func:`fta.automaton.run`).  If a determining subtree exists and is
     smaller than the frozen term, it becomes the reduced term instead.
-    With ``check=True`` the reduction is re-verified exhaustively.
+    :func:`check_reduction` re-verifies the result exhaustively.
     """
     report = essential_positions(aut, t, budget=budget)
     term = compile_term(t)
@@ -171,10 +170,10 @@ def freeze_fictive(aut: Automaton, t: Term, *,
 
     frozen: list[Position] = []
     pruned = t
-    for p in report.fictive_positions:  # shallowest first
-        node = term.node_of[p]
-        if below_fictive[node]:
-            continue  # not maximal
+    for node in term.order:  # shallowest first
+        p = term.positions[node]
+        if below_fictive[node] or p in report.essential_positions:
+            continue  # essential, or not maximal
         first = node - sizes[node] + 1  # the subtree's ids are first..node
         below_fictive[first:node] = b"\1" * (node - first)
         if not all(first <= first_leaf[v] and last_leaf[v] <= node
@@ -190,10 +189,10 @@ def freeze_fictive(aut: Automaton, t: Term, *,
 
     determining = determining_subtree(aut, t, budget=budget)
     reduced = pruned
-    if determining is not None and sizes[term.node_of[determining]] < node_count(pruned):
+    if determining is not None and sizes[term.node_at(determining)] < node_count(pruned):
         reduced = subterm_at(t, determining)
 
-    result = ReductionReport(
+    return ReductionReport(
         original_nodes=len(term.kinds),
         reduced_nodes=node_count(reduced),
         determining_position=determining,
@@ -201,9 +200,6 @@ def freeze_fictive(aut: Automaton, t: Term, *,
         reduced_term=reduced,
         essentiality=report,
     )
-    if check:
-        check_reduction(aut, t, result, budget=budget)
-    return result
 
 
 def check_reduction(aut: Automaton, original: Term, report: ReductionReport, *,

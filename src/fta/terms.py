@@ -23,7 +23,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Union
 
 from .errors import (
@@ -147,7 +146,7 @@ class Position:
         if text in ("", "e", "ε"):
             return ROOT
         parts = text.split(".")
-        if not all(p.isdigit() and int(p) >= 1 for p in parts):
+        if not all(p.isdecimal() and int(p) >= 1 for p in parts):
             raise InvalidPositionError(f"bad position {text!r}")
         return cls(int(p) for p in parts)
 
@@ -391,8 +390,9 @@ class CompiledTerm:
     :class:`StateLeaf` or :class:`Node`), ``labels[i]`` its variable
     index, state or symbol, ``children[i]`` the ids of its children and
     ``sizes[i]`` its subtree's node count, so that subtree is the ids
-    ``i - sizes[i] + 1`` to ``i``.  The position table, its inverse,
-    the rendered position names, the breadth-first order and the
+    ``i - sizes[i] + 1`` to ``i``.  :meth:`node_at` finds a position's
+    node by walking ``children`` down from the root.  Each node's
+    position and rendered name, the breadth-first order and the
     variables below each node are built on first use.
     """
 
@@ -463,14 +463,15 @@ class CompiledTerm:
             order.extend(self.children[i])
         return tuple(order)
 
-    @cached_property
-    def node_of(self) -> Mapping[Position, int]:
-        """Node id of each position."""
-        return MappingProxyType({p: i for i, p in enumerate(self.positions)})
-
-    @cached_property
-    def position_set(self) -> PositionSet:
-        return PositionSet(self.positions)
+    def node_at(self, p: Position) -> int:
+        """Node id of the position ``p``, one step down per index."""
+        node = self.root
+        for i in p.indices:
+            kids = self.children[node]
+            if i > len(kids):
+                raise InvalidPositionError(f"{p} is not a position of the term")
+            node = kids[i - 1]
+        return node
 
     def independent(self, i: int, j: int) -> bool:
         """True iff neither node lies in the other's subtree, that is
@@ -503,7 +504,7 @@ def compile_term(t: Term) -> CompiledTerm:
 
 def positions(t: Term) -> PositionSet:
     """All positions of ``t``; one per node, prefix-closed."""
-    return compile_term(t).position_set
+    return PositionSet(compile_term(t).positions)
 
 
 def subterm_at(t: Term, p: Position) -> Term:
@@ -592,9 +593,7 @@ def substitute(t: Term, binding: Mapping[int, Term]) -> Term:
 def ind_positions(t: Term, p: Position) -> PositionSet:
     """All positions of ``t`` independent of ``p``."""
     term = compile_term(t)
-    node = term.node_of.get(p)
-    if node is None:
-        raise InvalidPositionError(f"{p} is not a position of the term")
+    node = term.node_at(p)
     return PositionSet(q for i, q in enumerate(term.positions) if term.independent(node, i))
 
 

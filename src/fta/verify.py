@@ -145,8 +145,7 @@ def essential_by_definition(aut: Automaton, t: Term, *,
             for values in product(consts, repeat=len(vs))]
     term = compile_term(t)
 
-    def essential(p: Position) -> bool:
-        node = term.node_of[p]
+    def essential(node: int) -> bool:
         inner = term.variables_at[node]
         outer_idx = [i for i, v in enumerate(vs) if v not in inner]
         buckets: dict[tuple[str, ...], list[tuple[str, str]]] = {}
@@ -160,7 +159,7 @@ def essential_by_definition(aut: Automaton, t: Term, *,
             for sub2, root2 in pairs
         )
 
-    return PositionSet(p for p in positions(t) if essential(p))
+    return PositionSet(term.positions[i] for i in term.order if essential(i))
 
 
 def verify_properties(aut: Automaton, t: Term, *, budget: int = DEFAULT_BUDGET,

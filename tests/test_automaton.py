@@ -2,6 +2,7 @@ import pytest
 
 from fta import (
     Automaton,
+    AutomatonSyntaxError,
     FtaError,
     Node,
     StateLeaf,
@@ -64,6 +65,11 @@ class TestParsing:
         assert aut2.rules == aut.rules
         assert aut2.final == aut.final
 
+    @pytest.mark.parametrize("arity", ["²", "-1", "a", ""])
+    def test_arity_must_be_decimal_digits(self, arity):
+        with pytest.raises(AutomatonSyntaxError, match=f"bad symbol declaration 'g/{arity}'"):
+            parse_automaton(f"signature: 0/0 g/{arity}\nstates: q\nfinal: q\nrule: 0 -> q\n")
+
     def test_comments_ignored(self):
         text = "# header\n" + SAMPLE_AUTOMATON.replace(
             "final: q1", "final: q1  # accepting")
@@ -99,6 +105,16 @@ class TestRun:
 
     def test_deterministic(self, aut, term):
         assert run(aut, G1, term) == run(aut, G1, term)
+
+    def test_per_position_lacks_positions_outside_the_term(self, aut, term):
+        states = run(aut, G1, term).per_position
+        for missing in (P("3"), P("1.1.1.1"), P("2.1.1.2.2.1")):
+            assert missing not in states
+            assert states.get(missing) is None
+            with pytest.raises(KeyError):
+                states[missing]
+        assert "1.1" not in states  # only positions are keys
+        assert len(states) == len(list(states)) == 16
 
     def test_compositional(self, sig, aut, term):
         trace = run(aut, G1, term)
@@ -147,6 +163,14 @@ class TestPartialRun:
 
     def test_matches_run_on_total(self, aut, term):
         assert partial_run(aut, G1, term) == StateLeaf(run(aut, G1, term).result)
+
+    def test_bound_variable_needs_a_constant_rule(self, sig, aut):
+        rules = {key: q for key, q in aut.rules.items() if key != ("1", ())}
+        partial = Automaton(sig, aut.states, aut.final, rules)
+        t = parse_term("f1(x1,x2)", sig)
+        with pytest.raises(FtaError, match=r"^no transition for 1$"):
+            partial_run(partial, {2: "1"}, t)
+        assert render_term(partial_run(partial, {2: "0"}, t)) == "f1(x1,@q0)"
 
 
 class TestEnumerateAssignments:

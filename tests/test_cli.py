@@ -197,6 +197,27 @@ class TestEssential:
         assert main(["essential", aut_file, "-t", SAMPLE_TERM, "--position", "9.9"]) == 2
 
 
+@pytest.mark.parametrize("command, message", [
+    (lambda aut, sup: ["essential", aut, "-t", SAMPLE_TERM, "--position", "²"],
+     "error: bad position '²'"),
+    (lambda aut, sup: ["essential", aut, "-t", SAMPLE_TERM, "--position", "1.²"],
+     "error: bad position '1.²'"),
+    (lambda aut, sup: ["separable", aut, "-t", SAMPLE_TERM, "--set", "²"],
+     "error: bad position '²'"),
+    (lambda aut, sup: ["separable", aut, "-t", SAMPLE_TERM, "--set", "1.1", "--wrt", "²"],
+     "error: bad position '²'"),
+    (lambda aut, sup: ["check", sup], "error: line 1: bad symbol declaration 'g/²'"),
+], ids=["essential", "essential-nested", "separable-set", "separable-wrt", "check"])
+def test_superscript_digits_are_input_errors(command, message, aut_file, tmp_path, capsys):
+    sup = tmp_path / "sup.fta"
+    sup.write_text("signature: 0/0 g/²\nstates: q\nfinal: q\nrule: 0 -> q\n",
+                   encoding="utf-8")
+    assert main(command(aut_file, str(sup))) == 2
+    err = capsys.readouterr().err
+    assert err == message + "\n"
+    assert "Traceback" not in err
+
+
 class TestSeparable:
     def test_separable_singleton(self, aut_file, capsys):
         assert main(["separable", aut_file, "-t", SAMPLE_TERM, "--set", "1.1"]) == 0

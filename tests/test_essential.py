@@ -5,11 +5,14 @@ from fta import (
     InvalidPositionError,
     NotEssentialError,
     NotIndependentError,
+    Position,
     ROOT,
     determining_subtree,
     essential_positions,
     essential_vars,
+    fictive_from_determining,
     freeze_fictive,
+    ind_positions,
     is_essential_subtree,
     is_prefix_closed,
     is_separable,
@@ -19,6 +22,8 @@ from fta import (
     run,
     verify_properties,
 )
+from fta.essential import essential_in_subterm
+from fta.terms import compile_term
 
 from conftest import P, PS, SAMPLE_AUTOMATON, SAMPLE_TERM
 
@@ -74,6 +79,54 @@ class TestWitnessSearch:
         for cut in range(len(w.position.indices) + 1):
             q = P(".".join(map(str, w.position.indices[:cut])) or "ε")
             assert tr1.per_position[q] != tr2.per_position[q]
+
+
+class TestPositionLookup:
+    """Every query finds its positions by walking the compiled term, so
+    a position the term lacks gets one wording, wherever it is given."""
+
+    @pytest.mark.parametrize("query", [
+        lambda aut, t, p: is_essential_subtree(aut, t, p),
+        lambda aut, t, p: is_separable(aut, t, [p]),
+        lambda aut, t, p: is_separable(aut, t, PS("1.1"), [p]),
+        lambda aut, t, p: ind_positions(t, p),
+        lambda aut, t, p: fictive_from_determining(aut, t, p),
+    ], ids=["is_essential_subtree", "is_separable-ys", "is_separable-zs", "ind_positions",
+            "fictive_from_determining"])
+    @pytest.mark.parametrize("missing", ["3", "1.1.1.1", "2.1.1.2.2.1"])
+    def test_missing_position_message(self, aut, term, query, missing):
+        with pytest.raises(InvalidPositionError,
+                           match=f"^{missing.replace('.', '[.]')} is not a position of the term$"):
+            query(aut, term, P(missing))
+
+    def test_subterm_needs_a_prefix_present_in_the_term(self, aut, term):
+        for top, p in (("1", "1.1.1.1"), ("3", "3.1"), ("2", "1.1")):
+            with pytest.raises(InvalidPositionError,
+                               match=f"^{top} is not a prefix of {p} in the term$"):
+                essential_in_subterm(aut, term, P(top), P(p))
+
+    def test_separable_order_of_checks(self, aut, term):
+        # 2.1 is fictive and 1 contains 1.1; each set is looked up whole
+        # before it is checked, the ys before the zs
+        with pytest.raises(InvalidPositionError, match="^2.1.1.1.1 is not a position"):
+            is_separable(aut, term, PS("2.1", "2.1.1.1.1"))
+        with pytest.raises(InvalidPositionError, match="^9.9 is not a position"):
+            is_separable(aut, term, PS("1.1"), PS("1", "9.9"))
+        with pytest.raises(InvalidPositionError, match="^2.1.1.1.1 is not a position"):
+            is_separable(aut, term, PS("1.1"), PS("2.1", "2.1.1.1.1"))
+        with pytest.raises(NotEssentialError, match="^position 2.1 is not essential$"):
+            is_separable(aut, term, PS("2.1"), PS("9.9"))
+
+    @pytest.mark.parametrize("query", [
+        lambda aut, t, p: is_essential_subtree(aut, t, p) is not None,
+        lambda aut, t, p: is_separable(aut, t, [p]).separable,
+        lambda aut, t, p: is_essential_subtree(aut, t, p).verify(aut, t),
+    ], ids=["is_essential_subtree", "is_separable", "WitnessPair.verify"])
+    def test_one_position_builds_no_position_table(self, sig, aut, query):
+        depth = 3000
+        t = parse_term("g(" * depth + "x1" + ")" * depth, sig)
+        assert query(aut, t, Position([1] * depth))
+        assert "positions" not in vars(compile_term(t))
 
 
 class TestReport:

@@ -25,6 +25,7 @@ from fta import (
     UnboundVariableError,
     Var,
     check_assignment,
+    check_reduction,
     essential_by_definition,
     essential_positions,
     essential_vars,
@@ -201,7 +202,8 @@ def test_partial_run_total_equals_run(aut, t, data):
 @settings(max_examples=40, deadline=None)
 @given(automata(), terms(max_leaves=8))
 def test_freeze_is_sound_even_with_repeated_variables(aut, t):
-    report = freeze_fictive(aut, t, check=True)
+    report = freeze_fictive(aut, t)
+    check_reduction(aut, t, report)
     assert report.reduced_nodes <= report.original_nodes
 
 

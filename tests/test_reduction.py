@@ -113,7 +113,8 @@ class TestFictiveFromDetermining:
 
 class TestFreezeFictive:
     def test_sample_reduction(self, sig, aut, term):
-        rep = freeze_fictive(aut, term, check=True)
+        rep = freeze_fictive(aut, term)
+        check_reduction(aut, term, rep)
         assert rep.reduced_term == parse_term("g(f1(x1,x2))", sig)
         assert rep.original_nodes == 16
         assert rep.reduced_nodes == 4
@@ -122,7 +123,8 @@ class TestFreezeFictive:
 
     def test_ground_freeze(self, sig, aut):
         t = parse_term("f1(g(x1),g(0))", sig)
-        rep = freeze_fictive(aut, t, check=True)
+        rep = freeze_fictive(aut, t)
+        check_reduction(aut, t, rep)
         # g(0) freezes to the q1 representative "1"; the determining
         # subtree g(x1) is smaller still and wins
         assert rep.frozen_positions == PS("2")
@@ -133,14 +135,16 @@ class TestFreezeFictive:
         # the f1(x3,0) branch is constantly q0 and x3 is local, so it
         # freezes; the negated root matches no proper subtree
         t = parse_term("g(f2(f1(x1,x2),f1(x3,0)))", sig)
-        rep = freeze_fictive(aut, t, check=True)
+        rep = freeze_fictive(aut, t)
+        check_reduction(aut, t, rep)
         assert rep.frozen_positions == PS("1.2")
         assert rep.reduced_term == parse_term("g(f2(f1(x1,x2),0))", sig)
         assert rep.determining_position is None
 
     def test_identity_when_nothing_applies(self, sig, aut):
         t = parse_term("g(x1)", sig)
-        rep = freeze_fictive(aut, t, check=True)
+        rep = freeze_fictive(aut, t)
+        check_reduction(aut, t, rep)
         assert rep.reduced_term == t
         assert rep.frozen_positions == set()
         assert rep.reduced_nodes == rep.original_nodes == 2
@@ -149,14 +153,16 @@ class TestFreezeFictive:
         # x1 occurs both inside the fictive branch and outside it, so the
         # branch must not freeze; truncation to an x1 leaf is still sound
         t = parse_term("f2(f1(x1,g(x1)),x1)", sig)
-        rep = freeze_fictive(aut, t, check=True)
+        rep = freeze_fictive(aut, t)
+        check_reduction(aut, t, rep)
         assert rep.frozen_positions == set()
         assert rep.reduced_term == parse_term("x1", sig)
         assert runs_equal_all(aut, t, rep.reduced_term)
 
     def test_constant_root_freezes_whole_term(self, sig, aut):
         t = parse_term("f1(x1,0)", sig)
-        rep = freeze_fictive(aut, t, check=True)
+        rep = freeze_fictive(aut, t)
+        check_reduction(aut, t, rep)
         assert rep.reduced_term == parse_term("0", sig)
         assert rep.frozen_positions == {ROOT}
 

@@ -129,7 +129,7 @@ class TestPosition:
         assert P("2.1.1").indices == (2, 1, 1)
 
     def test_bad_positions(self):
-        for text in ("0", "1.0", "a", "1..2", "-1"):
+        for text in ("0", "1.0", "a", "1..2", "-1", "²", "1.²"):
             with pytest.raises(InvalidPositionError):
                 Position.parse(text)
 
@@ -256,11 +256,22 @@ class TestIndependence:
         compiled = compile_term(term)
 
         def ids_independent(p, q):
-            return compiled.independent(compiled.node_of[p], compiled.node_of[q])
+            return compiled.independent(compiled.node_at(p), compiled.node_at(q))
 
         assert ids_independent(P("1"), P("2"))
         assert not ids_independent(ROOT, P("1.1"))
         assert ids_independent(P("2"), P("1.1.1"))
+
+    def test_node_at_walks_to_each_node(self, sig, term):
+        compiled = compile_term(term)
+        for i, p in enumerate(compiled.positions):
+            assert compiled.node_at(p) == i
+        for missing in ("3", "1.1.1.1", "2.1.1.2.2.1"):
+            with pytest.raises(InvalidPositionError, match=f"^{missing} is not a position of"):
+                compiled.node_at(P(missing))
+        fresh = compile_term(parse_term(SAMPLE_TERM, sig))
+        assert fresh.node_at(P("2.2.1")) == compiled.node_at(P("2.2.1"))
+        assert "positions" not in vars(fresh)  # no table is built for one lookup
 
     def test_symmetric_irreflexive(self, term):
         compiled = compile_term(term)
