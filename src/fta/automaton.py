@@ -398,7 +398,10 @@ def parse_assignment(text: str, sig: Signature) -> Assignment:
         m = re.match(r"x([1-9][0-9]*)\Z", name.strip())
         if not m:
             raise UnknownSymbolError(f"{name.strip()!r} is not a variable")
-        gamma[int(m.group(1))] = value.strip()
+        v = int(m.group(1))
+        if v in gamma:
+            raise UnknownSymbolError(f"x{v} is bound twice")
+        gamma[v] = value.strip()
     check_assignment(sig, gamma)
     return gamma
 

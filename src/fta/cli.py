@@ -330,7 +330,9 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="machine-readable output")
     common.add_argument("--max-assignments", type=_at_least(1), default=DEFAULT_BUDGET,
-                        metavar="N", help="enumeration budget per query")
+                        metavar="N",
+                        help="cap on each search, checked up front; a witness search "
+                             "at a position counts k^(outer + 2*inner) candidate pairs")
 
     term_src = argparse.ArgumentParser(add_help=False)
     group = term_src.add_mutually_exclusive_group(required=True)

@@ -90,7 +90,7 @@ def determining_subtree(aut: Automaton, t: Term, *,
     # lexicographic order of positions neither of which extends the other
     candidates = sorted(range(term.root), key=term.sizes.__getitem__)
     matching, root_varies = _matching_nodes(aut, t, candidates, budget)
-    return term.positions[matching[0]] if matching and root_varies else None
+    return term.position_of(matching[0]) if matching and root_varies else None
 
 
 def _matching_nodes(aut: Automaton, t: Term, candidates: list[int],

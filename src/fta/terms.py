@@ -260,95 +260,74 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return toks
 
 
-class _TermParser:
-    def __init__(self, text: str, sig: Signature, allow_state_leaves: bool):
-        self.text = text
-        self.sig = sig
-        self.allow_state_leaves = allow_state_leaves
-        self.toks = _tokenize(text)
-        self.i = 0
-
-    def _byte(self, char_index: int) -> int:
-        return len(self.text[:char_index].encode("utf-8"))
-
-    def _fail(self, cls, message: str, char_index: int):
-        raise cls(message, self._byte(char_index))
-
-    def _peek(self):
-        return self.toks[self.i] if self.i < len(self.toks) else None
-
-    def _take(self, expected: str):
-        tok = self._peek()
-        if tok is None:
-            self._fail(TermSyntaxError, f"expected {expected}, found end of input", len(self.text))
-        self.i += 1
-        return tok
-
-    def term(self) -> Term:
-        """Parse one term.  Operations whose arguments are still being
-        read wait on an explicit stack as ``[symbol, arity, offset, args]``,
-        so nesting depth is not limited by the interpreter's stack."""
-        open_nodes: list[list] = []
-        while True:
-            kind, value, at = self._take("a term")
-            if kind == "state":
-                if not self.allow_state_leaves:
-                    self._fail(TermSyntaxError, f"state leaf @{value} not allowed here", at)
-                done: Term = StateLeaf(value)
-            elif kind != "name":
-                self._fail(TermSyntaxError, f"expected a term, found {value!r}", at)
-            elif m := _VAR_RE.match(value):
-                done = Var(int(m.group(1)))
-            else:
-                arity = self.sig.arity(value)
-                if arity is None:
-                    self._fail(UnknownSymbolError, f"unknown symbol {value!r}", at)
-                nxt = self._peek()
-                if arity == 0:
-                    if nxt is not None and nxt[0] == "(":
-                        self._fail(ArityMismatchError,
-                                   f"{value} is a constant and takes no arguments", at)
-                    done = Node(value)
-                else:
-                    if nxt is None or nxt[0] != "(":
-                        self._fail(ArityMismatchError, f"{value} expects {arity} arguments", at)
-                    self._take("'('")
-                    open_nodes.append([value, arity, at, []])
-                    continue
-            # ``done`` is complete: hand it to the innermost open operation,
-            # closing every operation that ends here.
-            while open_nodes:
-                symbol, arity, at, args = open_nodes[-1]
-                args.append(done)
-                tok = self._take("',' or ')'")
-                if tok[0] == ",":
-                    break
-                if tok[0] != ")":
-                    self._fail(TermSyntaxError, f"expected ',' or ')', found {tok[1]!r}", tok[2])
-                if len(args) != arity:
-                    self._fail(ArityMismatchError,
-                               f"{symbol} expects {arity} arguments, got {len(args)}", at)
-                open_nodes.pop()
-                done = Node(symbol, tuple(args))
-            else:
-                return done
-
-
 def parse_term(text: str, sig: Signature, *, allow_state_leaves: bool = False) -> Term:
     """Parse ``text`` into a term over ``sig``.
 
     Errors report a byte offset.  ``allow_state_leaves`` additionally
     admits ``@state`` leaves, giving the mixed-term syntax that
-    partial runs print.
+    partial runs print.  The whole text is tokenized first, so a
+    lexical error wins over an earlier syntax error.  Operations whose
+    arguments are still being read wait on an explicit stack as
+    ``[symbol, arity, offset, args]``, so nesting depth is not limited
+    by the interpreter's stack.
     """
-    parser = _TermParser(text, sig, allow_state_leaves)
-    if parser._peek() is None:
-        raise TermSyntaxError("empty input", 0)
-    t = parser.term()
-    trailing = parser._peek()
-    if trailing is not None:
-        parser._fail(TermSyntaxError, f"unexpected trailing input {trailing[1]!r}", trailing[2])
-    return t
+    toks = _tokenize(text)
+    toks.append(("end", "", len(text)))  # lookahead never runs past it
+
+    def fail(cls, message: str, char_index: int):
+        raise cls(message, len(text[:char_index].encode("utf-8")))
+
+    if len(toks) == 1:
+        fail(TermSyntaxError, "empty input", 0)
+    open_nodes: list[list] = []
+    i = 0
+    while True:
+        kind, value, at = toks[i]
+        i += 1
+        if kind == "name":
+            if m := _VAR_RE.match(value):
+                done: Term = Var(int(m.group(1)))
+            elif (arity := sig.arity(value)) is None:
+                fail(UnknownSymbolError, f"unknown symbol {value!r}", at)
+            elif arity == 0:
+                if toks[i][0] == "(":
+                    fail(ArityMismatchError, f"{value} is a constant and takes no arguments", at)
+                done = Node(value)
+            elif toks[i][0] != "(":
+                fail(ArityMismatchError, f"{value} expects {arity} arguments", at)
+            else:
+                i += 1
+                open_nodes.append([value, arity, at, []])
+                continue
+        elif kind == "state" and allow_state_leaves:
+            done = StateLeaf(value)
+        elif kind == "state":
+            fail(TermSyntaxError, f"state leaf @{value} not allowed here", at)
+        else:
+            found = "end of input" if kind == "end" else repr(value)
+            fail(TermSyntaxError, f"expected a term, found {found}", at)
+        # ``done`` is complete: hand it to the innermost open operation,
+        # closing every operation that ends here.
+        while open_nodes:
+            symbol, arity, start, args = open_nodes[-1]
+            args.append(done)
+            kind, value, at = toks[i]
+            i += 1
+            if kind == ",":
+                break
+            if kind != ")":
+                found = "end of input" if kind == "end" else repr(value)
+                fail(TermSyntaxError, f"expected ',' or ')', found {found}", at)
+            if len(args) != arity:
+                fail(ArityMismatchError,
+                     f"{symbol} expects {arity} arguments, got {len(args)}", start)
+            open_nodes.pop()
+            done = Node(symbol, tuple(args))
+        else:
+            kind, value, at = toks[i]
+            if kind != "end":
+                fail(TermSyntaxError, f"unexpected trailing input {value!r}", at)
+            return done
 
 
 def render_term(t: Term) -> str:
@@ -391,7 +370,8 @@ class CompiledTerm:
     index, state or symbol, ``children[i]`` the ids of its children and
     ``sizes[i]`` its subtree's node count, so that subtree is the ids
     ``i - sizes[i] + 1`` to ``i``.  :meth:`node_at` finds a position's
-    node by walking ``children`` down from the root.  Each node's
+    node, and :meth:`position_of` a node's position, by walking
+    ``children`` down from the root.  Each node's
     position and rendered name, the breadth-first order and the
     variables below each node are built on first use.
     """
@@ -472,6 +452,18 @@ class CompiledTerm:
                 raise InvalidPositionError(f"{p} is not a position of the term")
             node = kids[i - 1]
         return node
+
+    def position_of(self, i: int) -> Position:
+        """Position of node ``i``, one step down per level from the root
+        into the child whose id range holds ``i``."""
+        node, indices = self.root, []
+        while node != i:
+            for j, k in enumerate(self.children[node], 1):
+                if k - self.sizes[k] < i <= k:
+                    indices.append(j)
+                    node = k
+                    break
+        return Position._trusted(tuple(indices))
 
     def independent(self, i: int, j: int) -> bool:
         """True iff neither node lies in the other's subtree, that is

@@ -209,6 +209,11 @@ class TestAssignmentText:
         with pytest.raises(UnknownSymbolError):
             parse_assignment("y1=0", sig)
 
+    @pytest.mark.parametrize("text", ["x1=0,x1=1", "x1=0 x2=1 x1=0"])
+    def test_rejects_variable_bound_twice(self, sig, text):
+        with pytest.raises(UnknownSymbolError, match="^x1 is bound twice$"):
+            parse_assignment(text, sig)
+
 
 class TestCanonicalGround:
     def test_sample(self, aut):

@@ -84,6 +84,10 @@ class TestRun:
     def test_unknown_assignment_symbol(self, aut_file, capsys):
         assert main(["run", aut_file, "-t", "g(x1)", "--assign", "x1=q"]) == 2
 
+    def test_variable_bound_twice(self, aut_file, capsys):
+        assert main(["run", aut_file, "-t", "g(x1)", "--assign", "x1=0,x1=1"]) == 2
+        assert capsys.readouterr().err == "error: x1 is bound twice\n"
+
     def test_term_from_file(self, aut_file, tmp_path, capsys):
         tf = tmp_path / "term.txt"
         tf.write_text("g(1)  # negated\n")

@@ -22,6 +22,7 @@ from fta import (
     RunTrace,
     SplitMix64,
     StateLeaf,
+    TermSyntaxError,
     UnboundVariableError,
     Var,
     check_assignment,
@@ -53,6 +54,7 @@ from fta import (
 )
 from fta.automaton import compile_automaton
 from fta.essential import essential_in_subterm
+from fta.terms import compile_term
 
 from conftest import assert_names_and_order
 
@@ -123,6 +125,28 @@ def automata():
         st.integers(0, 2 ** 32),
         st.integers(1, 3),
     )
+
+
+def term_texts():
+    """Arbitrary text, and renders of terms with term syntax and
+    arbitrary characters spliced in."""
+    pieces = st.lists(st.characters() | st.sampled_from(
+        ["(", ")", ",", "@", "@q0", "#", "x", "x1", "0", "g", "f1", " ", "\t", "\n", "é", "²"]),
+        max_size=4).map("".join)
+    spliced = st.builds(lambda text, at, extra: text[:at] + extra + text[at:],
+                        terms().map(render_term), st.integers(0, 60), pieces)
+    return st.one_of(st.text(), spliced)
+
+
+@settings(max_examples=300)
+@given(term_texts(), st.booleans())
+def test_parse_term_returns_a_term_or_a_located_error(text, allow):
+    try:
+        t = parse_term(text, SIG, allow_state_leaves=allow)
+    except TermSyntaxError as exc:
+        assert 0 <= exc.offset <= len(text.encode("utf-8"))
+    else:
+        assert parse_term(render_term(t), SIG, allow_state_leaves=allow) == t
 
 
 @given(terms())
@@ -521,15 +545,29 @@ def test_position_algebra_matches_definition_on_deep_chains(t, data):
 
 def essential_by_all_pairs(aut, t):
     """Reference for the oracle: every pair of total assignments at every
-    position, filtered by agreement outside the subtree."""
+    position, filtered by agreement outside the subtree.  Each position's
+    variables come from one walk over the term's own nodes, and each
+    run's states are read by position once."""
     vs = sorted(variables(t))
-    runs = [(values, run(aut, dict(zip(vs, values)), t))
-            for values in product(aut.signature.constants, repeat=len(vs))]
+    paths = compile_term(t).positions  # by node id
+    runs = [(values, dict(zip(paths, tr.states)), tr.result)
+            for values in product(aut.signature.constants, repeat=len(vs))
+            for tr in [run(aut, dict(zip(vs, values)), t)]]
+    walk = [((), t)]  # parents before children, by index path
+    for ix, sub in walk:
+        if isinstance(sub, Node):
+            walk.extend((ix + (i,), c) for i, c in enumerate(sub.children, 1))
+    inner_vars = {}
+    for ix, sub in reversed(walk):  # children before parents
+        kids = sub.children if isinstance(sub, Node) else ()
+        inner_vars[ix] = frozenset({sub.index} if isinstance(sub, Var) else ()).union(
+            *(inner_vars[ix + (i,)] for i in range(1, len(kids) + 1)))
+    position = {p.indices: p for p in paths}
     essential = set()
-    for p in positions(t):
-        inner = variables(subterm_at(t, p))
+    for ix, inner in inner_vars.items():
+        p = position[ix]
         outer_idx = [i for i, v in enumerate(vs) if v not in inner]
-        evaluated = [(values, tr.per_position[p], tr.result) for values, tr in runs]
+        evaluated = [(values, states[p], root) for values, states, root in runs]
         if any(sub1 != sub2 and root1 != root2
                for values1, sub1, root1 in evaluated
                for values2, sub2, root2 in evaluated

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 
 from fta import (
+    Position,
     PremiseViolatedError,
     ROOT,
     check_reduction,
@@ -17,6 +18,8 @@ from fta import (
     runs_equal_all,
     subterm_at,
 )
+
+from fta.terms import compile_term
 
 from conftest import P, PS
 from test_properties import automata, nonlinear_terms
@@ -53,6 +56,14 @@ class TestDeterminingSubtree:
         t = parse_term("g(g(f1(x1,0)))", sig)
         assert runs_equal_all(aut, t, subterm_at(t, P("1.1")))
         assert determining_subtree(aut, t) is None
+
+    def test_deep_chain_builds_no_position_table(self, sig, aut):
+        # f1(1, x1) gets x1's state and g negates, so under an even
+        # number of g's the leaf x1 gets the root's state
+        levels = 4000
+        t = parse_term("g(" * levels + "f1(1,x1)" + ")" * levels, sig)
+        assert determining_subtree(aut, t) == Position([1] * levels + [2])
+        assert "positions" not in vars(compile_term(t))
 
     def test_single_node_term_never_enumerates(self, sig, aut):
         # two assignments would exceed the budget, but a one-node term

@@ -102,6 +102,43 @@ class TestParseRender:
         assert render_term(t) == "f1(x1,@q0)"
 
 
+SYNTAX_ERRORS = [
+    # (text, allow_state_leaves, exception class, message, byte offset)
+    ("", False, TermSyntaxError, "empty input", 0),
+    ("  # only a comment\n", False, TermSyntaxError, "empty input", 0),
+    ("f1(x1,", False, TermSyntaxError, "expected a term, found end of input", 6),
+    ("g(x1", True, TermSyntaxError, "expected ',' or ')', found end of input", 4),
+    ("f1(@, x1)", True, TermSyntaxError, "'@' must be followed by a state name", 3),
+    ("g(@q0)", False, TermSyntaxError, "state leaf @q0 not allowed here", 2),
+    ("g()", False, TermSyntaxError, "expected a term, found ')'", 2),
+    (",", False, TermSyntaxError, "expected a term, found ','", 0),
+    ("g(x1 x2)", False, TermSyntaxError, "expected ',' or ')', found 'x2'", 5),
+    ("f1(x1)", False, ArityMismatchError, "f1 expects 2 arguments, got 1", 0),
+    ("g(x1,x2)", False, ArityMismatchError, "g expects 1 arguments, got 2", 0),
+    ("g x1", False, ArityMismatchError, "g expects 1 arguments", 0),
+    ("0(x1)", False, ArityMismatchError, "0 is a constant and takes no arguments", 0),
+    ("h(x1)", False, UnknownSymbolError, "unknown symbol 'h'", 0),
+    ("x1 x2", False, TermSyntaxError, "unexpected trailing input 'x2'", 3),
+    ("x1)", False, TermSyntaxError, "unexpected trailing input ')'", 2),
+    # the whole text is tokenized first, so a lexical error wins
+    ("f1(x1) $", False, TermSyntaxError, "unexpected character '$'", 7),
+    # offsets count UTF-8 bytes, not characters
+    ("f1(x1,é)", False, UnknownSymbolError, "unknown symbol 'é'", 6),
+    ("# é²\nx1 )", False, TermSyntaxError, "unexpected trailing input ')'", 10),
+    ("f1(x1, # é\n", False, TermSyntaxError, "expected a term, found end of input", 12),
+    ("f2(x1,1) # ²\n€", False, TermSyntaxError, "unexpected character '€'", 14),
+]
+
+
+@pytest.mark.parametrize("text, allow, cls, message, offset", SYNTAX_ERRORS)
+def test_each_syntax_error_pins_message_and_offset(sig, text, allow, cls, message, offset):
+    with pytest.raises(TermSyntaxError) as exc:
+        parse_term(text, sig, allow_state_leaves=allow)
+    assert type(exc.value) is cls
+    assert str(exc.value) == f"{message} (byte {offset})"
+    assert exc.value.offset == offset
+
+
 def test_deep_chain_without_recursion_limit(sig):
     levels = 3000
     text = "g(" * levels + "f1(x1,x2)" + ")" * levels
@@ -272,6 +309,12 @@ class TestIndependence:
         fresh = compile_term(parse_term(SAMPLE_TERM, sig))
         assert fresh.node_at(P("2.2.1")) == compiled.node_at(P("2.2.1"))
         assert "positions" not in vars(fresh)  # no table is built for one lookup
+
+    def test_position_of_walks_to_each_node(self, sig, term):
+        fresh = compile_term(parse_term(SAMPLE_TERM, sig))
+        found = [fresh.position_of(i) for i in range(len(fresh.kinds))]
+        assert "positions" not in vars(fresh)  # no table is built for the lookups
+        assert found == list(compile_term(term).positions)
 
     def test_symmetric_irreflexive(self, term):
         compiled = compile_term(term)
