@@ -25,6 +25,7 @@ from __future__ import annotations
 import re
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
 from types import MappingProxyType
 from typing import Iterable, Iterator, Sequence
@@ -176,35 +177,61 @@ def compile_automaton(aut: Automaton) -> CompiledAutomaton:
     return compiled
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class RunTrace:
     """The state at every node of a term, for one run.
 
-    ``states`` holds the state of each node by its id in the term's
-    compiled form (:class:`fta.terms.CompiledTerm`); ``per_position`` is
-    a read-only view of the same states by position, and ``ids`` holds
-    them as state ids of the automaton's compiled form
-    (:class:`CompiledAutomaton`, whose ``names`` maps them back).
+    ``ids`` holds the state of each node by its id in the term's
+    compiled form (:class:`fta.terms.CompiledTerm`), as state ids of the
+    automaton's compiled form (:class:`CompiledAutomaton`, whose
+    ``names`` maps them back).  ``states`` holds the same states as
+    names, by node id, and ``per_position`` is a read-only view of them
+    by position.  Both are made from ``ids`` when first read, so a
+    caller that reads only ``result`` and ``ids``, as the run store
+    does, never pays for names.  Two traces are equal when their
+    results, states and states by position are; ``repr`` shows the
+    result and the states by position.  Attributes cannot be set.
     """
 
     result: str
-    states: tuple[str, ...] = field(repr=False)
-    per_position: Mapping[Position, str]
-    ids: tuple[int, ...] = field(repr=False, compare=False)
+    ids: tuple[int, ...]
+    _term: CompiledTerm
+    _names: tuple[str, ...]
+
+    @cached_property
+    def states(self) -> tuple[str, ...]:
+        return tuple(map(self._names.__getitem__, self.ids))
+
+    @cached_property
+    def per_position(self) -> Mapping[Position, str]:
+        return _StatesByPosition(self.ids, self._names, self._term)
+
+    def __eq__(self, other):
+        if not isinstance(other, RunTrace):
+            return NotImplemented
+        return (self.result, self.states, self.per_position) == (
+            other.result, other.states, other.per_position)
+
+    __hash__ = None  # unhashable, like the per_position mapping
+
+    def __repr__(self) -> str:
+        return f"RunTrace(result={self.result!r}, per_position={self.per_position!r})"
 
 
 class _StatesByPosition(Mapping):
-    """Read-only view of a run's node states, keyed by position."""
+    """Read-only view of a run's node states, keyed by position; each
+    lookup names one state."""
 
-    __slots__ = ("_states", "_term")
+    __slots__ = ("_ids", "_names", "_term")
 
-    def __init__(self, states: tuple[str, ...], term: CompiledTerm):
-        self._states = states
+    def __init__(self, ids: tuple[int, ...], names: tuple[str, ...], term: CompiledTerm):
+        self._ids = ids
+        self._names = names
         self._term = term
 
     def __getitem__(self, p: Position) -> str:
         try:
-            return self._states[self._term.node_at(p)]
+            return self._names[self._ids[self._term.node_at(p)]]
         except (AttributeError, InvalidPositionError):  # not a position of the term
             raise KeyError(p) from None
 
@@ -212,7 +239,7 @@ class _StatesByPosition(Mapping):
         return iter(self._term.positions)
 
     def __len__(self) -> int:
-        return len(self._states)
+        return len(self._ids)
 
     def __repr__(self) -> str:
         return repr(dict(self))
@@ -443,8 +470,8 @@ def run(aut: Automaton, gamma: Mapping[int, str], t: Term) -> RunTrace:
     The nodes of ``t``'s compiled form are evaluated in id order, which
     is post-order, so the first error met is the one a recursive
     evaluation would meet.  Each node's state is one lookup in the
-    compiled automaton's tables (:class:`CompiledAutomaton`); the state
-    ids become names once, at the end.
+    compiled automaton's tables (:class:`CompiledAutomaton`); the trace
+    names the states only when they are read (see :class:`RunTrace`).
 
     A variable leaf bound to the constant c gets the state of the leaf c.
     So fixing some variables of ``t`` to constants needs no substituted
@@ -455,8 +482,7 @@ def run(aut: Automaton, gamma: Mapping[int, str], t: Term) -> RunTrace:
     term = compile_term(t)
     compiled = compile_automaton(aut)
     ids = tuple(compiled.state_ids(gamma, term))
-    states = tuple(map(compiled.names.__getitem__, ids))
-    return RunTrace(states[-1], states, _StatesByPosition(states, term), ids)
+    return RunTrace(compiled.names[ids[-1]], ids, term, compiled.names)
 
 
 def partial_run(aut: Automaton, gamma: Mapping[int, str], t: Term) -> Term:

@@ -30,7 +30,7 @@ from .errors import (
 )
 from .essential import essential_positions, is_essential_subtree, is_separable
 from .reduction import check_reduction, freeze_fictive
-from .terms import Position, compile_term, parse_term, render_term, variables
+from .terms import Position, compile_term, parse_term, render_term
 from .verify import check_random_instances, replay_failure, verify_properties
 
 
@@ -111,27 +111,24 @@ def cmd_run(args) -> int:
     sig, aut = _load_automaton(args.automaton)
     t = _load_term(args, sig)
     gamma = parse_assignment(args.assign, sig) if args.assign else {}
-    if variables(t) <= set(gamma):
+    term = compile_term(t)
+    inputs = {"automaton": args.automaton, "term": render_term(t),
+              "assign": _assignment_json(gamma)}
+    if term.variables <= gamma.keys():
         trace = run(aut, gamma, t)
         lines = [trace.result]
         trace_json = None
         if args.trace:  # only the form that gets printed
-            term = compile_term(t)
             items = [(term.names[i], trace.states[i]) for i in term.order]
             if args.json:
                 trace_json = dict(items)
             else:
                 lines += [f"{name} {state}" for name, state in items]
-        _emit(args, lines, command="run",
-              inputs={"automaton": args.automaton, "term": render_term(t),
-                      "assign": _assignment_json(gamma)},
-              verdict=trace.result, report=trace_json)
+        _emit(args, lines, command="run", inputs=inputs, verdict=trace.result,
+              report=trace_json)
         return 0
-    mixed = partial_run(aut, gamma, t)
-    _emit(args, [render_term(mixed)], command="run",
-          inputs={"automaton": args.automaton, "term": render_term(t),
-                  "assign": _assignment_json(gamma)},
-          verdict=render_term(mixed))
+    mixed = render_term(partial_run(aut, gamma, t))
+    _emit(args, [mixed], command="run", inputs=inputs, verdict=mixed)
     return 0
 
 
@@ -204,13 +201,14 @@ def cmd_prune(args) -> int:
     original, reduced = rep.original_nodes, rep.reduced_nodes
     saved = 1.0 - reduced / original
     frozen = _position_names(t, rep.frozen_positions)
+    reduced_text = render_term(rep.reduced_term)
     if reduced == original:
         lines = ["no reduction"]
     else:
         det = "none" if rep.determining_position is None else str(rep.determining_position)
         lines = [
             f"determining: {det}"
-            f" | reduced: {render_term(rep.reduced_term)}"
+            f" | reduced: {reduced_text}"
             f" | nodes {original}→{reduced} ({saved * 100:.1f}% saved)"
         ]
         if frozen:
@@ -230,7 +228,7 @@ def cmd_prune(args) -> int:
           },
           report={"original_nodes": original, "reduced_nodes": reduced,
                   "saved_fraction": saved,
-                  "reduced_term": render_term(rep.reduced_term),
+                  "reduced_term": reduced_text,
                   "soundness": soundness})
     return 0
 

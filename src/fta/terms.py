@@ -226,7 +226,19 @@ class PositionSet:
 # parsing / printing
 
 
+def _byte_offset(text: str, i: int) -> int:
+    """Length in UTF-8 bytes of ``text[:i]``.  A command-line byte that
+    is not UTF-8 arrives as a lone surrogate and counts as that one byte;
+    any other lone surrogate counts as its three-byte form."""
+    try:
+        return len(text[:i].encode("utf-8", "surrogateescape"))
+    except UnicodeEncodeError:
+        return len(text[:i].encode("utf-8", "surrogatepass"))
+
+
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """``(kind, text, character index)`` per token; a state token's text
+    keeps its ``@``, so the tokens joined are the canonical text."""
     toks = []
     i, n = 0, len(text)
     while i < n:
@@ -245,8 +257,8 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
                 j += 1
             if j == i + 1:
                 raise TermSyntaxError("'@' must be followed by a state name",
-                                      len(text[:i].encode("utf-8")))
-            toks.append(("state", text[i + 1:j], i))
+                                      _byte_offset(text, i))
+            toks.append(("state", text[i:j], i))
             i = j
         elif ch.isalnum() or ch == "_":
             j = i
@@ -255,8 +267,7 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
             toks.append(("name", text[i:j], i))
             i = j
         else:
-            raise TermSyntaxError(f"unexpected character {ch!r}",
-                                  len(text[:i].encode("utf-8")))
+            raise TermSyntaxError(f"unexpected character {ch!r}", _byte_offset(text, i))
     return toks
 
 
@@ -269,13 +280,14 @@ def parse_term(text: str, sig: Signature, *, allow_state_leaves: bool = False) -
     lexical error wins over an earlier syntax error.  Operations whose
     arguments are still being read wait on an explicit stack as
     ``[symbol, arity, offset, args]``, so nesting depth is not limited
-    by the interpreter's stack.
+    by the interpreter's stack.  The term keeps its canonical text, the
+    tokens joined, for :func:`render_term`.
     """
     toks = _tokenize(text)
     toks.append(("end", "", len(text)))  # lookahead never runs past it
 
     def fail(cls, message: str, char_index: int):
-        raise cls(message, len(text[:char_index].encode("utf-8")))
+        raise cls(message, _byte_offset(text, char_index))
 
     if len(toks) == 1:
         fail(TermSyntaxError, "empty input", 0)
@@ -300,9 +312,9 @@ def parse_term(text: str, sig: Signature, *, allow_state_leaves: bool = False) -
                 open_nodes.append([value, arity, at, []])
                 continue
         elif kind == "state" and allow_state_leaves:
-            done = StateLeaf(value)
+            done = StateLeaf(value[1:])
         elif kind == "state":
-            fail(TermSyntaxError, f"state leaf @{value} not allowed here", at)
+            fail(TermSyntaxError, f"state leaf {value} not allowed here", at)
         else:
             found = "end of input" if kind == "end" else repr(value)
             fail(TermSyntaxError, f"expected a term, found {found}", at)
@@ -327,11 +339,17 @@ def parse_term(text: str, sig: Signature, *, allow_state_leaves: bool = False) -
             kind, value, at = toks[i]
             if kind != "end":
                 fail(TermSyntaxError, f"unexpected trailing input {value!r}", at)
+            object.__setattr__(done, "_text", "".join([tok[1] for tok in toks]))
             return done
 
 
 def render_term(t: Term) -> str:
-    """Canonical prefix notation; inverse of :func:`parse_term`."""
+    """Canonical prefix notation; inverse of :func:`parse_term`.  A term
+    :func:`parse_term` made returns the text it keeps (its tokens
+    joined); any other term is rendered by a walk of its tree."""
+    text = t.__dict__.get("_text")
+    if text is not None:
+        return text
     out: list[str] = []
     todo: list[Term | str] = [t]
     while todo:
@@ -472,11 +490,24 @@ class CompiledTerm:
 
     @cached_property
     def variables_at(self) -> tuple[frozenset[int], ...]:
-        """Variables of the subtree at each node, by node id."""
+        """Variables of the subtree at each node, by node id.  Sets are
+        shared: every leaf of one variable gets the same set, and a node
+        whose children add nothing to one child's set gets that set
+        itself, as on chains and single-child nodes."""
+        leaf: dict[int, frozenset[int]] = {}
         acc: list[frozenset[int]] = []
         for kind, label, kids in zip(self.kinds, self.labels, self.children):
-            acc.append(frozenset((label,)) if kind is Var
-                       else frozenset().union(*(acc[k] for k in kids)))
+            if kind is Var:
+                found = leaf.get(label)
+                if found is None:
+                    found = leaf[label] = frozenset((label,))
+            else:
+                found = acc[kids[0]] if kids else frozenset()
+                for k in kids[1:]:
+                    other = acc[k]
+                    if not other <= found:
+                        found = other if found <= other else found | other
+            acc.append(found)
         return tuple(acc)
 
 

@@ -141,14 +141,14 @@ def essential_by_definition(aut: Automaton, t: Term, *,
     count = len(consts) ** len(vs)
     if count * count > budget:
         raise EnumerationBudgetExceeded(count * count, budget)
-    runs = [(values, run(aut, dict(zip(vs, values)), t).states)
+    runs = [(values, run(aut, dict(zip(vs, values)), t).ids)
             for values in product(consts, repeat=len(vs))]
     term = compile_term(t)
 
     def essential(node: int) -> bool:
         inner = term.variables_at[node]
         outer_idx = [i for i, v in enumerate(vs) if v not in inner]
-        buckets: dict[tuple[str, ...], list[tuple[str, str]]] = {}
+        buckets: dict[tuple[str, ...], list[tuple[int, int]]] = {}
         for values, states in runs:
             buckets.setdefault(tuple(values[i] for i in outer_idx), []).append(
                 (states[node], states[-1]))

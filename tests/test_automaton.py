@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError
+
 import pytest
 
 from fta import (
@@ -105,6 +107,31 @@ class TestRun:
 
     def test_deterministic(self, aut, term):
         assert run(aut, G1, term) == run(aut, G1, term)
+
+    def test_trace_is_a_value(self, sig, aut, term):
+        trace = run(aut, G1, term)
+        assert trace != run(aut, G2, term)
+        assert trace != run(aut, G1, parse_term("g(x1)", sig))
+        assert trace != (trace.result, trace.states)
+        assert repr(trace) == f"RunTrace(result='q1', per_position={dict(trace.per_position)!r})"
+        with pytest.raises(TypeError):
+            hash(trace)
+        for attr in ("result", "ids", "states", "per_position", "other"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(trace, attr, None)
+            with pytest.raises(FrozenInstanceError):
+                delattr(trace, attr)
+        with pytest.raises(TypeError):
+            trace.per_position[P("1")] = "q0"
+
+    def test_names_made_only_when_read(self, aut, term):
+        trace = run(aut, G1, term)
+        names = compile_automaton(aut).names
+        assert trace.result == names[trace.ids[-1]] == "q1"
+        assert trace.per_position[P("1.1")] == "q0"
+        assert "states" not in trace.__dict__  # neither ids nor a lookup named every node
+        assert trace.states == tuple(names[i] for i in trace.ids)
+        assert trace.states is trace.states  # made once
 
     def test_per_position_lacks_positions_outside_the_term(self, aut, term):
         states = run(aut, G1, term).per_position

@@ -33,6 +33,12 @@ def test_non_utf8_file_is_input_error(command, aut_file, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_non_utf8_byte_in_term_is_input_error(aut_file, capsys):
+    # the shell's $'g( #\xff': the undecodable byte arrives as a lone surrogate
+    assert main(["run", aut_file, "-t", "g( #\udcff"]) == 2
+    assert capsys.readouterr().err == "error: expected a term, found end of input (byte 5)\n"
+
+
 class TestCheck:
     def test_ok(self, aut_file, capsys):
         assert main(["check", aut_file]) == 0

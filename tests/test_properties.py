@@ -6,6 +6,7 @@ term; the properties that need linearity live in the
 seeded suite (fta.verify) and its tests.
 """
 
+import re
 from itertools import product
 
 import hypothesis.strategies as st
@@ -638,3 +639,74 @@ def test_p5_reads_the_store_like_fresh_subterms_on_deep_chains(aut, t, budget, d
         top = Position(p.indices[:data.draw(st.integers(len(p) - 40, len(p)))])
         got = verdict(lambda: essential_in_subterm(aut, t, top, p, budget=budget))
         assert got == subterm_verdict_by_definition(aut, t, top, p, budget)
+
+
+def report_by_position(aut, t, budget):
+    """What the report should hold, from one search per position, each
+    on a freshly parsed copy of ``t`` (so no run is shared): its
+    witnesses, or the first budget error in position order."""
+    text = render_term(t)
+    witnesses = {}
+    for p in positions(t):
+        w = verdict(lambda: is_essential_subtree(aut, parse_term(text, SIG), p, budget=budget))
+        if isinstance(w, tuple):
+            return w
+        if w is not None:
+            witnesses[p] = w
+    return witnesses
+
+
+@settings(max_examples=60, deadline=None)
+@given(automata(), st.one_of(linear_terms(), nonlinear_terms(max_var=3), terms(max_leaves=8)))
+def test_report_matches_fresh_searches_at_each_position(aut, t):
+    report = essential_positions(aut, t)
+    witnesses = report_by_position(aut, t, 2 ** 20)
+    assert dict(report.witnesses) == witnesses
+    assert report.essential_positions == set(witnesses)
+    assert report.fictive_positions == set(positions(t)) - set(witnesses)
+    assert report.essential_vars == {
+        v.index for p in witnesses if isinstance(v := subterm_at(t, p), Var)}
+    # one below the largest pair count, the first search over the budget
+    # raises, with the count a fresh search at that position needs
+    k, n = len(SIG.constants), len(variables(t))
+    inner = [len(variables(subterm_at(t, p))) for p in positions(t)]
+    largest = max((k ** (n + i) for i in inner if i), default=None)
+    if largest is not None:
+        fresh = parse_term(render_term(t), SIG)
+        got = verdict(lambda: essential_positions(aut, fresh, budget=largest - 1))
+        assert got == report_by_position(aut, t, largest - 1) == (largest, largest - 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(linear_terms(), nonlinear_terms(), terms(), chains(levels=150)))
+def test_variables_at_is_the_variables_of_each_subterm(t):
+    term = compile_term(t)
+    for i, p in enumerate(term.positions):
+        assert term.variables_at[i] == variables(subterm_at(t, p))
+
+
+def terms_with_state_leaves():
+    state_leaves = st.sampled_from(["q0", "q_1", "Q2", "7"]).map(StateLeaf)
+    return st.recursive(
+        st.one_of(leaves(), state_leaves),
+        lambda ch: st.one_of(
+            st.builds(lambda a: Node("g", (a,)), ch),
+            st.builds(lambda a, b: Node("f1", (a, b)), ch, ch),
+        ),
+        max_leaves=10,
+    )
+
+
+GAPS = st.lists(st.sampled_from([" ", "\t", "\n", "  # note\n", "#(x1,@q0)\n"]),
+                max_size=2).map("".join)
+
+
+@settings(max_examples=200, deadline=None)
+@given(terms_with_state_leaves(), st.data())
+def test_kept_text_is_the_walked_rendering(t, data):
+    canonical = render_term(t)  # built, not parsed: rendered by a walk
+    tokens = re.findall(r"[(),]|@?\w+", canonical)
+    text = "".join(data.draw(GAPS) + tok for tok in tokens) + data.draw(GAPS)
+    parsed = parse_term(text, SIG, allow_state_leaves=True)
+    assert parsed == t
+    assert render_term(parsed) == canonical == render_term(substitute(parsed, {}))

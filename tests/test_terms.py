@@ -119,6 +119,9 @@ SYNTAX_ERRORS = [
     ("0(x1)", False, ArityMismatchError, "0 is a constant and takes no arguments", 0),
     ("h(x1)", False, UnknownSymbolError, "unknown symbol 'h'", 0),
     ("x1 x2", False, TermSyntaxError, "unexpected trailing input 'x2'", 3),
+    # a misplaced state leaf is named with its '@'
+    ("g(x1 @q0)", True, TermSyntaxError, "expected ',' or ')', found '@q0'", 5),
+    ("x1 @q0", True, TermSyntaxError, "unexpected trailing input '@q0'", 3),
     ("x1)", False, TermSyntaxError, "unexpected trailing input ')'", 2),
     # the whole text is tokenized first, so a lexical error wins
     ("f1(x1) $", False, TermSyntaxError, "unexpected character '$'", 7),
@@ -127,6 +130,10 @@ SYNTAX_ERRORS = [
     ("# é²\nx1 )", False, TermSyntaxError, "unexpected trailing input ')'", 10),
     ("f1(x1, # é\n", False, TermSyntaxError, "expected a term, found end of input", 12),
     ("f2(x1,1) # ²\n€", False, TermSyntaxError, "unexpected character '€'", 14),
+    # a byte that was not UTF-8 on the command line arrives as a lone
+    # surrogate and counts as that byte; any other lone surrogate as three
+    ("g( #\udcff", False, TermSyntaxError, "expected a term, found end of input", 5),
+    ("# \ud800\n)", False, TermSyntaxError, "expected a term, found ')'", 6),
 ]
 
 
@@ -243,6 +250,30 @@ class TestSubterm:
         assert {Position(q.indices + r.indices) for r in positions(subterm_at(term, q))} == below
 
 
+def walked(t):
+    """``t`` rendered by a walk of its tree: an equal term that no parse
+    made keeps no text."""
+    return render_term(substitute(t, {}))
+
+
+class TestKeptText:
+    def test_parsed_term_keeps_its_canonical_text(self, sig):
+        text = "f1( x1 , # first\n  @q0 )  # done\n"
+        t = parse_term(text, sig, allow_state_leaves=True)
+        assert render_term(t) == walked(t) == "f1(x1,@q0)"
+        assert t.__dict__["_text"] == "f1(x1,@q0)"
+
+    @pytest.mark.parametrize("text", ["x7", " 0 ", "@q1", "g(\n@q0)"])
+    def test_leaf_and_small_terms(self, sig, text):
+        t = parse_term(text, sig, allow_state_leaves=True)
+        assert render_term(t) == walked(t) == "".join(text.split())
+
+    def test_other_terms_are_walked(self, sig, term):
+        assert "_text" not in subterm_at(term, P("2.1")).__dict__
+        assert render_term(subterm_at(term, P("2.1"))) == "g(f1(x3,f1(x4,x3)))"
+        assert render_term(replace_at(term, P("2"), Var(5))) == "f1(g(f1(x1,x2)),x5)"
+
+
 class TestDepthVars:
     def test_depth(self, sig, term):
         assert depth(Var(3)) == 0
@@ -261,6 +292,14 @@ class TestDepthVars:
         assert variables(term) == {1, 2, 3, 4}
         assert variables(parse_term("f1(0,1)", sig)) == frozenset()
         assert variables(subterm_at(term, P("2.1"))) == {3, 4}
+
+    def test_variables_at_shares_sets(self, sig):
+        term = compile_term(parse_term("f1(g(g(f2(x1,x2))),f1(x1,x1))", sig))
+        sets = term.variables_at
+        # x1's leaves share one set; g and the f1 over x1, x1 reuse a child's
+        assert sets[0] is sets[5] is sets[6] is sets[7]
+        assert sets[2] is sets[3] is sets[4]
+        assert sets[8] is sets[2]  # the root adds nothing to its first child
 
 
 class TestSubstitute:
