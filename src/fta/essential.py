@@ -40,8 +40,6 @@ from .terms import (
     Term,
     Var,
     compile_term,
-    subterm_at,
-    variables,
 )
 
 __all__ = [
@@ -80,8 +78,8 @@ class WitnessPair:
 
     def verify(self, aut: Automaton, t: Term) -> bool:
         """Re-run both assignments and re-check every invariant."""
-        inner = variables(subterm_at(t, self.position))
-        outer = variables(t) - inner
+        term = compile_term(t)
+        outer = term.variables - term.variables_at[term.node_at(self.position)]
         if any(self.gamma1.get(v) != self.gamma2.get(v) for v in outer):
             return False
         tr1 = run(aut, self.gamma1, t)
@@ -238,7 +236,8 @@ def essential_in_subterm(aut: Automaton, t: Term, top: Position, p: Position, *,
                          budget: int = DEFAULT_BUDGET) -> bool:
     """Whether the subtree at ``p`` is essential for the subterm of ``t``
     at ``top``, a prefix of ``p``: the verdict, and the budget check, of
-    ``is_essential_subtree(aut, subterm_at(t, top), p.suffix_after(top))``.
+    :func:`is_essential_subtree` on that subterm at the rest of ``p``
+    below ``top``.
 
     It is read from ``t``'s run store and makes no run of its own once
     the store holds every assignment: the subterm's run is ``t``'s run

@@ -169,7 +169,7 @@ def freeze_fictive(aut: Automaton, t: Term, *,
     below_fictive = bytearray(len(term.kinds))
 
     frozen: list[Position] = []
-    pruned = t
+    pruned, pruned_nodes = t, len(term.kinds)
     for node in term.order:  # shallowest first
         p = term.positions[node]
         if below_fictive[node] or p in report.essential_positions:
@@ -182,19 +182,20 @@ def freeze_fictive(aut: Automaton, t: Term, *,
         if reps is None:
             reps, names = canonical_ground(aut), compile_automaton(aut).names
         rep = reps[names[store[0][node]]]
-        if node_count(rep) >= sizes[node]:
+        saved = sizes[node] - node_count(rep)
+        if saved <= 0:
             continue  # representative would not shrink the term
-        pruned = replace_at(pruned, p, rep)
+        pruned, pruned_nodes = replace_at(pruned, p, rep), pruned_nodes - saved
         frozen.append(p)
 
     determining = determining_subtree(aut, t, budget=budget)
-    reduced = pruned
-    if determining is not None and sizes[term.node_at(determining)] < node_count(pruned):
-        reduced = subterm_at(t, determining)
+    reduced, reduced_nodes = pruned, pruned_nodes
+    if determining is not None and (size := sizes[term.node_at(determining)]) < pruned_nodes:
+        reduced, reduced_nodes = subterm_at(t, determining), size
 
     return ReductionReport(
         original_nodes=len(term.kinds),
-        reduced_nodes=node_count(reduced),
+        reduced_nodes=reduced_nodes,
         determining_position=determining,
         frozen_positions=PositionSet(frozen),
         reduced_term=reduced,

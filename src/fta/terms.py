@@ -173,12 +173,6 @@ class Position:
             raise InvalidPositionError("the root has no parent")
         return Position(self.indices[:-1])
 
-    def suffix_after(self, prefix: "Position") -> "Position":
-        """The remainder of this position below ``prefix``."""
-        if not prefix.is_prefix_of(self):
-            raise InvalidPositionError(f"{prefix} is not a prefix of {self}")
-        return Position(self.indices[len(prefix.indices):])
-
 
 ROOT = Position(())
 
@@ -281,7 +275,9 @@ def parse_term(text: str, sig: Signature, *, allow_state_leaves: bool = False) -
     arguments are still being read wait on an explicit stack as
     ``[symbol, arity, offset, args]``, so nesting depth is not limited
     by the interpreter's stack.  The term keeps its canonical text, the
-    tokens joined, for :func:`render_term`.
+    tokens joined, for :func:`render_term`, and its compiled form
+    (:func:`compile_term`), made from its nodes in the order they are
+    finished, which is post-order.
     """
     toks = _tokenize(text)
     toks.append(("end", "", len(text)))  # lookahead never runs past it
@@ -292,6 +288,7 @@ def parse_term(text: str, sig: Signature, *, allow_state_leaves: bool = False) -
     if len(toks) == 1:
         fail(TermSyntaxError, "empty input", 0)
     open_nodes: list[list] = []
+    made: list[Term] = []  # every finished node, so in post-order
     i = 0
     while True:
         kind, value, at = toks[i]
@@ -318,6 +315,7 @@ def parse_term(text: str, sig: Signature, *, allow_state_leaves: bool = False) -
         else:
             found = "end of input" if kind == "end" else repr(value)
             fail(TermSyntaxError, f"expected a term, found {found}", at)
+        made.append(done)
         # ``done`` is complete: hand it to the innermost open operation,
         # closing every operation that ends here.
         while open_nodes:
@@ -335,11 +333,13 @@ def parse_term(text: str, sig: Signature, *, allow_state_leaves: bool = False) -
                      f"{symbol} expects {arity} arguments, got {len(args)}", start)
             open_nodes.pop()
             done = Node(symbol, tuple(args))
+            made.append(done)
         else:
             kind, value, at = toks[i]
             if kind != "end":
                 fail(TermSyntaxError, f"unexpected trailing input {value!r}", at)
             object.__setattr__(done, "_text", "".join([tok[1] for tok in toks]))
+            object.__setattr__(done, "_compiled", CompiledTerm(made))
             return done
 
 
@@ -378,7 +378,9 @@ def render_term(t: Term) -> str:
 
 
 class CompiledTerm:
-    """A term flattened into post-order arrays.
+    """A term flattened into post-order arrays, made from the term's
+    nodes listed in post-order (``made``); it keeps no reference to
+    them, so a term holding its compiled form makes no reference cycle.
 
     Node ids number the nodes in post-order: every child before its
     parent, siblings left to right, the root last.  Evaluating nodes in
@@ -394,22 +396,15 @@ class CompiledTerm:
     variables below each node are built on first use.
     """
 
-    def __init__(self, t: Term):
+    def __init__(self, made: Iterable[Term]):
         kinds: list[type] = []
         labels: list[object] = []
         children: list[tuple[int, ...]] = []
         sizes: list[int] = []
-        finished: list[int] = []  # ids whose parent is not finished yet
-        todo: list[tuple[Term, bool]] = [(t, False)]
-        while todo:
-            node, expanded = todo.pop()
+        finished: list[int] = []  # ids whose parent is not made yet
+        for node in made:
             if isinstance(node, Node):
-                n = len(node.children)
-                if n and not expanded:
-                    todo.append((node, True))
-                    todo.extend((c, False) for c in reversed(node.children))
-                    continue
-                kind, label = Node, node.symbol
+                kind, label, n = Node, node.symbol, len(node.children)
                 kids = tuple(finished[len(finished) - n:])
                 del finished[len(finished) - n:]
             else:
@@ -512,11 +507,18 @@ class CompiledTerm:
 
 
 def compile_term(t: Term) -> CompiledTerm:
-    """The compiled form of ``t``: built on first use and kept with ``t``,
-    so every later query on the same term object reuses it."""
+    """The compiled form of ``t``, kept with ``t`` so every later query
+    on the same term object reuses it.  :func:`parse_term` attaches it
+    as it parses; any other term is walked here once, on first use."""
     compiled = t.__dict__.get("_compiled")
     if compiled is None:
-        compiled = CompiledTerm(t)
+        made, todo = [], [t]  # pre-order, last child first: reversed, post-order
+        while todo:
+            node = todo.pop()
+            made.append(node)
+            if isinstance(node, Node):
+                todo.extend(node.children)
+        compiled = CompiledTerm(reversed(made))
         object.__setattr__(t, "_compiled", compiled)
     return compiled
 
@@ -560,39 +562,25 @@ def replace_at(t: Term, p: Position, replacement: Term) -> Term:
 
 
 def depth(t: Term) -> int:
-    """0 for leaves, else one more than the deepest child."""
-    deepest = 0
-    todo = [(t, 0)]
-    while todo:
-        node, d = todo.pop()
-        deepest = max(deepest, d)
-        if isinstance(node, Node):
-            todo.extend((c, d + 1) for c in node.children)
-    return deepest
+    """0 for leaves, else one more than the deepest child; one pass over
+    the compiled form, parents before children."""
+    term = compile_term(t)
+    depths = [0] * len(term.kinds)
+    for i in range(term.root, -1, -1):
+        for k in term.children[i]:
+            depths[k] = depths[i] + 1
+    return max(depths)
 
 
 def variables(t: Term) -> frozenset[int]:
-    """Indices of the variables occurring in ``t``."""
-    acc: set[int] = set()
-    stack = [t]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Var):
-            acc.add(node.index)
-        elif isinstance(node, Node):
-            stack.extend(node.children)
-    return frozenset(acc)
+    """Indices of the variables occurring in ``t``, read from its
+    compiled form."""
+    return compile_term(t).variables
 
 
 def node_count(t: Term) -> int:
-    count = 0
-    stack = [t]
-    while stack:
-        node = stack.pop()
-        count += 1
-        if isinstance(node, Node):
-            stack.extend(node.children)
-    return count
+    """Number of nodes of ``t``, read from its compiled form."""
+    return len(compile_term(t).kinds)
 
 
 def substitute(t: Term, binding: Mapping[int, Term]) -> Term:

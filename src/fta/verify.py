@@ -48,7 +48,6 @@ from .reduction import cost_report, fictive_from_determining, freeze_fictive, ru
 from .terms import (
     Position,
     PositionSet,
-    Signature,
     Term,
     compile_term,
     is_prefix_closed,
@@ -276,7 +275,6 @@ def verify_properties(aut: Automaton, t: Term, *, budget: int = DEFAULT_BUDGET,
 
 
 def check_random_instances(*, seed: int, count: int,
-                           signature: Signature = DEFAULT_SIGNATURE,
                            max_depth: int = 4, var_pool: int = 4,
                            max_states: int = 3,
                            budget: int = DEFAULT_BUDGET) -> PropertyReport:
@@ -287,8 +285,9 @@ def check_random_instances(*, seed: int, count: int,
         state_count = 1 + rng.below(max_states)
         term_seed = rng.next_u64()
         aut_seed = rng.next_u64()
-        t = random_term(GenParams(signature, max_depth, var_pool, state_count, term_seed))
-        aut = random_automaton(GenParams(signature, max_depth, var_pool, state_count, aut_seed))
+        t = random_term(GenParams(DEFAULT_SIGNATURE, max_depth, var_pool, state_count, term_seed))
+        aut = random_automaton(GenParams(DEFAULT_SIGNATURE, max_depth, var_pool, state_count,
+                                         aut_seed))
         report.merge(verify_properties(aut, t, budget=budget, seed=seed))
     return report
 

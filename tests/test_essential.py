@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import pytest
 
 from fta import (
@@ -363,3 +366,18 @@ class TestRunsOncePerAssignment:
         t = parse_term(f"f2(f1({half(1)},x15),f1({half(8)},g(x15)))", sig)
         assert not is_separable(aut, t, PS("1.1.1", "2.1.1")).separable
         assert len(runs) == len(set(runs)) == 2 ** 15
+
+
+def test_a_queried_term_is_freed_without_the_cycle_collector(sig, aut):
+    # the compiled form and the run store stay with the term, so neither
+    # may refer back to it: the term must go when its last reference does
+    gc.disable()
+    try:
+        t = parse_term(SAMPLE_TERM, sig)
+        results = [essential_positions(aut, t), freeze_fictive(aut, t), verify_properties(aut, t),
+                   run(aut, {1: "0", 2: "1", 3: "1", 4: "0"}, t).per_position, positions(t)]
+        dead = weakref.ref(t)
+        del t, results
+        assert dead() is None
+    finally:
+        gc.enable()

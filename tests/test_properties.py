@@ -10,10 +10,11 @@ import re
 from itertools import product
 
 import hypothesis.strategies as st
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 
 from fta import (
     DEFAULT_SIGNATURE,
+    ArityMismatchError,
     Automaton,
     EnumerationBudgetExceeded,
     FtaError,
@@ -598,8 +599,8 @@ def verdict(f):
 
 def subterm_verdict_by_definition(aut, t, top, p, budget):
     sub = subterm_at(t, top)
-    return verdict(lambda: is_essential_subtree(aut, sub, p.suffix_after(top),
-                                                budget=budget) is not None)
+    rest = Position(p.indices[len(top):])
+    return verdict(lambda: is_essential_subtree(aut, sub, rest, budget=budget) is not None)
 
 
 def p5_by_definition(aut, t, budget):
@@ -675,6 +676,35 @@ def test_report_matches_fresh_searches_at_each_position(aut, t):
         fresh = parse_term(render_term(t), SIG)
         got = verdict(lambda: essential_positions(aut, fresh, budget=largest - 1))
         assert got == report_by_position(aut, t, largest - 1) == (largest, largest - 1)
+
+
+COMPILED_FIELDS = ("kinds", "labels", "children", "sizes", "root", "variables",
+                   "variables_at", "positions", "names", "order")
+
+
+def assert_parser_compiles_as_the_walk(built):
+    """The compiled form that parsing ``built``'s text attaches equals
+    the one :func:`compile_term` walks ``built`` itself for."""
+    parsed = parse_term(render_term(built), SIG, allow_state_leaves=True)
+    assert "_compiled" in vars(parsed)
+    ours, walked = compile_term(parsed), compile_term(built)
+    for field in COMPILED_FIELDS:
+        assert getattr(ours, field) == getattr(walked, field), field
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(terms(), nonlinear_terms(), mixed_terms()))
+def test_parser_compiles_as_the_walk(t):
+    try:
+        assert_parser_compiles_as_the_walk(t)
+    except ArityMismatchError:
+        assume(False)  # mixed_terms() also builds nodes of the wrong arity
+
+
+@settings(max_examples=2, deadline=None)
+@given(chains(levels=3000))
+def test_parser_compiles_as_the_walk_on_deep_chains(t):
+    assert_parser_compiles_as_the_walk(t)
 
 
 @settings(max_examples=100, deadline=None)

@@ -183,11 +183,10 @@ class TestPosition:
         assert not P("1.1").is_prefix_of(P("1"))
         assert P("1").is_prefix_of(P("1"))
 
-    def test_parent_and_suffix(self):
+    def test_parent(self):
         assert P("2.1").parent() == P("2")
         with pytest.raises(InvalidPositionError):
             ROOT.parent()
-        assert P("2.1.1").suffix_after(P("2")) == P("1.1")
 
 
 class TestPositionSet:
