@@ -102,12 +102,15 @@ class CompiledAutomaton:
         for (_, args), target in aut.rules.items():
             names.update(dict.fromkeys((*args, target)))
         self.names = tuple(names)
-        self.ids = {q: i for i, q in enumerate(self.names)}
+        self.ids = ids = {q: i for i, q in enumerate(self.names)}
         self.declared = len(set(aut.states))
-        self.base = len(self.names)
+        self.base = base = len(self.names)
         entries: dict[str, dict[int, int]] = {}
         for (symbol, args), target in aut.rules.items():
-            entries.setdefault(symbol, {})[self.index(self.ids[q] for q in args)] = self.ids[target]
+            index = 0  # as :meth:`index` computes it
+            for q in args:
+                index = index * base + ids[q] + 1
+            entries.setdefault(symbol, {})[index] = ids[target]
         self.tables: dict[str, list[int] | dict[int, int]] = {}
         for symbol, targets in entries.items():
             size = max(targets) + 1
@@ -262,12 +265,15 @@ def parse_automaton(text: str) -> tuple[Signature, Automaton]:
 
     Raises :class:`AutomatonSyntaxError` for malformed lines and
     :class:`ValidationError` (carrying the defect list) for incomplete,
-    nondeterministic or otherwise ill-formed automata.
+    nondeterministic or otherwise ill-formed automata.  The defects are
+    those :func:`validate` lists, after the ones met while the rules are
+    assembled; the rules each symbol keeps are counted as they are, so
+    completeness needs no second pass over them.
     """
     sig_pairs: list[tuple[str, int]] | None = None
     states: list[str] | None = None
     final: list[str] | None = None
-    raw_rules: list[tuple[int, str, tuple[str, ...], str]] = []
+    raw_rules: list[tuple[str, tuple[str, ...], str]] = []
 
     for line_no, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -305,11 +311,11 @@ def parse_automaton(text: str) -> tuple[Signature, Automaton]:
             if not m:
                 raise AutomatonSyntaxError(f"bad rule left-hand side {lhs_text.strip()!r}", line_no)
             symbol, argtext = m.group(1), m.group(2)
-            args = tuple(a.strip() for a in argtext.split(",")) if argtext else ()
+            args = tuple(map(str.strip, argtext.split(","))) if argtext else ()
             target = target.strip()
             if not target or len(target.split()) != 1:
                 raise AutomatonSyntaxError(f"bad rule target {target!r}", line_no)
-            raw_rules.append((line_no, symbol, args, target))
+            raw_rules.append((symbol, args, target))
         else:
             raise AutomatonSyntaxError(f"unknown directive {key!r}", line_no)
 
@@ -330,17 +336,18 @@ def parse_automaton(text: str) -> tuple[Signature, Automaton]:
         defects.append("duplicate state declarations")
     state_set = set(states)
 
+    arities = dict(sig.symbols)
     rules: dict[tuple[str, tuple[str, ...]], str] = {}
-    for line_no, symbol, args, target in raw_rules:
-        arity = sig.arity(symbol)
+    counts = dict.fromkeys(arities, 0)  # accepted rules per symbol
+    for symbol, args, target in raw_rules:
+        arity = arities.get(symbol)
         if arity is None:
             defects.append(f"unknown symbol in rule: {symbol}")
             continue
         if len(args) != arity:
             defects.append(f"rule arity mismatch: {_lhs(symbol, args)} (arity {arity})")
             continue
-        unknown = [q for q in (*args, target) if q not in state_set]
-        if unknown:
+        if target not in state_set or not state_set.issuperset(args):
             defects.append(f"unknown state in rule: {_lhs(symbol, args)} -> {target}")
             continue
         key = (symbol, args)
@@ -349,9 +356,12 @@ def parse_automaton(text: str) -> tuple[Signature, Automaton]:
                 defects.append(f"nondeterministic: {_lhs(symbol, args)} -> {rules[key]} / {target}")
             continue
         rules[key] = target
+        counts[symbol] += 1
 
     aut = Automaton(sig, tuple(states), frozenset(final), rules)
-    defects.extend(validate(sig, aut))
+    # what :func:`validate` adds; every rule kept above passes its rule checks
+    defects.extend(f"final state not in Q: {q}" for q in aut.final if q not in state_set)
+    defects.extend(_missing(sig, aut, counts))
     if defects:
         raise ValidationError(defects)
     return sig, aut
@@ -362,21 +372,57 @@ def validate(sig: Signature, aut: Automaton) -> list[str]:
 
     The rule mapping is single-valued by construction, so duplicates are
     reported where the rules are assembled (see :func:`parse_automaton`).
+    Each argument tuple without a rule is one ``missing`` defect, except
+    that a symbol with more than :data:`DEFAULT_BUDGET` tuples gets one
+    defect with the count.
     """
     defects = []
     for q in aut.final:
         if q not in aut.states:
             defects.append(f"final state not in Q: {q}")
     state_set = set(aut.states)
+    counts: dict[str, int] = {}  # per symbol, its rules of its arity over declared states
     for (symbol, args), target in aut.rules.items():
         arity = sig.arity(symbol)
         if arity is None:
             defects.append(f"unknown symbol in rule: {symbol}")
         elif arity != len(args):
             defects.append(f"rule arity mismatch: {_lhs(symbol, args)} (arity {arity})")
-        if any(q not in state_set for q in (*args, target)):
+        known_args = state_set.issuperset(args)
+        if not known_args or target not in state_set:
             defects.append(f"unknown state in rule: {_lhs(symbol, args)} -> {target}")
+        if arity == len(args) and known_args:
+            counts[symbol] = counts.get(symbol, 0) + 1
+    defects.extend(_missing(sig, aut, counts))
+    return defects
+
+
+def _exceeds(base: int, exponent: int, bound: int) -> bool:
+    """Whether ``base ** exponent > bound``, without building a power
+    much larger than ``bound``."""
+    if base > 1 and exponent > bound.bit_length():
+        return True  # base ** exponent >= 2 ** exponent > bound
+    return base ** exponent > bound
+
+
+def _missing(sig: Signature, aut: Automaton, counts: Mapping[str, int]) -> list[str]:
+    """One ``missing`` defect per argument tuple without a rule, symbol
+    by symbol in declaration order.  ``counts[f]`` is the number of
+    rules of f over declared argument states of f's arity, so f is
+    complete iff it has |Q|^arity of them, and only a symbol that lacks
+    some has its tuples listed.  A symbol with more than
+    :data:`DEFAULT_BUDGET` tuples to list, or of a higher arity (so one
+    state makes one tuple that long), gets one defect with the count
+    instead."""
+    defects = []
+    distinct = len(set(aut.states))
     for symbol, arity in sig.symbols:
+        have = counts.get(symbol, 0)
+        if not _exceeds(distinct, arity, have):
+            continue  # all distinct^arity tuples have a rule
+        if arity > DEFAULT_BUDGET or _exceeds(len(aut.states), arity, DEFAULT_BUDGET):
+            defects.append(f"missing: all but {have} of the {distinct}^{arity} rules for {symbol}")
+            continue
         for combo in product(aut.states, repeat=arity):
             if (symbol, combo) not in aut.rules:
                 defects.append(f"missing: {_lhs(symbol, combo)}")

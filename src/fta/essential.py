@@ -270,8 +270,8 @@ def essential_positions(aut: Automaton, t: Term, *,
     term = store.term
     witnesses = {i: w for i in term.order
                  if (w := _witness_at(store, i, term.positions[i], budget)) is not None}
-    ess = PositionSet(w.position for w in witnesses.values())
-    fict = PositionSet(term.positions[i] for i in term.order if i not in witnesses)
+    ess = term.position_set(witnesses.__contains__)
+    fict = term.position_set(lambda i: i not in witnesses)
     evars = frozenset(term.labels[i] for i in witnesses if term.kinds[i] is Var)
     return EssentialityReport(ess, fict, evars, {w.position: w for w in witnesses.values()})
 

@@ -142,8 +142,8 @@ def fictive_from_determining(aut: Automaton, t: Term, p: Position, *,
         )
     if not root_varies:
         raise PremiseViolatedError(f"position {p} is not essential")
-    return PositionSet(term.positions[i] for i, q_vars in enumerate(term.variables_at)
-                       if q_vars and not q_vars & p_vars and term.independent(node, i))
+    at = term.variables_at
+    return term.position_set(lambda i: at[i] and not at[i] & p_vars and term.independent(node, i))
 
 
 def freeze_fictive(aut: Automaton, t: Term, *,
@@ -168,7 +168,7 @@ def freeze_fictive(aut: Automaton, t: Term, *,
     store = run_store(aut, t)
     below_fictive = bytearray(len(term.kinds))
 
-    frozen: list[Position] = []
+    frozen: set[int] = set()
     pruned, pruned_nodes = t, len(term.kinds)
     for node in term.order:  # shallowest first
         p = term.positions[node]
@@ -186,7 +186,7 @@ def freeze_fictive(aut: Automaton, t: Term, *,
         if saved <= 0:
             continue  # representative would not shrink the term
         pruned, pruned_nodes = replace_at(pruned, p, rep), pruned_nodes - saved
-        frozen.append(p)
+        frozen.add(node)
 
     determining = determining_subtree(aut, t, budget=budget)
     reduced, reduced_nodes = pruned, pruned_nodes
@@ -197,7 +197,7 @@ def freeze_fictive(aut: Automaton, t: Term, *,
         original_nodes=len(term.kinds),
         reduced_nodes=reduced_nodes,
         determining_position=determining,
-        frozen_positions=PositionSet(frozen),
+        frozen_positions=term.position_set(frozen.__contains__),
         reduced_term=reduced,
         essentiality=report,
     )

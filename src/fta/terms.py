@@ -23,7 +23,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Callable, Iterable, Iterator, Mapping, Union
 
 from .errors import (
     ArityMismatchError,
@@ -88,6 +88,15 @@ class Node:
 
     symbol: str
     children: tuple["Term", ...] = ()
+
+    @classmethod
+    def _trusted(cls, symbol: str, children: tuple["Term", ...]) -> "Node":
+        """A node from fields already known to be right."""
+        node = object.__new__(cls)
+        fields = node.__dict__
+        fields["symbol"] = symbol
+        fields["children"] = children
+        return node
 
     def _arrays(self) -> tuple:
         term = compile_term(self)
@@ -187,6 +196,14 @@ class PositionSet:
         object.__setattr__(self, "_set", frozen)
         object.__setattr__(self, "_sorted", tuple(sorted(frozen, key=lambda p: p.order_key)))
 
+    @classmethod
+    def _in_order(cls, ordered: list[Position]) -> "PositionSet":
+        """A set of positions already distinct and in iteration order."""
+        ps = object.__new__(cls)
+        object.__setattr__(ps, "_set", frozenset(ordered))
+        object.__setattr__(ps, "_sorted", tuple(ordered))
+        return ps
+
     def __setattr__(self, name, value):  # pragma: no cover - defensive
         raise AttributeError("PositionSet is immutable")
 
@@ -230,39 +247,29 @@ def _byte_offset(text: str, i: int) -> int:
         return len(text[:i].encode("utf-8", "surrogatepass"))
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    """``(kind, text, character index)`` per token; a state token's text
-    keeps its ``@``, so the tokens joined are the canonical text."""
-    toks = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif ch in "(),":
-            toks.append((ch, ch, i))
-            i += 1
-        elif ch == "@":
-            j = i + 1
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            if j == i + 1:
-                raise TermSyntaxError("'@' must be followed by a state name",
-                                      _byte_offset(text, i))
-            toks.append(("state", text[i:j], i))
-            i = j
-        elif ch.isalnum() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(("name", text[i:j], i))
-            i = j
-        else:
-            raise TermSyntaxError(f"unexpected character {ch!r}", _byte_offset(text, i))
-    return toks
+#: A well-formed token: punctuation, a name, or ``@`` and a state name.
+_WELL_FORMED_RE = re.compile(r"[(),]|@?\w+")
+#: One match per token or comment; whitespace matches nothing and is
+#: skipped.  A token is the group: a well-formed one or any other single
+#: character (a lexical error); a comment, ``#`` to the end of the line,
+#: leaves the group empty.
+_TOKEN_RE = re.compile(rf"#[^\n]*|({_WELL_FORMED_RE.pattern}|\S)")
+
+
+def _syntax_error(text: str, toks: list[str], cls: type, message: str,
+                  index: int) -> TermSyntaxError:
+    """The error of a parse of ``text`` that failed at token ``index``
+    of ``toks``: the text's first lexical error if it has one, since the
+    whole text counts as tokenized first, else ``cls(message)`` at that
+    token.  Token offsets are found only here, by scanning the text
+    again."""
+    starts = [m.start(1) for m in _TOKEN_RE.finditer(text) if m.start(1) >= 0]
+    for tok, at in zip(toks, starts):
+        if tok == "@":
+            return TermSyntaxError("'@' must be followed by a state name", _byte_offset(text, at))
+        if not _WELL_FORMED_RE.fullmatch(tok):
+            return TermSyntaxError(f"unexpected character {tok!r}", _byte_offset(text, at))
+    return cls(message, _byte_offset(text, starts[index] if index < len(starts) else len(text)))
 
 
 def parse_term(text: str, sig: Signature, *, allow_state_leaves: bool = False) -> Term:
@@ -270,77 +277,110 @@ def parse_term(text: str, sig: Signature, *, allow_state_leaves: bool = False) -
 
     Errors report a byte offset.  ``allow_state_leaves`` additionally
     admits ``@state`` leaves, giving the mixed-term syntax that
-    partial runs print.  The whole text is tokenized first, so a
-    lexical error wins over an earlier syntax error.  Operations whose
-    arguments are still being read wait on an explicit stack as
-    ``[symbol, arity, offset, args]``, so nesting depth is not limited
-    by the interpreter's stack.  The term keeps its canonical text, the
-    tokens joined, for :func:`render_term`, and its compiled form
-    (:func:`compile_term`), made from its nodes in the order they are
-    finished, which is post-order.
+    partial runs print.  The tokens come from one regular-expression
+    scan of the whole text, so a lexical error wins over an earlier
+    syntax error.  Operations whose arguments are still being read wait
+    on an explicit stack, so nesting depth is not limited by the
+    interpreter's stack.  Nodes are numbered in the order they are
+    finished, which is post-order, and their compiled form
+    (:func:`compile_term`) is filled in as they are.  All leaves of one
+    variable, and of one constant, are one object.  The term keeps its
+    canonical text, the tokens joined, for :func:`render_term`.
     """
-    toks = _tokenize(text)
-    toks.append(("end", "", len(text)))  # lookahead never runs past it
-
-    def fail(cls, message: str, char_index: int):
-        raise cls(message, _byte_offset(text, char_index))
-
-    if len(toks) == 1:
-        fail(TermSyntaxError, "empty input", 0)
-    open_nodes: list[list] = []
-    made: list[Term] = []  # every finished node, so in post-order
-    i = 0
+    toks = _TOKEN_RE.findall(text)
+    if "#" in text:
+        toks = list(filter(None, toks))  # comments left empty tokens
+    if not toks:
+        raise TermSyntaxError("empty input", 0)
+    toks.append("")  # end of input: the lookahead never runs past it
+    arities = sig._arities
+    trusted = Node._trusted
+    kinds: list[type] = []
+    labels: list[object] = []
+    children: list[tuple[int, ...]] = []
+    sizes: list[int] = []
+    ids: list[int] = []  # finished nodes whose parent is not finished yet
+    done: list[Term] = []  # and those nodes
+    # operations whose arguments are being read: (symbol, arity, token
+    # index, len(ids) and n when opened, n being the id of its first node)
+    opened: list[tuple[str, int, int, int, int]] = []
+    leaves: dict[str, tuple[type, object, Term]] = {}  # by token: (kind, label, leaf)
+    i = n = 0  # n: nodes finished, so the id of the next one
     while True:
-        kind, value, at = toks[i]
+        tok = toks[i]
         i += 1
-        if kind == "name":
-            if m := _VAR_RE.match(value):
-                done: Term = Var(int(m.group(1)))
-            elif (arity := sig.arity(value)) is None:
-                fail(UnknownSymbolError, f"unknown symbol {value!r}", at)
-            elif arity == 0:
-                if toks[i][0] == "(":
-                    fail(ArityMismatchError, f"{value} is a constant and takes no arguments", at)
-                done = Node(value)
-            elif toks[i][0] != "(":
-                fail(ArityMismatchError, f"{value} expects {arity} arguments", at)
-            else:
-                i += 1
-                open_nodes.append([value, arity, at, []])
-                continue
-        elif kind == "state" and allow_state_leaves:
-            done = StateLeaf(value[1:])
-        elif kind == "state":
-            fail(TermSyntaxError, f"state leaf {value} not allowed here", at)
-        else:
-            found = "end of input" if kind == "end" else repr(value)
-            fail(TermSyntaxError, f"expected a term, found {found}", at)
-        made.append(done)
-        # ``done`` is complete: hand it to the innermost open operation,
-        # closing every operation that ends here.
-        while open_nodes:
-            symbol, arity, start, args = open_nodes[-1]
-            args.append(done)
-            kind, value, at = toks[i]
+        arity = arities.get(tok)
+        if arity:
+            if toks[i] != "(":
+                raise _syntax_error(text, toks, ArityMismatchError,
+                                    f"{tok} expects {arity} arguments", i - 1)
             i += 1
-            if kind == ",":
+            opened.append((tok, arity, i - 2, len(ids), n))
+            continue
+        leaf = leaves.get(tok)
+        if leaf is None:
+            if arity == 0:
+                leaf = (Node, tok, trusted(tok, ()))
+            elif m := _VAR_RE.match(tok):
+                index = int(m.group(1))
+                leaf = (Var, index, Var(index))
+            elif tok[:1] == "@" and len(tok) > 1 and allow_state_leaves:
+                leaf = (StateLeaf, tok[1:], StateLeaf(tok[1:]))
+            elif not tok or tok in "(),":
+                found = repr(tok) if tok else "end of input"
+                raise _syntax_error(text, toks, TermSyntaxError,
+                                    f"expected a term, found {found}", i - 1)
+            elif tok[0] == "@":
+                raise _syntax_error(text, toks, TermSyntaxError,
+                                    f"state leaf {tok} not allowed here", i - 1)
+            else:
+                raise _syntax_error(text, toks, UnknownSymbolError,
+                                    f"unknown symbol {tok!r}", i - 1)
+            leaves[tok] = leaf
+        if arity == 0 and toks[i] == "(":
+            raise _syntax_error(text, toks, ArityMismatchError,
+                                f"{tok} is a constant and takes no arguments", i - 1)
+        kind, label, node = leaf
+        ids.append(n)
+        n += 1
+        done.append(node)
+        kinds.append(kind)
+        labels.append(label)
+        children.append(())
+        sizes.append(1)
+        # a node is finished: close every operation that ends after it
+        while opened:
+            tok = toks[i]
+            i += 1
+            if tok == ",":
                 break
-            if kind != ")":
-                found = "end of input" if kind == "end" else repr(value)
-                fail(TermSyntaxError, f"expected ',' or ')', found {found}", at)
-            if len(args) != arity:
-                fail(ArityMismatchError,
-                     f"{symbol} expects {arity} arguments, got {len(args)}", start)
-            open_nodes.pop()
-            done = Node(symbol, tuple(args))
-            made.append(done)
+            if tok != ")":
+                found = repr(tok) if tok else "end of input"
+                raise _syntax_error(text, toks, TermSyntaxError,
+                                    f"expected ',' or ')', found {found}", i - 1)
+            symbol, arity, at, first, start = opened.pop()
+            if len(ids) - first != arity:
+                raise _syntax_error(text, toks, ArityMismatchError,
+                                    f"{symbol} expects {arity} arguments, got {len(ids) - first}",
+                                    at)
+            children.append(tuple(ids[first:]))
+            node = trusted(symbol, tuple(done[first:]))
+            del ids[first:], done[first:]
+            ids.append(n)
+            done.append(node)
+            sizes.append(n + 1 - start)  # its subtree is the ids start..n
+            n += 1
+            kinds.append(Node)
+            labels.append(symbol)
         else:
-            kind, value, at = toks[i]
-            if kind != "end":
-                fail(TermSyntaxError, f"unexpected trailing input {value!r}", at)
-            object.__setattr__(done, "_text", "".join([tok[1] for tok in toks]))
-            object.__setattr__(done, "_compiled", CompiledTerm(made))
-            return done
+            if toks[i]:
+                raise _syntax_error(text, toks, TermSyntaxError,
+                                    f"unexpected trailing input {toks[i]!r}", i)
+            break
+    variables = frozenset(label for kind, label, _ in leaves.values() if kind is Var)
+    object.__setattr__(node, "_text", "".join(toks))
+    object.__setattr__(node, "_compiled", CompiledTerm(kinds, labels, children, sizes, variables))
+    return node
 
 
 def render_term(t: Term) -> str:
@@ -378,9 +418,9 @@ def render_term(t: Term) -> str:
 
 
 class CompiledTerm:
-    """A term flattened into post-order arrays, made from the term's
-    nodes listed in post-order (``made``); it keeps no reference to
-    them, so a term holding its compiled form makes no reference cycle.
+    """A term flattened into post-order arrays.  It keeps no reference
+    to the term's nodes, so a term holding its compiled form makes no
+    reference cycle.
 
     Node ids number the nodes in post-order: every child before its
     parent, siblings left to right, the root last.  Evaluating nodes in
@@ -389,39 +429,22 @@ class CompiledTerm:
     :class:`StateLeaf` or :class:`Node`), ``labels[i]`` its variable
     index, state or symbol, ``children[i]`` the ids of its children and
     ``sizes[i]`` its subtree's node count, so that subtree is the ids
-    ``i - sizes[i] + 1`` to ``i``.  :meth:`node_at` finds a position's
+    ``i - sizes[i] + 1`` to ``i``; ``variables`` holds the indices of
+    the variables that occur.  :meth:`node_at` finds a position's
     node, and :meth:`position_of` a node's position, by walking
     ``children`` down from the root.  Each node's
     position and rendered name, the breadth-first order and the
     variables below each node are built on first use.
     """
 
-    def __init__(self, made: Iterable[Term]):
-        kinds: list[type] = []
-        labels: list[object] = []
-        children: list[tuple[int, ...]] = []
-        sizes: list[int] = []
-        finished: list[int] = []  # ids whose parent is not made yet
-        for node in made:
-            if isinstance(node, Node):
-                kind, label, n = Node, node.symbol, len(node.children)
-                kids = tuple(finished[len(finished) - n:])
-                del finished[len(finished) - n:]
-            else:
-                kind, label = (Var, node.index) if isinstance(node, Var) else (StateLeaf, node.state)
-                kids = ()
-            # the subtree starts where its first child's subtree starts
-            sizes.append(len(kinds) - kids[0] + sizes[kids[0]] if kids else 1)
-            finished.append(len(kinds))
-            kinds.append(kind)
-            labels.append(label)
-            children.append(kids)
+    def __init__(self, kinds: list[type], labels: list[object],
+                 children: list[tuple[int, ...]], sizes: list[int], variables: frozenset[int]):
         self.kinds = tuple(kinds)
         self.labels = tuple(labels)
         self.children = tuple(children)
         self.sizes = tuple(sizes)
         self.root = len(kinds) - 1
-        self.variables = frozenset(v for k, v in zip(kinds, labels) if k is Var)
+        self.variables = variables
 
     @cached_property
     def positions(self) -> tuple[Position, ...]:
@@ -455,6 +478,12 @@ class CompiledTerm:
         for i in order:  # visits the ids appended while it runs
             order.extend(self.children[i])
         return tuple(order)
+
+    def position_set(self, keep: Callable[[int], bool] | None = None) -> PositionSet:
+        """The positions of the nodes that ``keep`` accepts, or of every
+        node; taken in :attr:`order`, they need no sorting."""
+        positions = self.positions
+        return PositionSet._in_order([positions[i] for i in self.order if keep is None or keep(i)])
 
     def node_at(self, p: Position) -> int:
         """Node id of the position ``p``, one step down per index."""
@@ -518,7 +547,27 @@ def compile_term(t: Term) -> CompiledTerm:
             made.append(node)
             if isinstance(node, Node):
                 todo.extend(node.children)
-        compiled = CompiledTerm(reversed(made))
+        kinds: list[type] = []
+        labels: list[object] = []
+        children: list[tuple[int, ...]] = []
+        sizes: list[int] = []
+        finished: list[int] = []  # ids whose parent is not reached yet
+        for node in reversed(made):
+            if isinstance(node, Node):
+                kind, label, n = Node, node.symbol, len(node.children)
+                kids = tuple(finished[len(finished) - n:])
+                del finished[len(finished) - n:]
+            else:
+                kind, label = (Var, node.index) if isinstance(node, Var) else (StateLeaf, node.state)
+                kids = ()
+            # the subtree starts where its first child's subtree starts
+            sizes.append(len(kinds) - kids[0] + sizes[kids[0]] if kids else 1)
+            finished.append(len(kinds))
+            kinds.append(kind)
+            labels.append(label)
+            children.append(kids)
+        variables = frozenset(v for k, v in zip(kinds, labels) if k is Var)
+        compiled = CompiledTerm(kinds, labels, children, sizes, variables)
         object.__setattr__(t, "_compiled", compiled)
     return compiled
 
@@ -529,7 +578,7 @@ def compile_term(t: Term) -> CompiledTerm:
 
 def positions(t: Term) -> PositionSet:
     """All positions of ``t``; one per node, prefix-closed."""
-    return PositionSet(compile_term(t).positions)
+    return compile_term(t).position_set()
 
 
 def subterm_at(t: Term, p: Position) -> Term:
@@ -605,7 +654,7 @@ def ind_positions(t: Term, p: Position) -> PositionSet:
     """All positions of ``t`` independent of ``p``."""
     term = compile_term(t)
     node = term.node_at(p)
-    return PositionSet(q for i, q in enumerate(term.positions) if term.independent(node, i))
+    return term.position_set(lambda i: term.independent(node, i))
 
 
 def is_prefix_closed(ps: Iterable[Position]) -> bool:

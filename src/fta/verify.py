@@ -158,7 +158,7 @@ def essential_by_definition(aut: Automaton, t: Term, *,
             for sub2, root2 in pairs
         )
 
-    return PositionSet(term.positions[i] for i in term.order if essential(i))
+    return term.position_set(essential)
 
 
 def verify_properties(aut: Automaton, t: Term, *, budget: int = DEFAULT_BUDGET,

@@ -10,6 +10,7 @@ from fta import (
     StateLeaf,
     UnboundVariableError,
     UnknownSymbolError,
+    Signature,
     ValidationError,
     canonical_ground,
     enumerate_assignments,
@@ -89,6 +90,24 @@ class TestValidate:
         del rules[("1", ())]
         broken = Automaton(sig, aut.states, aut.final, rules)
         assert validate(sig, broken) == ["missing: 1"]
+
+    def test_symbol_with_too_many_tuples_to_list_gets_a_count(self):
+        # 2^21 argument tuples exceed DEFAULT_BUDGET; a rule over an
+        # undeclared state fills none of them
+        sig = Signature([("0", 0), ("h", 21)])
+        bad_args = ("q0",) * 20 + ("q9",)
+        rules = {("0", ()): "q0", ("h", ("q0",) * 21): "q1", ("h", bad_args): "q0"}
+        broken = Automaton(sig, ("q0", "q1"), frozenset({"q1"}), rules)
+        assert validate(sig, broken) == [
+            f"unknown state in rule: h({','.join(bad_args)}) -> q0",
+            "missing: all but 1 of the 2^21 rules for h",
+        ]
+
+    def test_one_state_and_a_higher_arity_than_the_budget_gets_a_count(self):
+        # the one missing tuple would be 2^20 + 1 states long
+        sig = Signature([("0", 0), ("h", 2 ** 20 + 1)])
+        broken = Automaton(sig, ("q0",), frozenset({"q0"}), {("0", ()): "q0"})
+        assert validate(sig, broken) == ["missing: all but 0 of the 1^1048577 rules for h"]
 
 
 class TestRun:

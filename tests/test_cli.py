@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -52,6 +53,15 @@ class TestCheck:
 
     def test_nonexistent_path(self, tmp_path, capsys):
         assert main(["check", str(tmp_path / "nope.fta")]) == 2
+
+    def test_incomplete_symbol_of_high_arity_is_counted_not_listed(self, tmp_path, capsys):
+        # listing h's 2^30 missing argument tuples would not end
+        path = tmp_path / "h30.fta"
+        path.write_text("signature: 0/0 h/30\nstates: q0 q1\nfinal: q1\nrule: 0 -> q0\n")
+        start = time.perf_counter()
+        assert main(["check", str(path)]) == 1
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().out == "missing: all but 0 of the 2^30 rules for h\n"
 
     def test_json_mode(self, aut_file, capsys):
         assert main(["check", "--json", aut_file]) == 0

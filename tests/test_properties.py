@@ -10,6 +10,7 @@ import re
 from itertools import product
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import assume, example, given, settings
 
 from fta import (
@@ -21,11 +22,13 @@ from fta import (
     GenParams,
     Node,
     Position,
+    PositionSet,
     RunTrace,
     SplitMix64,
     StateLeaf,
     TermSyntaxError,
     UnboundVariableError,
+    ValidationError,
     Var,
     check_assignment,
     check_reduction,
@@ -38,10 +41,12 @@ from fta import (
     is_separable,
     depth,
     enumerate_assignments,
+    fictive_from_determining,
     freeze_fictive,
     ind_positions,
     node_count,
     parse_term,
+    parse_automaton,
     partial_run,
     positions,
     random_automaton,
@@ -51,6 +56,7 @@ from fta import (
     run,
     substitute,
     subterm_at,
+    validate,
     variables,
     verify_properties,
 )
@@ -59,6 +65,7 @@ from fta.essential import essential_in_subterm
 from fta.terms import compile_term
 
 from conftest import assert_names_and_order
+from reference_parsers import automaton_defects, lhs, parse_term_by_characters
 
 SIG = DEFAULT_SIGNATURE
 
@@ -156,6 +163,38 @@ def test_parse_render_round_trip(t):
     assert parse_term(render_term(t), SIG) == t
 
 
+def unicode_term_texts():
+    """:func:`term_texts` with more characters spliced in: Unicode
+    spaces, letters and digits, lone surrogates, '@' and '#'."""
+    pieces = st.lists(st.characters(categories=["L", "N", "Zs", "Cs"]) | st.sampled_from(
+        ["\x1c", "\x85", "\u00a0", "\u2028", "\u3000", "\ud800", "\udcff", "ß", "٣", "Ⅻ",
+         "@", "#", "\n"]), max_size=4).map("".join)
+    return st.builds(lambda text, at, extra: text[:at] + extra + text[at:],
+                     term_texts(), st.integers(0, 60), pieces)
+
+
+@settings(max_examples=500)
+@given(unicode_term_texts(), st.booleans())
+@example("f1(x1,0) # é\n", False)
+@example("g(@q0 $)", True)
+@example("f1(0,g(0)) \u3000", False)
+def test_parser_matches_the_character_loop_reference(text, allow):
+    try:
+        built, canonical = parse_term_by_characters(text, SIG, allow)
+    except TermSyntaxError as expected:
+        with pytest.raises(TermSyntaxError) as got:
+            parse_term(text, SIG, allow_state_leaves=allow)
+        assert type(got.value) is type(expected)
+        assert (str(got.value), got.value.offset) == (str(expected), expected.offset)
+        return
+    t = parse_term(text, SIG, allow_state_leaves=allow)
+    assert render_term(t) == canonical
+    assert t == built
+    ours, walked = compile_term(t), compile_term(built)
+    for field in ("kinds", "labels", "children", "sizes", "root", "variables"):
+        assert getattr(ours, field) == getattr(walked, field), field
+
+
 @given(terms())
 def test_positions_prefix_closed_and_counted(t):
     pos = positions(t)
@@ -168,6 +207,31 @@ def test_independent_sets_prefix_determined(t):
     pos = positions(t)
     for p in pos:
         assert is_prefix_determined(ind_positions(t, p), pos)
+
+
+def assert_iterates_in_order(ps):
+    items = list(ps)
+    assert items == sorted(set(items), key=lambda p: p.order_key)
+    assert len(ps) == len(items) and all(p in ps for p in items)
+
+
+@settings(max_examples=100, deadline=None)
+@given(automata(), st.one_of(linear_terms(), nonlinear_terms()), st.integers(0, 2 ** 16))
+# frozen at 2 and 1.2, which post-order numbers the other way round
+@example(random_automaton(GenParams(seed=71, state_count=2)),
+         parse_term("f2(f2(f1(f1(x4,1),x1),g(f1(x3,0))),g(f1(x2,f1(0,0))))", SIG), 0)
+def test_position_sets_iterate_in_order(aut, t, pick):
+    """Sets made from node ids in breadth-first order skip the sort."""
+    pos = list(positions(t))
+    p = pos[pick % len(pos)]
+    report = freeze_fictive(aut, t)
+    sets = [positions(t), ind_positions(t, p), report.essentiality.essential_positions,
+            report.essentiality.fictive_positions, report.frozen_positions,
+            essential_by_definition(aut, t)]
+    if report.determining_position is not None:
+        sets.append(fictive_from_determining(aut, t, report.determining_position))
+    for ps in sets:
+        assert_iterates_in_order(ps)
 
 
 @given(terms())
@@ -409,6 +473,54 @@ def unvalidated_automata(draw):
     for symbol, args, target in draw(st.lists(extra, max_size=4)):
         rules[(symbol, args)] = target
     return Automaton(aut.signature, aut.states, aut.final, rules)
+
+
+@st.composite
+def automaton_parts(draw):
+    """Signature, declared states, final states and rules, in file
+    order, of a complete random automaton whose rules are thinned,
+    repeated with the same or another target, and joined by rules of an
+    unknown symbol, a wrong arity or an unknown state; some final states
+    are not declared and some states are declared twice."""
+    aut = random_automaton(GenParams(seed=draw(st.integers(0, 2 ** 32)),
+                                     state_count=draw(st.integers(1, 3))))
+    states = list(aut.states)
+    rules = [(symbol, args, target) for (symbol, args), target in aut.rules.items()
+             if draw(st.integers(0, 5))]
+    any_state = st.sampled_from([*states, "q9"])
+    for symbol, args, target in draw(st.lists(st.sampled_from(rules), max_size=3)) if rules else ():
+        rules.append((symbol, args, draw(st.sampled_from([target, *states]))))
+    rules += draw(st.lists(st.tuples(st.sampled_from(["0", "g", "f1", "h"]),
+                                     st.lists(any_state, max_size=3).map(tuple), any_state),
+                           max_size=3))
+    rules = draw(st.permutations(rules))
+    final = draw(st.lists(st.sampled_from([*states, "q7"]), max_size=3, unique=True))
+    states += draw(st.lists(st.sampled_from(states), max_size=1))
+    return aut.signature, states, final, rules
+
+
+@settings(max_examples=300, deadline=None)
+@given(automaton_parts())
+def test_automaton_parser_matches_full_validation(parts):
+    """``parse_automaton`` lists the defects, in order, that assembling
+    the rules and walking every argument tuple lists, and the public
+    :func:`validate` of the assembled automaton lists their tail."""
+    sig, states, final, rules = parts
+    text = "".join([
+        "signature: " + " ".join(f"{n}/{a}" for n, a in sig.symbols) + "\n",
+        "states: " + " ".join(states) + "\n",
+        "final: " + " ".join(final) + "\n",
+        *(f"rule: {lhs(symbol, args)} -> {target}\n" for symbol, args, target in rules),
+    ])
+    assembly, checks, assembled = automaton_defects(sig, states, final, rules)
+    aut = Automaton(sig, tuple(states), frozenset(final), assembled)
+    assert validate(sig, aut) == checks
+    if not assembly + checks:
+        assert parse_automaton(text)[1] == aut
+        return
+    with pytest.raises(ValidationError) as exc:
+        parse_automaton(text)
+    assert exc.value.defects == assembly + checks
 
 
 def mixed_terms():

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from fta import (
@@ -26,7 +28,7 @@ from fta import (
     variables,
 )
 
-from fta.terms import compile_term
+from fta.terms import _TOKEN_RE, compile_term
 
 from conftest import P, PS, SAMPLE_TERM, assert_names_and_order
 
@@ -144,6 +146,17 @@ def test_each_syntax_error_pins_message_and_offset(sig, text, allow, cls, messag
     assert type(exc.value) is cls
     assert str(exc.value) == f"{message} (byte {offset})"
     assert exc.value.offset == offset
+
+
+def test_tokenizer_classes_agree_with_str_methods_on_every_code_point():
+    """The token scan's name characters are those for which
+    ``str.isalnum()`` holds, and ``_``; the characters it skips between
+    tokens are those for which ``str.isspace()`` holds."""
+    chars = "".join(map(chr, range(sys.maxunicode + 1))).replace("#", "")  # no comment
+    # each character right after an '@': a state token iff it is a name character
+    names = [tok[1:] for tok in _TOKEN_RE.findall("@" + "@".join(chars)) if len(tok) == 2]
+    assert names == [c for c in chars if c.isalnum() or c == "_"]
+    assert "".join(_TOKEN_RE.findall(chars)) == "".join([c for c in chars if not c.isspace()])
 
 
 def test_deep_chain_without_recursion_limit(sig):
