@@ -49,7 +49,6 @@ from .generate import DEFAULT_SIGNATURE, GenParams, SplitMix64, random_automaton
 from .reduction import (
     ReductionReport,
     check_reduction,
-    cost_report,
     determining_subtree,
     fictive_from_determining,
     freeze_fictive,
@@ -64,7 +63,6 @@ from .terms import (
     StateLeaf,
     Term,
     Var,
-    depth,
     ind_positions,
     is_prefix_closed,
     is_prefix_determined,

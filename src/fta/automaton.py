@@ -26,9 +26,9 @@ import re
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import product
+from itertools import chain, product
 from types import MappingProxyType
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .errors import (
     AutomatonSyntaxError,
@@ -98,16 +98,14 @@ class CompiledAutomaton:
     """
 
     def __init__(self, aut: Automaton):
-        names = dict.fromkeys(aut.states)
-        for (_, args), target in aut.rules.items():
-            names.update(dict.fromkeys((*args, target)))
-        self.names = tuple(names)
+        mentioned = (args + (target,) for (_, args), target in aut.rules.items())
+        self.names = tuple(dict.fromkeys(chain(aut.states, *mentioned)))
         self.ids = ids = {q: i for i, q in enumerate(self.names)}
         self.declared = len(set(aut.states))
         self.base = base = len(self.names)
         entries: dict[str, dict[int, int]] = {}
         for (symbol, args), target in aut.rules.items():
-            index = 0  # as :meth:`index` computes it
+            index = 0  # as :meth:`target` computes it
             for q in args:
                 index = index * base + ids[q] + 1
             entries.setdefault(symbol, {})[index] = ids[target]
@@ -122,18 +120,14 @@ class CompiledAutomaton:
                 table[index] = target
         self.constants = {c: targets[0] for c, targets in entries.items() if 0 in targets}
 
-    def index(self, args: Iterable[int]) -> int:
-        """Table index of the argument state ids ``args``."""
-        index = 0
-        for a in args:
-            index = index * self.base + a + 1
-        return index
-
     def target(self, symbol: str, args: Sequence[int]) -> int:
         """Id of the state the rule for ``symbol`` over the argument ids
         ``args`` leads to, or -1 when there is no such rule."""
+        index = 0
+        for a in args:
+            index = index * self.base + a + 1
         try:
-            return self.tables[symbol][self.index(args)]
+            return self.tables[symbol][index]
         except LookupError:
             return -1
 
@@ -590,6 +584,10 @@ def canonical_ground(aut: Automaton) -> dict[str, Term]:
     length, then lexicographically.  States no ground term reaches are
     absent.  Every constant's state is present, and the state a frozen
     ground subtree evaluates to always has a representative.
+
+    Layer L holds the terms of depth L, built over representatives of
+    which the deepest is in layer L-1; a constant has none, so it is in
+    layer 0.
     """
     sig = aut.signature
     compiled = compile_automaton(aut)
@@ -597,28 +595,19 @@ def canonical_ground(aut: Automaton) -> dict[str, Term]:
     layer = 0
     while True:
         candidates: dict[int, tuple[tuple[int, str], Term]] = {}
-
-        def offer(state: int, term: Term):
-            if state < 0 or state in chosen:
-                return
-            text = render_term(term)
-            key = (len(text), text)
-            if state not in candidates or key < candidates[state][0]:
-                candidates[state] = (key, term)
-
-        if layer == 0:
-            for c in sig.constants:
-                offer(compiled.target(c, ()), Node(c))
-        else:
-            ready = [q for q in range(compiled.declared) if q in chosen]
-            for symbol, arity in sig.symbols:
-                if arity == 0:
+        ready = [q for q in range(compiled.declared) if q in chosen]
+        for symbol, arity in sig.symbols:
+            for combo in product(ready, repeat=arity):
+                if max((chosen[q][0] for q in combo), default=-1) != layer - 1:
                     continue
-                for combo in product(ready, repeat=arity):
-                    if max(chosen[q][0] for q in combo) != layer - 1:
-                        continue
-                    term = Node(symbol, tuple(chosen[q][1] for q in combo))
-                    offer(compiled.target(symbol, combo), term)
+                state = compiled.target(symbol, combo)
+                if state < 0 or state in chosen:
+                    continue
+                term = Node(symbol, tuple(chosen[q][1] for q in combo))
+                text = render_term(term)
+                key = (len(text), text)
+                if state not in candidates or key < candidates[state][0]:
+                    candidates[state] = (key, term)
         if not candidates:
             break
         for state, (_, term) in candidates.items():

@@ -292,12 +292,13 @@ def cmd_verify(args) -> int:
 
     lines = _report_lines(report)
     artifact_paths = []
-    if report.total_failures and args.replay is None:
-        artifact_paths = _dump_failures(report, args.failure_dir)
-        lines.append("failure artifacts: " + " ".join(artifact_paths))
+    if report.total_failures:
+        if args.replay is None:
+            artifact_paths = _dump_failures(report, args.failure_dir)
+            lines.append("failure artifacts: " + " ".join(artifact_paths))
         for outcome in report.outcomes.values():
             lines.extend(f"FAIL {outcome.name}: {f.detail}" for f in outcome.failures)
-    elif not report.total_failures:
+    else:
         lines.append("all properties passed")
     _emit(args, lines, command="verify", inputs=inputs,
           verdict="pass" if report.total_failures == 0 else "fail",

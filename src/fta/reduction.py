@@ -47,7 +47,6 @@ __all__ = [
     "fictive_from_determining",
     "freeze_fictive",
     "check_reduction",
-    "cost_report",
 ]
 
 
@@ -211,11 +210,4 @@ def check_reduction(aut: Automaton, original: Term, report: ReductionReport, *,
         raise FtaError("reduction changed a run result; this is a bug")
     joint = variables(original) | variables(report.reduced_term)
     return len(aut.signature.constants) ** len(joint)
-
-
-def cost_report(t: Term, t2: Term) -> tuple[int, int, float]:
-    """(original node count, reduced node count, fraction saved)."""
-    original = node_count(t)
-    reduced = node_count(t2)
-    return (original, reduced, 1.0 - reduced / original)
 

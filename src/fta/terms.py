@@ -173,10 +173,6 @@ class Position:
         """Sort key giving the length-then-lexicographic order."""
         return (len(self.indices), self.indices)
 
-    def is_prefix_of(self, other: "Position") -> bool:
-        """Reflexive prefix relation: every position extends the root."""
-        return self.indices == other.indices[: len(self.indices)]
-
     def parent(self) -> "Position":
         if not self.indices:
             raise InvalidPositionError("the root has no parent")
@@ -186,48 +182,28 @@ class Position:
 ROOT = Position(())
 
 
-class PositionSet:
-    """Immutable set of positions with length-then-lexicographic iteration."""
+class PositionSet(frozenset):
+    """Frozen set of positions that iterates, and prints, in
+    length-then-lexicographic order.  Set operations such as ``|``,
+    ``&`` and ``-`` give plain frozensets."""
 
-    __slots__ = ("_set", "_sorted")
+    __slots__ = ("_sorted",)
 
-    def __init__(self, items: Iterable[Position] = ()):
-        frozen = frozenset(items)
-        object.__setattr__(self, "_set", frozen)
-        object.__setattr__(self, "_sorted", tuple(sorted(frozen, key=lambda p: p.order_key)))
+    def __new__(cls, items: Iterable[Position] = ()):
+        return cls._in_order(sorted(set(items), key=lambda p: p.order_key))
 
     @classmethod
     def _in_order(cls, ordered: list[Position]) -> "PositionSet":
         """A set of positions already distinct and in iteration order."""
-        ps = object.__new__(cls)
-        object.__setattr__(ps, "_set", frozenset(ordered))
+        ps = frozenset.__new__(cls, ordered)
         object.__setattr__(ps, "_sorted", tuple(ordered))
         return ps
 
-    def __setattr__(self, name, value):  # pragma: no cover - defensive
+    def __setattr__(self, name, value):
         raise AttributeError("PositionSet is immutable")
-
-    def __contains__(self, p: Position) -> bool:
-        return p in self._set
 
     def __iter__(self) -> Iterator[Position]:
         return iter(self._sorted)
-
-    def __len__(self) -> int:
-        return len(self._set)
-
-    def __bool__(self) -> bool:
-        return bool(self._set)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, PositionSet):
-            return self._set == other._set
-        if isinstance(other, (set, frozenset)):
-            return self._set == other
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._set)
 
     def __repr__(self) -> str:
         return "{" + ", ".join(str(p) for p in self._sorted) + "}"
@@ -608,17 +584,6 @@ def replace_at(t: Term, p: Position, replacement: Term) -> Term:
         children[i - 1] = replacement
         replacement = Node(parent.symbol, tuple(children))
     return replacement
-
-
-def depth(t: Term) -> int:
-    """0 for leaves, else one more than the deepest child; one pass over
-    the compiled form, parents before children."""
-    term = compile_term(t)
-    depths = [0] * len(term.kinds)
-    for i in range(term.root, -1, -1):
-        for k in term.children[i]:
-            depths[k] = depths[i] + 1
-    return max(depths)
 
 
 def variables(t: Term) -> frozenset[int]:

@@ -44,7 +44,7 @@ from .automaton import (
 from .errors import EnumerationBudgetExceeded, FtaError
 from .essential import essential_in_subterm
 from .generate import DEFAULT_SIGNATURE, GenParams, SplitMix64, random_automaton, random_term
-from .reduction import cost_report, fictive_from_determining, freeze_fictive, runs_equal_all
+from .reduction import fictive_from_determining, freeze_fictive, runs_equal_all
 from .terms import (
     Position,
     PositionSet,
@@ -53,6 +53,7 @@ from .terms import (
     is_prefix_closed,
     is_prefix_determined,
     ind_positions,
+    node_count,
     parse_term,
     positions,
     render_term,
@@ -253,8 +254,9 @@ def verify_properties(aut: Automaton, t: Term, *, budget: int = DEFAULT_BUDGET,
         details = []
         if not runs_equal_all(aut, t, red.reduced_term, budget=budget):
             details.append(f"pruning to {render_term(red.reduced_term)} changed a run result")
-        original, reduced, saved = cost_report(t, red.reduced_term)
-        if not (0.0 <= saved <= 1.0) or reduced > original:
+        original, reduced = red.original_nodes, red.reduced_nodes
+        counted = (node_count(t), node_count(red.reduced_term))
+        if (original, reduced) != counted or reduced > original:
             details.append(f"inconsistent node accounting: {original} -> {reduced}")
         return details
 

@@ -35,6 +35,16 @@ def PS(*texts: str) -> set:
     return {Position.parse(t) for t in texts}
 
 
+def is_prefix(p: Position, q: Position) -> bool:
+    """By definition: the indices of ``q`` begin with those of ``p``."""
+    return p.indices == q.indices[:len(p.indices)]
+
+
+def depth(t) -> int:
+    """By definition: the length of the longest position of ``t``."""
+    return max(map(len, positions(t)))
+
+
 def assert_names_and_order(t):
     """Each node's name is the ``str`` of its position, and ``order``
     visits the nodes in the length-then-lexicographic order of theirs."""

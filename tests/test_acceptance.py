@@ -9,7 +9,6 @@ from fta import (
     EnumerationBudgetExceeded,
     GenParams,
     SplitMix64,
-    cost_report,
     check_random_instances,
     determining_subtree,
     essential_by_definition,
@@ -18,6 +17,7 @@ from fta import (
     ind_positions,
     is_essential_subtree,
     is_prefix_closed,
+    node_count,
     parse_term,
     positions,
     random_automaton,
@@ -150,12 +150,13 @@ def test_criterion_6_pruning_soundness(aut, term):
         report = freeze_fictive(a, t)
         if not runs_equal_all(a, t, report.reduced_term):
             violations += 1
-        _, _, saved = cost_report(t, report.reduced_term)
-        assert 0.0 <= saved <= 1.0
+        assert report.original_nodes == node_count(t)
+        assert 1 <= report.reduced_nodes == node_count(report.reduced_term) <= node_count(t)
     assert violations == 0
 
     sample = freeze_fictive(aut, term)
-    assert cost_report(term, sample.reduced_term) == (16, 4, 0.75)
+    assert (sample.original_nodes, sample.reduced_nodes) == (16, 4)
+    assert node_count(sample.reduced_term) == 4
     print("\nACCEPTANCE 6 pruning soundness, 200 instances + exact 75% sample: PASS")
 
 

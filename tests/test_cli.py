@@ -335,4 +335,6 @@ class TestVerify:
         assert artifacts
         rc2 = main(["verify", "--replay", str(artifacts[0])])
         assert rc2 == 1
-        assert "failures" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "failures" in out and "failure artifacts:" not in out
+        assert any(line.startswith("FAIL separable-strong-chain: ") for line in out.splitlines())

@@ -28,7 +28,7 @@ from fta import (
 from fta.essential import essential_in_subterm
 from fta.terms import compile_term
 
-from conftest import P, PS, SAMPLE_AUTOMATON, SAMPLE_TERM
+from conftest import P, PS, SAMPLE_AUTOMATON, SAMPLE_TERM, is_prefix
 
 # Frozen from an independent enumeration of all assignment pairs over
 # the boolean semantics of the sample automaton (q0=0, q1=1; g=not,
@@ -181,7 +181,7 @@ class TestEssentialVars:
 
 def sets_independent(ys, zs):
     """Reference: no position of one set is a prefix of one of the other."""
-    return all(not (y.is_prefix_of(z) or z.is_prefix_of(y)) for y in ys for z in zs)
+    return all(not (is_prefix(y, z) or is_prefix(z, y)) for y in ys for z in zs)
 
 
 class TestSetsIndependent:

@@ -5,7 +5,6 @@ from fta import (
     GenParams,
     SplitMix64,
     Var,
-    depth,
     positions,
     random_automaton,
     random_term,
@@ -15,6 +14,8 @@ from fta import (
     validate,
     variables,
 )
+
+from conftest import depth
 
 
 class TestSplitMix64:

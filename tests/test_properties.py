@@ -39,7 +39,6 @@ from fta import (
     is_prefix_closed,
     is_prefix_determined,
     is_separable,
-    depth,
     enumerate_assignments,
     fictive_from_determining,
     freeze_fictive,
@@ -64,7 +63,7 @@ from fta.automaton import compile_automaton
 from fta.essential import essential_in_subterm
 from fta.terms import compile_term
 
-from conftest import assert_names_and_order
+from conftest import assert_names_and_order, is_prefix
 from reference_parsers import automaton_defects, lhs, parse_term_by_characters
 
 SIG = DEFAULT_SIGNATURE
@@ -232,14 +231,6 @@ def test_position_sets_iterate_in_order(aut, t, pick):
         sets.append(fictive_from_determining(aut, t, report.determining_position))
     for ps in sets:
         assert_iterates_in_order(ps)
-
-
-@given(terms())
-def test_depth_bound_with_equality_somewhere(t):
-    d = depth(t)
-    gaps = [depth(subterm_at(t, p)) + len(p) for p in positions(t)]
-    assert all(g <= d for g in gaps)
-    assert d in gaps
 
 
 @given(terms(), st.dictionaries(st.integers(1, 3), terms(max_leaves=4), max_size=3))
@@ -620,11 +611,11 @@ def test_grouped_witness_search_returns_first_pair_of_double_loop(seed, states, 
 
 
 def ind_positions_by_definition(t, p):
-    return {q for q in positions(t) if not (p.is_prefix_of(q) or q.is_prefix_of(p))}
+    return {q for q in positions(t) if not (is_prefix(p, q) or is_prefix(q, p))}
 
 
 def prefix_determined_by_definition(ps, qs):
-    return all(q in ps for p in ps for q in qs if p.is_prefix_of(q))
+    return all(q in ps for p in ps for q in qs if is_prefix(p, q))
 
 
 def assert_position_algebra_by_definition(t, data):
@@ -639,7 +630,7 @@ def assert_position_algebra_by_definition(t, data):
         qs = set(data.draw(st.lists(st.sampled_from(pos), max_size=12)))
         ps = set(data.draw(st.lists(st.sampled_from(pos + outside), max_size=6)))
         if data.draw(st.booleans()):  # often determined: close ps downwards within qs
-            ps |= {q for q in qs if any(p.is_prefix_of(q) for p in ps)}
+            ps |= {q for q in qs if any(is_prefix(p, q) for p in ps)}
         assert is_prefix_determined(ps, qs) == prefix_determined_by_definition(ps, qs)
     p = data.draw(st.sampled_from(pos))
     assert is_prefix_determined(ind_positions(t, p), pos)

@@ -6,7 +6,6 @@ from fta import (
     PremiseViolatedError,
     ROOT,
     check_reduction,
-    cost_report,
     determining_subtree,
     essential_by_definition,
     essential_positions,
@@ -183,14 +182,22 @@ class TestFreezeFictive:
 
 
 class TestCostReport:
-    def test_sample(self, term):
-        reduced = subterm_at(term, P("1"))
-        assert cost_report(term, reduced) == (16, 4, 0.75)
+    """The node counts a reduction reports are those of its terms."""
 
-    def test_identity(self, term):
-        original, reduced, saved = cost_report(term, term)
-        assert original == reduced == 16 and saved == 0.0
+    def test_sample(self, aut, term):
+        rep = freeze_fictive(aut, term)
+        assert rep.reduced_term == subterm_at(term, P("1"))
+        assert (rep.original_nodes, rep.reduced_nodes) == (16, 4) == (
+            node_count(term), node_count(rep.reduced_term))
 
-    def test_leaf(self, sig):
-        t = parse_term("g(x1)", sig)
-        assert cost_report(t, parse_term("1", sig)) == (2, 1, 0.5)
+    def test_identity(self, sig, aut):
+        t = parse_term("g(f1(x1,x2))", sig)
+        rep = freeze_fictive(aut, t)
+        assert rep.reduced_term == t
+        assert rep.original_nodes == rep.reduced_nodes == node_count(t) == 4
+
+    def test_leaf(self, sig, aut):
+        t = parse_term("g(f1(x1,0))", sig)
+        rep = freeze_fictive(aut, t)
+        assert rep.reduced_term == parse_term("1", sig)
+        assert (rep.original_nodes, rep.reduced_nodes) == (4, 1)

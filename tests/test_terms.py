@@ -1,6 +1,8 @@
 import sys
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given
 
 from fta import (
     ArityMismatchError,
@@ -14,7 +16,6 @@ from fta import (
     TermSyntaxError,
     UnknownSymbolError,
     Var,
-    depth,
     ind_positions,
     is_prefix_closed,
     is_prefix_determined,
@@ -30,7 +31,7 @@ from fta import (
 
 from fta.terms import _TOKEN_RE, compile_term
 
-from conftest import P, PS, SAMPLE_TERM, assert_names_and_order
+from conftest import P, PS, SAMPLE_TERM, assert_names_and_order, depth, is_prefix
 
 ALL_POSITIONS = PS(
     "ε", "1", "2", "1.1", "1.1.1", "1.1.2", "2.1", "2.1.1", "2.1.1.1",
@@ -190,12 +191,6 @@ class TestPosition:
             with pytest.raises(InvalidPositionError):
                 Position.parse(text)
 
-    def test_prefix_relation(self):
-        assert ROOT.is_prefix_of(P("1.1"))
-        assert P("1").is_prefix_of(P("1.1"))
-        assert not P("1.1").is_prefix_of(P("1"))
-        assert P("1").is_prefix_of(P("1"))
-
     def test_parent(self):
         assert P("2.1").parent() == P("2")
         with pytest.raises(InvalidPositionError):
@@ -212,6 +207,37 @@ class TestPositionSet:
         assert a == PS("1", "2") == PositionSet(PS("2", "1"))
         assert a != PositionSet(PS("2", "3"))
         assert P("1") in a and P("3") not in a
+
+    @given(st.lists(st.lists(st.integers(1, 3), max_size=3).map(Position), max_size=12))
+    def test_is_the_frozenset_of_its_items_in_order(self, xs):
+        ps = PositionSet(xs)
+        assert ps == frozenset(xs) and hash(ps) == hash(frozenset(xs))
+        assert list(ps) == sorted(set(xs), key=lambda p: p.order_key)
+
+    def test_repr(self):
+        assert repr(PositionSet([P("2.1"), P("1"), P("ε"), P("1")])) == "{ε, 1, 2.1}"
+        assert repr(PositionSet()) == "{}"
+
+    def test_sets_made_from_node_ids(self, term):
+        compiled = compile_term(term)
+        for keep in (None, lambda i: i % 3 != 1, lambda i: False):
+            made = compiled.position_set(keep)
+            xs = [p for i, p in enumerate(compiled.positions) if keep is None or keep(i)]
+            assert made == frozenset(xs) and hash(made) == hash(frozenset(xs))
+            assert list(made) == sorted(xs, key=lambda p: p.order_key)
+            assert repr(made) == repr(PositionSet(reversed(xs)))
+
+    def test_attributes_cannot_be_set(self):
+        ps = PositionSet(PS("2", "1"))
+        for name in ("_sorted", "other"):
+            with pytest.raises(AttributeError):
+                setattr(ps, name, ())
+        assert list(ps) == [P("1"), P("2")]
+
+    def test_set_operations_give_plain_frozensets(self):
+        a, b = PositionSet(PS("1", "2")), PositionSet(PS("2", "3"))
+        assert type(a | b) is type(a & b) is type(a - b) is frozenset
+        assert (a | b, a & b, a - b) == (PS("1", "2", "3"), PS("2"), PS("1"))
 
 
 class TestPositions:
@@ -258,7 +284,7 @@ class TestSubterm:
     def test_subterm_prefix_correspondence(self, term):
         # positions below q are exactly q-prefixed positions of the whole term
         q = P("2.1")
-        below = {p for p in positions(term) if q.is_prefix_of(p)}
+        below = {p for p in positions(term) if is_prefix(q, p)}
         assert {Position(q.indices + r.indices) for r in positions(subterm_at(term, q))} == below
 
 
@@ -286,20 +312,7 @@ class TestKeptText:
         assert render_term(replace_at(term, P("2"), Var(5))) == "f1(g(f1(x1,x2)),x5)"
 
 
-class TestDepthVars:
-    def test_depth(self, sig, term):
-        assert depth(Var(3)) == 0
-        assert depth(Node("0")) == 0
-        assert depth(parse_term("g(f1(x1,x2))", sig)) == 2
-        assert depth(term) == 5
-
-    def test_depth_inequality(self, term):
-        for p in positions(term):
-            assert depth(subterm_at(term, p)) + len(p) <= depth(term)
-        assert any(
-            depth(subterm_at(term, p)) + len(p) == depth(term) for p in positions(term)
-        )
-
+class TestVariables:
     def test_variables(self, sig, term):
         assert variables(term) == {1, 2, 3, 4}
         assert variables(parse_term("f1(0,1)", sig)) == frozenset()
@@ -336,7 +349,7 @@ class TestSubstitute:
 
 def independent(p, q):
     """By definition: neither position is a prefix of the other."""
-    return not (p.is_prefix_of(q) or q.is_prefix_of(p))
+    return not (is_prefix(p, q) or is_prefix(q, p))
 
 
 class TestIndependence:
