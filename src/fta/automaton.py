@@ -184,10 +184,11 @@ class RunTrace:
     ``names`` maps them back).  ``states`` holds the same states as
     names, by node id, and ``per_position`` is a read-only view of them
     by position.  Both are made from ``ids`` when first read, so a
-    caller that reads only ``result`` and ``ids``, as the run store
-    does, never pays for names.  Two traces are equal when their
-    results, states and states by position are; ``repr`` shows the
-    result and the states by position.  Attributes cannot be set.
+    caller that reads only ``result`` and ``ids``, as the analysis of a
+    term does (:class:`fta.essential.Analysis`), never pays for names.
+    Two traces are equal when their results, states and states by
+    position are; ``repr`` shows the result and the states by position.
+    Attributes cannot be set.
     """
 
     result: str

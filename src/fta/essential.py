@@ -25,7 +25,6 @@ from .automaton import (
     Assignment,
     Automaton,
     compile_automaton,
-    enumerate_assignments,
     run,
 )
 from .errors import (
@@ -115,121 +114,155 @@ class SeparabilityResult:
             object.__setattr__(self, "witness", _read_only(self.witness))
 
 
-class RunStore:
-    """State ids at every node of one term's run under each total
-    assignment (:attr:`fta.automaton.RunTrace.ids`), each row made on
-    first use, so every assignment is run at most once.  Every analysis
-    of the package reads its runs here (see :func:`run_store`); only the
-    exhaustive re-checks call :func:`fta.automaton.run` themselves, so
-    they check the store independently.
+class Analysis:
+    """The runs of one term under one automaton, and every search that
+    reads them (see :func:`analysis`).  Only it runs assignments for the
+    package's analyses, each at most once, and only it checks a search
+    against its budget, before the search makes any run; the exhaustive
+    re-checks make their own runs, so they check it independently.
 
-    An assignment is numbered in mixed radix: each variable contributes
-    the index of its constant, the lowest variable being the most
-    significant digit, so numbers follow canonical enumeration order.
+    A run's state ids by node id (:attr:`fta.automaton.RunTrace.ids`)
+    are kept under its assignment's number in mixed radix: each variable
+    contributes the index of its constant, the lowest variable being the
+    most significant digit, so numbers follow canonical order.
     """
 
     def __init__(self, aut: Automaton, t: Term):
         self.aut = aut
         self.term = compile_term(t)
-        self._t = weakref.ref(t)  # the term keeps the store, not the reverse
-        self.consts = aut.signature.constants
-        k = len(self.consts)
-        self.weight = {v: k ** e for e, v in enumerate(sorted(self.term.variables,
-                                                              reverse=True))}
-        self._by_number: dict[int, tuple[int, ...]] = {}
+        self._t = weakref.ref(t)  # the term keeps its analysis, not the reverse
+        self._consts = aut.signature.constants
+        k = len(self._consts)
+        self._weight = {v: k ** e for e, v in enumerate(sorted(self.term.variables, reverse=True))}
+        self._rows: dict[int, tuple[int, ...]] = {}
 
-    def numbers(self, budget: int) -> range:
-        """Every assignment's number, in canonical order; raises before
-        any run when there are more than ``budget``."""
-        count = len(self.consts) ** len(self.weight)
+    def _afford(self, digits: int, budget: int) -> int:
+        """How many assignments ``digits`` variables have, if ``budget`` allows."""
+        count = len(self._consts) ** digits
         if count > budget:
             raise EnumerationBudgetExceeded(count, budget)
-        return range(count)
+        return count
 
-    def assignment(self, number: int, order: Iterable[int]) -> Assignment:
-        k = len(self.consts)
-        return {v: self.consts[number // self.weight[v] % k] for v in order}
+    def _assignment(self, number: int, order: Iterable[int]) -> Assignment:
+        k = len(self._consts)
+        return {v: self._consts[number // self._weight[v] % k] for v in order}
 
-    def __getitem__(self, number: int) -> tuple[int, ...]:
-        row = self._by_number.get(number)
-        if row is None:
-            row = self._by_number[number] = run(self.aut, self.assignment(number, self.weight),
-                                                self._t()).ids
+    def _run(self, number: int) -> tuple[int, ...]:
+        """The row of assignment ``number``, which ``self._rows`` lacks."""
+        row = self._rows[number] = run(self.aut, self._assignment(number, self._weight),
+                                       self._t()).ids
         return row
 
+    def witness(self, node: int, p: Position, budget: int, fixed: frozenset[int] = frozenset(),
+                base: int = 0, top: int = -1) -> WitnessPair | None:
+        """Canonical-first witness search at node ``node``, whose
+        position ``p`` the witness reports, factored by the subtree's
+        variables.
 
-def run_store(aut: Automaton, t: Term) -> RunStore:
-    """The run store of ``t`` for ``aut``.  Like the compiled form it is
-    kept with the term object; it is replaced when another automaton
-    object asks."""
-    store = t.__dict__.get("_runs")
-    if store is None or store.aut is not aut:
-        store = RunStore(aut, t)
-        object.__setattr__(t, "_runs", store)
-    return store
+        The search space is: assignments to the variables outside the
+        subtree, crossed with ordered pairs of assignments to the
+        subtree's variables.  A subtree without variables always gets
+        the same state, so it can never be essential and the search is
+        skipped.  Outer variables in ``fixed`` keep their constants in
+        the assignment numbered ``base``, which binds no other, and only
+        the rest are enumerated (see :func:`fta.automaton.run`).  The
+        "root" state is the one at node ``top``, by default the root.
 
+        Within one outer assignment the inner assignments are grouped by
+        (subtree state, root state), keeping each group's first member
+        in canonical order.  The first pair of the double loop over them
+        is then the first member of the earliest group that has a group
+        differing in both states, paired with the earliest member of
+        such a group, so the search is linear in the inner assignments.
+        """
+        term = self.term
+        inner = sorted(term.variables_at[node])
+        if not inner:
+            return None
+        outer = sorted(term.variables - term.variables_at[node] - fixed)
+        self._afford(len(outer) + 2 * len(inner), budget)
 
-def _witness_at(store: RunStore, node: int, p: Position, budget: int,
-                fixed: Mapping[int, str] | None = None,
-                top: int | None = None) -> WitnessPair | None:
-    """Canonical-first witness search at node ``node``, whose position
-    ``p`` the witness reports, factored by the subtree's variables.
-
-    The search space is: assignments to the variables outside the
-    subtree, crossed with ordered pairs of assignments to the subtree's
-    variables.  A subtree without variables always gets the same state,
-    so it can never be essential and the search is skipped.  Each total
-    assignment's states are read from ``store``.  Outer variables bound
-    by ``fixed`` stay fixed (see :func:`fta.automaton.run`) and only the
-    ones it leaves free are enumerated.  The "root" state is the one at
-    node ``top``, the compiled term's root unless given.
-
-    Within one outer assignment the inner assignments are grouped by
-    (subtree state, root state), keeping each group's first member in
-    canonical order.  The first pair of the double loop over them is
-    then the first member of the earliest group that has a group
-    differing in both states, paired with the earliest member of such a
-    group, so the search is linear in the inner assignments.
-    """
-    term = store.term
-    inner = sorted(term.variables_at[node])
-    if not inner:
+        k, weight = len(self._consts), self._weight
+        inner_numbers = [sum(weight[v] * i for v, i in zip(inner, digits))
+                         for digits in product(range(k), repeat=len(inner))]
+        get, make = self._rows.get, self._run
+        for digits in product(range(k), repeat=len(outer)):
+            start = base + sum(weight[v] * i for v, i in zip(outer, digits))
+            first: dict[tuple[int, int], int] = {}
+            for number in inner_numbers:
+                number += start
+                states = get(number) or make(number)
+                first.setdefault((states[node], states[top]), number)
+            for (sub1, root1), n1 in first.items():
+                partners = [(n2, sub2, root2) for (sub2, root2), n2 in first.items()
+                            if sub2 != sub1 and root2 != root1]
+                if partners:
+                    n2, sub2, root2 = min(partners)
+                    names = compile_automaton(self.aut).names
+                    order = [*sorted(fixed), *outer, *inner]
+                    return WitnessPair(p, self._assignment(n1, order), self._assignment(n2, order),
+                                       (names[sub1], names[sub2]), (names[root1], names[root2]))
         return None
-    fixed = fixed or {}
-    outer = sorted(term.variables - set(inner) - set(fixed))
-    k = len(store.consts)
-    total_pairs = k ** (len(outer) + 2 * len(inner))
-    if total_pairs > budget:
-        raise EnumerationBudgetExceeded(total_pairs, budget)
 
-    weight = store.weight
-    inner_numbers = [sum(weight[v] * i for v, i in zip(inner, digits))
-                     for digits in product(range(k), repeat=len(inner))]
-    order = [*fixed, *outer, *inner]
-    base = sum(weight[v] * store.consts.index(c) for v, c in fixed.items())
-    root = term.root if top is None else top
-    for digits in product(range(k), repeat=len(outer)):
-        start = base + sum(weight[v] * i for v, i in zip(outer, digits))
-        first: dict[tuple[int, int], int] = {}
-        for number in inner_numbers:
-            states = store[start + number]
-            first.setdefault((states[node], states[root]), start + number)
-        for (sub1, root1), n1 in first.items():
-            partners = [(n2, sub2, root2) for (sub2, root2), n2 in first.items()
-                        if sub2 != sub1 and root2 != root1]
-            if partners:
-                n2, sub2, root2 = min(partners)
-                names = compile_automaton(store.aut).names
-                return WitnessPair(p, store.assignment(n1, order), store.assignment(n2, order),
-                                   (names[sub1], names[sub2]), (names[root1], names[root2]))
-    return None
+    def matching(self, candidates: list[int], budget: int) -> tuple[list[int], bool]:
+        """The ``candidates`` (node ids) whose subtree gets the whole
+        term's state under every assignment, in order, and whether the
+        root state varies (exact only if some candidate is left)."""
+        if not candidates:
+            return [], False
+        get, make = self._rows.get, self._run
+        roots = set()
+        for number in range(self._afford(len(self._weight), budget)):
+            states = get(number) or make(number)
+            root = states[-1]
+            roots.add(root)
+            candidates = [i for i in candidates if states[i] == root]
+            if not candidates:
+                break
+        return candidates, len(roots) > 1
+
+    def first_state(self, node: int) -> str:
+        """The state at ``node`` under the first canonical assignment."""
+        return compile_automaton(self.aut).names[(self._rows.get(0) or self._run(0))[node]]
+
+    def essential_vars(self, budget: int) -> frozenset[int]:
+        """See :func:`essential_vars`."""
+        numbers = range(self._afford(len(self._weight), budget))
+        k, get, make = len(self._consts), self._rows.get, self._run
+        return frozenset(v for v, w in self._weight.items() if any(
+            (get(n) or make(n))[-1] != (get(n + w) or make(n + w))[-1]
+            for n in numbers if n // w % k < k - 1))
+
+    def separating(self, targets: list, domain: frozenset[int], budget: int) -> Assignment | None:
+        """The first assignment to ``domain``, in canonical order, under
+        which each node of ``targets`` has a witness at its position
+        with ``domain`` fixed, or None; ``budget`` caps the assignments."""
+        order = sorted(domain)
+        self._afford(len(order), budget)
+        for digits in product(range(len(self._consts)), repeat=len(order)):
+            base = sum(self._weight[v] * i for v, i in zip(order, digits))
+            if all(self.witness(i, y, budget, domain, base) is not None for i, y in targets):
+                return self._assignment(base, order)
+        return None
+
+
+def analysis(aut: Automaton, t: Term) -> Analysis:
+    """The analysis of ``t`` for ``aut``, kept with the term object like
+    its compiled form.  It is replaced when another automaton object
+    asks, or when it was made for another term object: a shallow copy
+    shares the original's attributes, and starts with no analysis."""
+    found = t.__dict__.get("_analysis")
+    if found is None or found.aut is not aut or found._t() is not t:
+        found = Analysis(aut, t)
+        object.__setattr__(t, "_analysis", found)
+    return found
 
 
 def is_essential_subtree(aut: Automaton, t: Term, p: Position, *,
                          budget: int = DEFAULT_BUDGET) -> WitnessPair | None:
     """Witness that the subtree occurrence at ``p`` is essential, or None."""
-    store = run_store(aut, t)
-    return _witness_at(store, store.term.node_at(p), p, budget)
+    found = analysis(aut, t)
+    return found.witness(found.term.node_at(p), p, budget)
 
 
 def essential_in_subterm(aut: Automaton, t: Term, top: Position, p: Position, *,
@@ -239,21 +272,21 @@ def essential_in_subterm(aut: Automaton, t: Term, top: Position, p: Position, *,
     :func:`is_essential_subtree` on that subterm at the rest of ``p``
     below ``top``.
 
-    It is read from ``t``'s run store and makes no run of its own once
-    the store holds every assignment: the subterm's run is ``t``'s run
-    at the subterm's node ids, whatever the variables outside the
+    It is read from ``t``'s analysis and makes no run of its own once
+    the analysis holds every assignment's: the subterm's run is ``t``'s
+    run at the subterm's node ids, whatever the variables outside the
     subterm are, so those stay at the first constant.
     """
-    store = run_store(aut, t)
-    term = store.term
+    found = analysis(aut, t)
+    term = found.term
     try:
         node, inner = term.node_at(top), term.node_at(p)
     except InvalidPositionError:
         node = inner = None
     if inner is None or not node - term.sizes[node] < inner <= node:
         raise InvalidPositionError(f"{top} is not a prefix of {p} in the term")
-    fixed = dict.fromkeys(term.variables - term.variables_at[node], store.consts[0])
-    return _witness_at(store, inner, p, budget, fixed, node) is not None
+    outside = term.variables - term.variables_at[node]  # at the first constants
+    return found.witness(inner, p, budget, outside, 0, node) is not None
 
 
 def essential_positions(aut: Automaton, t: Term, *,
@@ -266,10 +299,10 @@ def essential_positions(aut: Automaton, t: Term, *,
     essential exactly when its leaf occurrences are essential positions
     (a pair witnessing such a leaf differs in v alone).
     """
-    store = run_store(aut, t)
-    term = store.term
+    found = analysis(aut, t)
+    term = found.term
     witnesses = {i: w for i in term.order
-                 if (w := _witness_at(store, i, term.positions[i], budget)) is not None}
+                 if (w := found.witness(i, term.positions[i], budget)) is not None}
     ess = term.position_set(witnesses.__contains__)
     fict = term.position_set(lambda i: i not in witnesses)
     evars = frozenset(term.labels[i] for i in witnesses if term.kinds[i] is Var)
@@ -284,14 +317,7 @@ def essential_vars(aut: Automaton, t: Term, *,
     produce different states at the root.  It suffices to compare each
     assignment with the one that gives the variable the next constant.
     """
-    store = run_store(aut, t)
-    numbers = store.numbers(budget)
-    k = len(store.consts)
-    root = store.term.root
-    return frozenset(
-        v for v, w in store.weight.items()
-        if any(store[n][root] != store[n + w][root] for n in numbers if n // w % k < k - 1)
-    )
+    return analysis(aut, t).essential_vars(budget)
 
 
 def is_separable(aut: Automaton, t: Term, ys: Iterable[Position],
@@ -309,12 +335,12 @@ def is_separable(aut: Automaton, t: Term, ys: Iterable[Position],
     additionally requires ``zs`` to be essential and independent of
     ``ys``.
     """
-    store = run_store(aut, t)
-    term = store.term
+    found = analysis(aut, t)
+    term = found.term
     ys = sorted(set(ys), key=lambda p: p.order_key)
     y_nodes = [term.node_at(y) for y in ys]
     for y, i in zip(ys, y_nodes):
-        if _witness_at(store, i, y, budget) is None:
+        if found.witness(i, y, budget) is None:
             raise NotEssentialError(f"position {y} is not essential")
     y_vars = set().union(*(term.variables_at[i] for i in y_nodes))
     if zs is None:
@@ -325,12 +351,9 @@ def is_separable(aut: Automaton, t: Term, ys: Iterable[Position],
         if not all(term.independent(i, j) for i in y_nodes for j in z_nodes):
             raise NotIndependentError("sets not independent")
         for z, j in zip(zs, z_nodes):
-            if _witness_at(store, j, z, budget) is None:
+            if found.witness(j, z, budget) is None:
                 raise NotEssentialError(f"position {z} is not essential")
         z_vars = set().union(*(term.variables_at[j] for j in z_nodes))
-    domain = z_vars - y_vars
 
-    for gamma in enumerate_assignments(domain, aut.signature, budget=budget):
-        if all(_witness_at(store, i, y, budget, gamma) is not None for y, i in zip(ys, y_nodes)):
-            return SeparabilityResult(True, gamma)
-    return SeparabilityResult(False, None)
+    gamma = found.separating(list(zip(y_nodes, ys)), frozenset(z_vars - y_vars), budget)
+    return SeparabilityResult(gamma is not None, gamma)

@@ -22,12 +22,11 @@ from .automaton import (
     DEFAULT_BUDGET,
     Automaton,
     canonical_ground,
-    compile_automaton,
     enumerate_assignments,
     run,
 )
 from .errors import FtaError, PremiseViolatedError
-from .essential import EssentialityReport, essential_positions, run_store
+from .essential import EssentialityReport, analysis, essential_positions
 from .terms import (
     Position,
     PositionSet,
@@ -88,29 +87,8 @@ def determining_subtree(aut: Automaton, t: Term, *,
     # every node but the root; equal sizes keep id order, which is the
     # lexicographic order of positions neither of which extends the other
     candidates = sorted(range(term.root), key=term.sizes.__getitem__)
-    matching, root_varies = _matching_nodes(aut, t, candidates, budget)
+    matching, root_varies = analysis(aut, t).matching(candidates, budget)
     return term.position_of(matching[0]) if matching and root_varies else None
-
-
-def _matching_nodes(aut: Automaton, t: Term, candidates: list[int],
-                    budget: int) -> tuple[list[int], bool]:
-    """The ``candidates`` (node ids of ``t``'s compiled form) whose
-    subtree gets the whole term's state under every assignment, in
-    order, and whether the root state varies (exact only if some
-    candidate is left).  The run of ``t`` under each assignment gives
-    every candidate its subtree's state."""
-    if not candidates:
-        return [], False
-    store = run_store(aut, t)
-    roots = set()
-    for number in store.numbers(budget):
-        states = store[number]
-        root = states[-1]
-        roots.add(root)
-        candidates = [i for i in candidates if states[i] == root]
-        if not candidates:
-            break
-    return candidates, len(roots) > 1
 
 
 def fictive_from_determining(aut: Automaton, t: Term, p: Position, *,
@@ -134,7 +112,7 @@ def fictive_from_determining(aut: Automaton, t: Term, p: Position, *,
     p_vars = term.variables_at[node]
     if not p_vars:
         raise PremiseViolatedError(f"position {p} is not essential")
-    matching, root_varies = _matching_nodes(aut, t, [node], budget)
+    matching, root_varies = analysis(aut, t).matching([node], budget)
     if not matching:
         raise PremiseViolatedError(
             f"the subtree at {p} does not match the term's state everywhere"
@@ -164,7 +142,6 @@ def freeze_fictive(aut: Automaton, t: Term, *,
     var_leaves = [(v, i) for i, (kind, v) in enumerate(zip(term.kinds, term.labels)) if kind is Var]
     first_leaf, last_leaf = dict(reversed(var_leaves)), dict(var_leaves)  # by variable
     reps = None  # representatives, built once a subtree can be frozen
-    store = run_store(aut, t)
     below_fictive = bytearray(len(term.kinds))
 
     frozen: set[int] = set()
@@ -179,8 +156,8 @@ def freeze_fictive(aut: Automaton, t: Term, *,
                    for v in term.variables_at[node]):
             continue  # a variable occurs outside the subtree
         if reps is None:
-            reps, names = canonical_ground(aut), compile_automaton(aut).names
-        rep = reps[names[store[0][node]]]
+            reps = canonical_ground(aut)
+        rep = reps[analysis(aut, t).first_state(node)]
         saved = sizes[node] - node_count(rep)
         if saved <= 0:
             continue  # representative would not shrink the term

@@ -202,6 +202,11 @@ class PositionSet(frozenset):
     def __setattr__(self, name, value):
         raise AttributeError("PositionSet is immutable")
 
+    def __reduce__(self):
+        """Copies and pickles are rebuilt in order, never by setting
+        attributes."""
+        return self._in_order, (list(self._sorted),)
+
     def __iter__(self) -> Iterator[Position]:
         return iter(self._sorted)
 

@@ -129,7 +129,8 @@ def essential_by_definition(aut: Automaton, t: Term, *,
     of total assignments.
 
     Keeps none of the factored-search structure: each total assignment
-    is run once, by this function itself (it never reads the run store).
+    is run once, by this function itself (it never reads the term's
+    analysis, :class:`fta.essential.Analysis`).
     At every position the runs are put in buckets by their values
     outside the subtree, and the double loop runs inside each bucket, so
     it sees exactly the pairs that agree outside the subtree.  The budget
@@ -224,8 +225,8 @@ def verify_properties(aut: Automaton, t: Term, *, budget: int = DEFAULT_BUDGET,
         is separable iff p is essential, its witness is the ``gamma1``
         of p's witness restricted to them, and it enumerates no more
         than the search at p, within a budget the report already met.
-        The verdict within each subterm is read from the whole term's run
-        store, so p5 makes no runs.
+        The verdict within each subterm is read from the whole term's
+        analysis, so p5 makes no runs.
         """
         rep = need_reduction().essentiality
         details = []

@@ -1,3 +1,4 @@
+import copy
 import gc
 import weakref
 
@@ -273,6 +274,42 @@ class TestBudget:
             is_essential_subtree(aut, term, P("1.1"), budget=16)
         assert is_essential_subtree(aut, term, P("1.1"), budget=64) is not None
 
+    # The sample term has 2 constants and 4 variables.  A witness search
+    # at a node charges 2 ** (outer + 2 * inner), a pass over every total
+    # assignment 2 ** 4, and separability's loop 2 ** |D|.  With some ys
+    # that loop never charges more than their own searches, so it is
+    # pinned with none, where D is empty.
+    @pytest.mark.parametrize("query, count", [
+        # 1.1 = f1(x1,x2): x3, x4 outside, x1, x2 inside
+        (lambda aut, t, b: is_essential_subtree(aut, t, P("1.1"), budget=b), 2 ** (2 + 2 * 2)),
+        # the root: nothing outside, all four inside
+        (lambda aut, t, b: essential_positions(aut, t, budget=b), 2 ** (0 + 2 * 4)),
+        # within the subterm at 1, x3 and x4 are fixed: nothing is outside
+        (lambda aut, t, b: essential_in_subterm(aut, t, P("1"), P("1.1"), budget=b),
+         2 ** (0 + 2 * 2)),
+        (lambda aut, t, b: essential_vars(aut, t, budget=b), 2 ** 4),
+        (lambda aut, t, b: determining_subtree(aut, t, budget=b), 2 ** 4),
+        (lambda aut, t, b: fictive_from_determining(aut, t, P("1"), budget=b), 2 ** 4),
+        # the y check at 1.1, before the loop over x3, x4
+        (lambda aut, t, b: is_separable(aut, t, PS("1.1"), budget=b), 2 ** (2 + 2 * 2)),
+        (lambda aut, t, b: is_separable(aut, t, PS("1.1"), PS("2.2.1.1"), budget=b),
+         2 ** (2 + 2 * 2)),
+        # the y check at the leaf 2.2.1.1 = x2 passes with 2 ** (3 + 2),
+        # and the z check at 1.1 charges more
+        (lambda aut, t, b: is_separable(aut, t, PS("2.2.1.1"), PS("1.1"), budget=b),
+         2 ** (2 + 2 * 2)),
+        (lambda aut, t, b: is_separable(aut, t, [], budget=b), 2 ** 0),
+        (lambda aut, t, b: is_separable(aut, t, [], [], budget=b), 2 ** 0),
+    ], ids=["is_essential_subtree", "essential_positions", "essential_in_subterm",
+            "essential_vars", "determining_subtree", "fictive_from_determining",
+            "is_separable-y", "is_separable-y-explicit", "is_separable-z",
+            "is_separable-gamma", "is_separable-gamma-explicit"])
+    def test_charge_is_pinned(self, aut, term, query, count):
+        query(aut, term, count)
+        with pytest.raises(EnumerationBudgetExceeded) as raised:
+            query(aut, term, count - 1)
+        assert (raised.value.required, raised.value.cap) == (count, count - 1)
+
 
 @pytest.mark.parametrize("read", [
     lambda aut, t: aut.rules,
@@ -334,8 +371,8 @@ class TestRunsOncePerAssignment:
         assert answers(aut, t) != answers(other, t)
 
     def test_verify_properties(self, sig, aut, monkeypatch):
-        # the store runs every assignment once, the oracle and p7's
-        # runs_equal_all run their own, and p5 reads the store
+        # the analysis runs every assignment once, the oracle and p7's
+        # runs_equal_all run their own, and p5 reads the analysis
         import fta.essential
         import fta.reduction
         import fta.verify
@@ -369,7 +406,7 @@ class TestRunsOncePerAssignment:
 
 
 def test_a_queried_term_is_freed_without_the_cycle_collector(sig, aut):
-    # the compiled form and the run store stay with the term, so neither
+    # the compiled form and the analysis stay with the term, so neither
     # may refer back to it: the term must go when its last reference does
     gc.disable()
     try:
@@ -381,3 +418,12 @@ def test_a_queried_term_is_freed_without_the_cycle_collector(sig, aut):
         assert dead() is None
     finally:
         gc.enable()
+
+
+def test_a_shallow_copy_gets_its_own_analysis(sig, aut):
+    # the copy shares the original's attributes, the analysis among them
+    t = parse_term(SAMPLE_TERM, sig)
+    essential_in_subterm(aut, t, P("1"), P("1.1"))  # leaves rows still to be made
+    c = copy.copy(t)
+    del t
+    assert essential_positions(aut, c).essential_positions == ESSENTIAL

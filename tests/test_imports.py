@@ -1,6 +1,7 @@
 """Modules of the package use each other only through public names, use
 every name they import, and import nothing outside the standard
-library."""
+library.  Runs are made, and budgets checked, only where the design
+says."""
 
 import ast
 import sys
@@ -55,3 +56,52 @@ def test_every_imported_name_is_used():
             offences += [f"{path.name}:{node.lineno} imports {name} unused" for name in bound
                          if name not in used]
     assert offences == []
+
+
+def functions_using(is_use) -> set[str]:
+    """``module.function`` (``module.Class.method`` for a method) of each
+    top-level function or method of the package whose body, nested
+    functions included, holds a node that ``is_use`` accepts."""
+    found = set()
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for top in tree.body:
+            if isinstance(top, ast.FunctionDef):
+                defs = [(top.name, top)]
+            elif isinstance(top, ast.ClassDef):
+                defs = [(f"{top.name}.{d.name}", d) for d in top.body
+                        if isinstance(d, ast.FunctionDef)]
+            else:
+                continue
+            found |= {f"{path.stem}.{name}" for name, d in defs if any(map(is_use, ast.walk(d)))}
+    return found
+
+
+def calls(name: str):
+    def is_call(node) -> bool:
+        return isinstance(node, ast.Call) and name in (getattr(node.func, "id", None),
+                                                      getattr(node.func, "attr", None))
+    return is_call
+
+
+# the exhaustive re-checks: they must not read the analysis they check
+RECHECKS = {"essential.WitnessPair.verify", "reduction.runs_equal_all",
+            "reduction.check_reduction", "verify.essential_by_definition"}
+
+
+def test_only_the_analysis_and_the_rechecks_make_runs():
+    """Every analysis reads its runs from ``essential.Analysis``, and the
+    exhaustive re-checks make their own, so they check it independently."""
+    assert functions_using(calls("run")) == {
+        "essential.Analysis._run", "cli.cmd_run", "essential.WitnessPair.verify",
+        "reduction.runs_equal_all", "verify.essential_by_definition"}
+    assert functions_using(calls("analysis")) & RECHECKS == set()
+    assert functions_using(calls("Analysis")) == {"essential.analysis"}
+
+
+def test_only_the_analysis_and_the_enumerations_check_budgets():
+    def raises_budget(node) -> bool:
+        return isinstance(node, ast.Raise) and calls("EnumerationBudgetExceeded")(node.exc)
+    assert functions_using(raises_budget) == {
+        "essential.Analysis._afford", "automaton.enumerate_assignments",
+        "verify.essential_by_definition"}

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import sys
 
 import hypothesis.strategies as st
@@ -233,6 +235,17 @@ class TestPositionSet:
             with pytest.raises(AttributeError):
                 setattr(ps, name, ())
         assert list(ps) == [P("1"), P("2")]
+
+    @pytest.mark.parametrize("clone", [
+        copy.copy, copy.deepcopy, lambda ps: pickle.loads(pickle.dumps(ps)),
+    ], ids=["copy", "deepcopy", "pickle"])
+    def test_copies_keep_type_order_and_immutability(self, clone):
+        ps = PositionSet(PS("2.1", "1", "ε", "1.1"))
+        made = clone(ps)
+        assert type(made) is PositionSet and made == ps and hash(made) == hash(ps)
+        assert list(made) == list(ps) == [P("ε"), P("1"), P("1.1"), P("2.1")]
+        with pytest.raises(AttributeError):
+            made.other = ()
 
     def test_set_operations_give_plain_frozensets(self):
         a, b = PositionSet(PS("1", "2")), PositionSet(PS("2", "3"))
