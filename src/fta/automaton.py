@@ -28,13 +28,12 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, product
 from types import MappingProxyType
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     AutomatonSyntaxError,
     EnumerationBudgetExceeded,
     FtaError,
-    InvalidPositionError,
     UnboundVariableError,
     UnknownSymbolError,
     ValidationError,
@@ -67,8 +66,9 @@ class Automaton:
 
     ``rules`` maps ``(symbol, argument-state-tuple)`` to the resulting
     state; constants use the empty tuple.  It is a read-only copy of the
-    mapping passed in.  Construction does not check completeness: run
-    :func:`validate` (parsing does so automatically).
+    mapping passed in.  Construction checks nothing: :func:`validate`
+    lists the defects of an automaton built by hand, and
+    :func:`parse_automaton` refuses a file that has any.
     """
 
     signature: Signature
@@ -182,10 +182,14 @@ class RunTrace:
     compiled form (:class:`fta.terms.CompiledTerm`), as state ids of the
     automaton's compiled form (:class:`CompiledAutomaton`, whose
     ``names`` maps them back).  ``states`` holds the same states as
-    names, by node id, and ``per_position`` is a read-only view of them
-    by position.  Both are made from ``ids`` when first read, so a
-    caller that reads only ``result`` and ``ids``, as the analysis of a
-    term does (:class:`fta.essential.Analysis`), never pays for names.
+    names, by node id; the package reads them there, at a node it has
+    found.  ``per_position`` is a read-only dict of the state names by
+    position, for callers outside the package; it needs the term's
+    position table (:attr:`fta.terms.CompiledTerm.positions`), which
+    its first read builds.  Each is made from ``ids`` when first read,
+    so a caller that reads only ``result`` and ``ids``, as the analysis
+    of a term does (:class:`fta.essential.Analysis`), never pays for
+    names.
     Two traces are equal when their results, states and states by
     position are; ``repr`` shows the result and the states by position.
     Attributes cannot be set.
@@ -202,7 +206,13 @@ class RunTrace:
 
     @cached_property
     def per_position(self) -> Mapping[Position, str]:
-        return _StatesByPosition(self.ids, self._names, self._term)
+        names = self._names
+        return MappingProxyType({p: names[i] for p, i in zip(self._term.positions, self.ids)})
+
+    def __getstate__(self) -> dict:
+        """Copies and pickles leave ``per_position`` out (a read-only
+        mapping does not pickle); it is made again when first read."""
+        return {k: v for k, v in self.__dict__.items() if k != "per_position"}
 
     def __eq__(self, other):
         if not isinstance(other, RunTrace):
@@ -213,34 +223,7 @@ class RunTrace:
     __hash__ = None  # unhashable, like the per_position mapping
 
     def __repr__(self) -> str:
-        return f"RunTrace(result={self.result!r}, per_position={self.per_position!r})"
-
-
-class _StatesByPosition(Mapping):
-    """Read-only view of a run's node states, keyed by position; each
-    lookup names one state."""
-
-    __slots__ = ("_ids", "_names", "_term")
-
-    def __init__(self, ids: tuple[int, ...], names: tuple[str, ...], term: CompiledTerm):
-        self._ids = ids
-        self._names = names
-        self._term = term
-
-    def __getitem__(self, p: Position) -> str:
-        try:
-            return self._names[self._ids[self._term.node_at(p)]]
-        except (AttributeError, InvalidPositionError):  # not a position of the term
-            raise KeyError(p) from None
-
-    def __iter__(self) -> Iterator[Position]:
-        return iter(self._term.positions)
-
-    def __len__(self) -> int:
-        return len(self._ids)
-
-    def __repr__(self) -> str:
-        return repr(dict(self))
+        return f"RunTrace(result={self.result!r}, per_position={dict(self.per_position)!r})"
 
 
 def _lhs(symbol: str, args: tuple[str, ...]) -> str:
@@ -256,14 +239,14 @@ def _no_transition(symbol: str, args: tuple[str, ...]) -> FtaError:
 
 
 def parse_automaton(text: str) -> tuple[Signature, Automaton]:
-    """Parse the file format above and validate the result.
+    """Parse the file format above and check the automaton it declares.
 
     Raises :class:`AutomatonSyntaxError` for malformed lines and
     :class:`ValidationError` (carrying the defect list) for incomplete,
-    nondeterministic or otherwise ill-formed automata.  The defects are
-    those :func:`validate` lists, after the ones met while the rules are
-    assembled; the rules each symbol keeps are counted as they are, so
-    completeness needs no second pass over them.
+    nondeterministic or otherwise ill-formed automata.  The rules are
+    assembled, and the defects listed, in one pass by the function
+    :func:`validate` also calls, so both list a defect in the same words
+    and order.
     """
     sig_pairs: list[tuple[str, int]] | None = None
     states: list[str] | None = None
@@ -326,70 +309,73 @@ def parse_automaton(text: str) -> tuple[Signature, Automaton]:
     except ValueError as exc:
         raise AutomatonSyntaxError(str(exc)) from None
 
-    defects: list[str] = []
-    if len(set(states)) != len(states):
-        defects.append("duplicate state declarations")
-    state_set = set(states)
-
-    arities = dict(sig.symbols)
-    rules: dict[tuple[str, tuple[str, ...]], str] = {}
-    counts = dict.fromkeys(arities, 0)  # accepted rules per symbol
-    for symbol, args, target in raw_rules:
-        arity = arities.get(symbol)
-        if arity is None:
-            defects.append(f"unknown symbol in rule: {symbol}")
-            continue
-        if len(args) != arity:
-            defects.append(f"rule arity mismatch: {_lhs(symbol, args)} (arity {arity})")
-            continue
-        if target not in state_set or not state_set.issuperset(args):
-            defects.append(f"unknown state in rule: {_lhs(symbol, args)} -> {target}")
-            continue
-        key = (symbol, args)
-        if key in rules:
-            if rules[key] != target:
-                defects.append(f"nondeterministic: {_lhs(symbol, args)} -> {rules[key]} / {target}")
-            continue
-        rules[key] = target
-        counts[symbol] += 1
-
-    aut = Automaton(sig, tuple(states), frozenset(final), rules)
-    # what :func:`validate` adds; every rule kept above passes its rule checks
-    defects.extend(f"final state not in Q: {q}" for q in aut.final if q not in state_set)
-    defects.extend(_missing(sig, aut, counts))
+    rules, defects = _assemble(sig, states, final, raw_rules)
     if defects:
         raise ValidationError(defects)
-    return sig, aut
+    return sig, Automaton(sig, tuple(states), frozenset(final), rules)
 
 
 def validate(sig: Signature, aut: Automaton) -> list[str]:
     """Defect list; empty iff the automaton is complete and deterministic.
 
-    The rule mapping is single-valued by construction, so duplicates are
-    reported where the rules are assembled (see :func:`parse_automaton`).
-    Each argument tuple without a rule is one ``missing`` defect, except
-    that a symbol with more than :data:`DEFAULT_BUDGET` tuples gets one
-    defect with the count.
+    It is the list :func:`parse_automaton` reports for a file declaring
+    ``sig``, ``aut``'s states and final states and its rules in mapping
+    order.  The mapping is single-valued, so no rule is nondeterministic.
     """
-    defects = []
-    for q in aut.final:
-        if q not in aut.states:
-            defects.append(f"final state not in Q: {q}")
-    state_set = set(aut.states)
-    counts: dict[str, int] = {}  # per symbol, its rules of its arity over declared states
-    for (symbol, args), target in aut.rules.items():
-        arity = sig.arity(symbol)
+    rules = ((symbol, args, target) for (symbol, args), target in aut.rules.items())
+    return _assemble(sig, aut.states, aut.final, rules)[1]
+
+
+def _assemble(sig: Signature, states: Sequence[str], final: Iterable[str],
+              rules: Iterable[tuple[str, tuple[str, ...], str]]
+              ) -> tuple[dict[tuple[str, tuple[str, ...]], str], list[str]]:
+    """The rule mapping that ``rules``, ``(symbol, args, target)`` triples
+    in file order, assemble into, and the defects of the automaton with
+    the declared ``states``, the ``final`` states and that mapping.
+
+    The defects are, in order: duplicate state declarations; each rule
+    not kept, by the first check it fails (unknown symbol, arity,
+    undeclared state, another target than the kept rule's); the final
+    states outside Q; and, symbol by symbol, each argument tuple of the
+    distinct states, in declaration order, without a rule.  The rules
+    each symbol keeps are counted as they are, so a symbol of arity n is
+    complete iff it keeps |Q|^n, and only an incomplete symbol's tuples
+    are walked.  A symbol with more than :data:`DEFAULT_BUDGET` tuples,
+    or of a higher arity (so one tuple is that long), gets one defect
+    with the count instead.
+    """
+    distinct = tuple(dict.fromkeys(states))
+    state_set = set(distinct)
+    defects = [] if len(distinct) == len(states) else ["duplicate state declarations"]
+    arities = dict(sig.symbols)
+    assembled: dict[tuple[str, tuple[str, ...]], str] = {}
+    counts = dict.fromkeys(arities, 0)  # kept rules per symbol
+    for symbol, args, target in rules:
+        key, arity = (symbol, args), arities.get(symbol)
         if arity is None:
             defects.append(f"unknown symbol in rule: {symbol}")
-        elif arity != len(args):
+        elif len(args) != arity:
             defects.append(f"rule arity mismatch: {_lhs(symbol, args)} (arity {arity})")
-        known_args = state_set.issuperset(args)
-        if not known_args or target not in state_set:
+        elif target not in state_set or not state_set.issuperset(args):
             defects.append(f"unknown state in rule: {_lhs(symbol, args)} -> {target}")
-        if arity == len(args) and known_args:
-            counts[symbol] = counts.get(symbol, 0) + 1
-    defects.extend(_missing(sig, aut, counts))
-    return defects
+        elif key not in assembled:
+            assembled[key] = target
+            counts[symbol] += 1
+        elif assembled[key] != target:
+            defects.append(f"nondeterministic: {_lhs(symbol, args)} -> {assembled[key]} / {target}")
+    defects.extend(f"final state not in Q: {q}" for q in frozenset(final) if q not in state_set)
+    n = len(distinct)
+    for symbol, arity in sig.symbols:
+        have = counts[symbol]
+        if not _exceeds(n, arity, have):
+            continue  # all n^arity tuples have a rule
+        if arity > DEFAULT_BUDGET or _exceeds(n, arity, DEFAULT_BUDGET):
+            defects.append(f"missing: all but {have} of the {n}^{arity} rules for {symbol}")
+            continue
+        for combo in product(distinct, repeat=arity):
+            if (symbol, combo) not in assembled:
+                defects.append(f"missing: {_lhs(symbol, combo)}")
+    return assembled, defects
 
 
 def _exceeds(base: int, exponent: int, bound: int) -> bool:
@@ -398,30 +384,6 @@ def _exceeds(base: int, exponent: int, bound: int) -> bool:
     if base > 1 and exponent > bound.bit_length():
         return True  # base ** exponent >= 2 ** exponent > bound
     return base ** exponent > bound
-
-
-def _missing(sig: Signature, aut: Automaton, counts: Mapping[str, int]) -> list[str]:
-    """One ``missing`` defect per argument tuple without a rule, symbol
-    by symbol in declaration order.  ``counts[f]`` is the number of
-    rules of f over declared argument states of f's arity, so f is
-    complete iff it has |Q|^arity of them, and only a symbol that lacks
-    some has its tuples listed.  A symbol with more than
-    :data:`DEFAULT_BUDGET` tuples to list, or of a higher arity (so one
-    state makes one tuple that long), gets one defect with the count
-    instead."""
-    defects = []
-    distinct = len(set(aut.states))
-    for symbol, arity in sig.symbols:
-        have = counts.get(symbol, 0)
-        if not _exceeds(distinct, arity, have):
-            continue  # all distinct^arity tuples have a rule
-        if arity > DEFAULT_BUDGET or _exceeds(len(aut.states), arity, DEFAULT_BUDGET):
-            defects.append(f"missing: all but {have} of the {distinct}^{arity} rules for {symbol}")
-            continue
-        for combo in product(aut.states, repeat=arity):
-            if (symbol, combo) not in aut.rules:
-                defects.append(f"missing: {_lhs(symbol, combo)}")
-    return defects
 
 
 def render_automaton(aut: Automaton) -> str:

@@ -78,13 +78,14 @@ class WitnessPair:
     def verify(self, aut: Automaton, t: Term) -> bool:
         """Re-run both assignments and re-check every invariant."""
         term = compile_term(t)
-        outer = term.variables - term.variables_at[term.node_at(self.position)]
+        node = term.node_at(self.position)
+        outer = term.variables - term.variables_at[node]
         if any(self.gamma1.get(v) != self.gamma2.get(v) for v in outer):
             return False
         tr1 = run(aut, self.gamma1, t)
         tr2 = run(aut, self.gamma2, t)
         return (
-            (tr1.per_position[self.position], tr2.per_position[self.position]) == self.sub_states
+            (tr1.states[node], tr2.states[node]) == self.sub_states
             and (tr1.result, tr2.result) == self.root_states
             and self.sub_states[0] != self.sub_states[1]
             and self.root_states[0] != self.root_states[1]
@@ -248,11 +249,10 @@ class Analysis:
 
 def analysis(aut: Automaton, t: Term) -> Analysis:
     """The analysis of ``t`` for ``aut``, kept with the term object like
-    its compiled form.  It is replaced when another automaton object
-    asks, or when it was made for another term object: a shallow copy
-    shares the original's attributes, and starts with no analysis."""
+    its compiled form, and replaced when another automaton object asks.
+    A copy of a term starts with none."""
     found = t.__dict__.get("_analysis")
-    if found is None or found.aut is not aut or found._t() is not t:
+    if found is None or found.aut is not aut:
         found = Analysis(aut, t)
         object.__setattr__(t, "_analysis", found)
     return found

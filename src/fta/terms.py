@@ -73,11 +73,23 @@ class Signature:
         return self._arities.get(name)
 
 
+def _without_analysis(t: "Term") -> dict:
+    """What copying or pickling a term keeps: its fields, its text and
+    its compiled form, but not its analysis (see
+    :func:`fta.essential.analysis`), which belongs to the original term
+    object; so a copy starts with none."""
+    state = dict(t.__dict__)
+    state.pop("_analysis", None)
+    return state
+
+
 @dataclass(frozen=True)
 class Var:
     """Variable leaf ``x<index>``."""
 
     index: int
+
+    __getstate__ = _without_analysis
 
 
 @dataclass(frozen=True)
@@ -113,12 +125,16 @@ class Node:
     def __repr__(self) -> str:
         return f"<Node {render_term(self)}>"
 
+    __getstate__ = _without_analysis
+
 
 @dataclass(frozen=True)
 class StateLeaf:
     """Leaf standing for an already-computed automaton state."""
 
     state: str
+
+    __getstate__ = _without_analysis
 
 
 Term = Union[Var, Node, StateLeaf]
@@ -562,29 +578,27 @@ def positions(t: Term) -> PositionSet:
     return compile_term(t).position_set()
 
 
+def _path_to(t: Term, p: Position) -> list[Term]:
+    """The nodes of ``t`` from the root down to the one at ``p``, both
+    included."""
+    path = [t]
+    for i in p.indices:
+        node = path[-1]
+        if not isinstance(node, Node) or i > len(node.children):
+            raise InvalidPositionError(f"{p} is not a position of the term")
+        path.append(node.children[i - 1])
+    return path
+
+
 def subterm_at(t: Term, p: Position) -> Term:
     """The subtree of ``t`` rooted at ``p``."""
-    node = t
-    for depth, i in enumerate(p.indices):
-        if not isinstance(node, Node) or i > len(node.children):
-            raise InvalidPositionError(
-                f"{p} is not a position of the term (stuck at {Position(p.indices[:depth])})"
-            )
-        node = node.children[i - 1]
-    return node
+    return _path_to(t, p)[-1]
 
 
 def replace_at(t: Term, p: Position, replacement: Term) -> Term:
     """A copy of ``t`` with the subtree at ``p`` replaced."""
-    path = []
-    node = t
-    for level, i in enumerate(p.indices):
-        if not isinstance(node, Node) or i > len(node.children):
-            rest = Position(p.indices[level:])
-            raise InvalidPositionError(f"{rest} is not a position of the term")
-        path.append(node)
-        node = node.children[i - 1]
-    for parent, i in zip(reversed(path), reversed(p.indices)):
+    path = _path_to(t, p)
+    for parent, i in zip(reversed(path[:-1]), reversed(p.indices)):
         children = list(parent.children)
         children[i - 1] = replacement
         replacement = Node(parent.symbol, tuple(children))

@@ -139,8 +139,8 @@ def automaton_defects(sig, states, final, rules):
     target)`` in file order: ``(assembly, checks, assembled)``, where
     ``assembly`` lists those met while the rules are assembled into
     ``assembled`` and ``checks`` the final states outside Q, then every
-    argument tuple of ``states`` without a rule, found by walking them
-    all."""
+    argument tuple of the distinct ``states``, in declaration order,
+    without a rule, found by walking them all."""
     assembly = []
     if len(set(states)) != len(states):
         assembly.append("duplicate state declarations")
@@ -160,7 +160,7 @@ def automaton_defects(sig, states, final, rules):
                             f"{assembled[(symbol, args)]} / {target}")
     checks = [f"final state not in Q: {q}" for q in frozenset(final) if q not in states]
     for symbol, arity in sig.symbols:
-        for combo in product(states, repeat=arity):
+        for combo in product(dict.fromkeys(states), repeat=arity):
             if (symbol, combo) not in assembled:
                 checks.append(f"missing: {lhs(symbol, combo)}")
     return assembly, checks, assembled

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from dataclasses import FrozenInstanceError
 
 import pytest
@@ -142,6 +144,14 @@ class TestRun:
                 delattr(trace, attr)
         with pytest.raises(TypeError):
             trace.per_position[P("1")] = "q0"
+
+    @pytest.mark.parametrize("duplicate", [
+        copy.copy, copy.deepcopy, lambda trace: pickle.loads(pickle.dumps(trace)),
+    ], ids=["copy", "deepcopy", "pickle"])
+    def test_trace_copies_and_pickles_after_it_is_read(self, aut, term, duplicate):
+        trace = run(aut, G1, term)
+        assert trace.per_position[P("1.1")] == "q0"
+        assert duplicate(trace) == trace
 
     def test_names_made_only_when_read(self, aut, term):
         trace = run(aut, G1, term)

@@ -63,6 +63,13 @@ class TestCheck:
         assert time.perf_counter() - start < 1.0
         assert capsys.readouterr().out == "missing: all but 0 of the 2^30 rules for h\n"
 
+    def test_duplicate_state_declaration_lists_each_missing_tuple_once(self, tmp_path, capsys):
+        path = tmp_path / "dup.fta"
+        path.write_text("signature: 0/0 g/1\nstates: q0 q0 q1\nfinal: q1\nrule: 0 -> q0\n")
+        assert main(["check", str(path)]) == 1
+        assert capsys.readouterr().out == (
+            "duplicate state declarations\nmissing: g(q0)\nmissing: g(q1)\n")
+
     def test_json_mode(self, aut_file, capsys):
         assert main(["check", "--json", aut_file]) == 0
         payload = json.loads(capsys.readouterr().out)

@@ -1,5 +1,6 @@
 import copy
 import gc
+import pickle
 import weakref
 
 import pytest
@@ -427,3 +428,14 @@ def test_a_shallow_copy_gets_its_own_analysis(sig, aut):
     c = copy.copy(t)
     del t
     assert essential_positions(aut, c).essential_positions == ESSENTIAL
+
+
+@pytest.mark.parametrize("duplicate", [
+    copy.copy, copy.deepcopy, lambda t: pickle.loads(pickle.dumps(t)),
+], ids=["copy", "deepcopy", "pickle"])
+def test_a_queried_term_copies_and_pickles_without_its_analysis(sig, aut, duplicate):
+    t = parse_term(SAMPLE_TERM, sig)
+    report = essential_positions(aut, t)
+    c = duplicate(t)
+    assert c == t and "_compiled" in c.__dict__ and "_analysis" not in c.__dict__
+    assert essential_positions(aut, c) == report

@@ -7,6 +7,8 @@ import ast
 import sys
 from pathlib import Path
 
+import pytest
+
 import fta
 
 MODULES = sorted(Path(fta.__file__).parent.glob("*.py"))
@@ -61,19 +63,20 @@ def test_every_imported_name_is_used():
 def functions_using(is_use) -> set[str]:
     """``module.function`` (``module.Class.method`` for a method) of each
     top-level function or method of the package whose body, nested
-    functions included, holds a node that ``is_use`` accepts."""
+    functions included, holds a node that ``is_use`` accepts.  A node
+    outside every function counts as ``module`` (``module.Class`` in a
+    class body)."""
     found = set()
     for path in MODULES:
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for top in tree.body:
-            if isinstance(top, ast.FunctionDef):
-                defs = [(top.name, top)]
-            elif isinstance(top, ast.ClassDef):
-                defs = [(f"{top.name}.{d.name}", d) for d in top.body
-                        if isinstance(d, ast.FunctionDef)]
+            if isinstance(top, ast.ClassDef):
+                defs = [(f"{top.name}.{d.name}" if isinstance(d, ast.FunctionDef) else top.name, d)
+                        for d in top.body]
             else:
-                continue
-            found |= {f"{path.stem}.{name}" for name, d in defs if any(map(is_use, ast.walk(d)))}
+                defs = [(top.name if isinstance(top, ast.FunctionDef) else None, top)]
+            found |= {".".join(filter(None, (path.stem, name)))
+                      for name, d in defs if any(map(is_use, ast.walk(d)))}
     return found
 
 
@@ -105,3 +108,19 @@ def test_only_the_analysis_and_the_enumerations_check_budgets():
     assert functions_using(raises_budget) == {
         "essential.Analysis._afford", "automaton.enumerate_assignments",
         "verify.essential_by_definition"}
+
+
+#: The start of each kind of automaton defect message.
+DEFECT_PREFIXES = ("unknown symbol in rule", "rule arity mismatch", "unknown state in rule",
+                   "nondeterministic:", "final state not in Q", "missing:")
+
+
+@pytest.mark.parametrize("prefix", DEFECT_PREFIXES)
+def test_each_defect_message_is_built_in_one_function(prefix):
+    """Parsing and :func:`fta.validate` list an automaton's defects
+    through one function, so each message has one wording."""
+    def starts_message(node) -> bool:
+        return (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                and node.value.startswith(prefix))
+    places = functions_using(starts_message)
+    assert len(places) == 1, places

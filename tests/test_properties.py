@@ -490,22 +490,39 @@ def automaton_parts(draw):
     return aut.signature, states, final, rules
 
 
-@settings(max_examples=300, deadline=None)
-@given(automaton_parts())
-def test_automaton_parser_matches_full_validation(parts):
-    """``parse_automaton`` lists the defects, in order, that assembling
-    the rules and walking every argument tuple lists, and the public
-    :func:`validate` of the assembled automaton lists their tail."""
-    sig, states, final, rules = parts
-    text = "".join([
+def automaton_text(sig, states, final, rules):
+    """The file declaring ``sig``, ``states``, ``final`` and ``rules``,
+    ``(symbol, args, target)`` triples, in that order."""
+    return "".join([
         "signature: " + " ".join(f"{n}/{a}" for n, a in sig.symbols) + "\n",
         "states: " + " ".join(states) + "\n",
         "final: " + " ".join(final) + "\n",
         *(f"rule: {lhs(symbol, args)} -> {target}\n" for symbol, args, target in rules),
     ])
+
+
+@settings(max_examples=300, deadline=None)
+@given(automaton_parts())
+def test_automaton_parser_matches_full_validation(parts):
+    """``parse_automaton`` lists the defects, in order, that assembling
+    the rules and walking every argument tuple lists.  The public
+    :func:`validate` of an automaton holding each rule's first
+    occurrence lists what parsing its declarations and those rules does."""
+    sig, states, final, rules = parts
+    first = {}
+    for symbol, args, target in rules:
+        first.setdefault((symbol, args), target)
+    kept = [(symbol, args, target) for (symbol, args), target in first.items()]
+    try:
+        parse_automaton(automaton_text(sig, states, final, kept))
+        parsed = []
+    except ValidationError as exc:
+        parsed = exc.defects
+    assert validate(sig, Automaton(sig, tuple(states), frozenset(final), first)) == parsed
+
+    text = automaton_text(sig, states, final, rules)
     assembly, checks, assembled = automaton_defects(sig, states, final, rules)
     aut = Automaton(sig, tuple(states), frozenset(final), assembled)
-    assert validate(sig, aut) == checks
     if not assembly + checks:
         assert parse_automaton(text)[1] == aut
         return
