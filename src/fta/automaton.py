@@ -79,22 +79,26 @@ class Automaton:
     def __post_init__(self):
         object.__setattr__(self, "rules", MappingProxyType(dict(self.rules)))
 
+    def __reduce__(self):
+        """Copies and pickles are rebuilt from a plain dict of the rules
+        (a read-only mapping does not pickle), without the compiled form
+        (see :func:`compile_automaton`), which is made again on first use."""
+        return Automaton, (self.signature, self.states, self.final, dict(self.rules))
+
 
 class CompiledAutomaton:
-    """An automaton with integer states and one flat transition table
-    per symbol.
+    """An automaton with integer states and one transition dict per
+    symbol.
 
     ``names[i]`` is the state with id i: the declared states in
     declaration order, then every other state a rule mentions (only an
     unvalidated automaton has those); ``ids`` is the inverse and
     ``declared`` the number of declared states.  The rule
-    ``f(q1,...,qn) -> q`` puts q's id into ``tables[f]`` at the index of
-    the argument ids a1..an in base ``len(names)`` with the digits
-    a1+1, ..., an+1 (bijective numeration), so argument tuples of every
-    length have their own index.  The other entries hold -1.  A table
-    that would be more than twice as long as its rules, plus 64, is a
-    dict from index to id instead, as for a lone rule of high arity in
-    an unvalidated automaton.
+    ``f(q1,...,qn) -> q`` maps, in ``tables[f]``, the index of the
+    argument ids a1..an in base ``len(names)`` with the digits a1+1,
+    ..., an+1 (bijective numeration) to q's id, so argument tuples of
+    every length have their own index and a constant's rule has index 0.
+    A missing rule is a ``LookupError`` from ``tables``.
     """
 
     def __init__(self, aut: Automaton):
@@ -103,40 +107,18 @@ class CompiledAutomaton:
         self.ids = ids = {q: i for i, q in enumerate(self.names)}
         self.declared = len(set(aut.states))
         self.base = base = len(self.names)
-        entries: dict[str, dict[int, int]] = {}
+        self.tables: dict[str, dict[int, int]] = {}
         for (symbol, args), target in aut.rules.items():
-            index = 0  # as :meth:`target` computes it
+            index = 0
             for q in args:
                 index = index * base + ids[q] + 1
-            entries.setdefault(symbol, {})[index] = ids[target]
-        self.tables: dict[str, list[int] | dict[int, int]] = {}
-        for symbol, targets in entries.items():
-            size = max(targets) + 1
-            if size > 2 * len(targets) + 64:
-                self.tables[symbol] = targets
-                continue
-            table = self.tables[symbol] = [-1] * size
-            for index, target in targets.items():
-                table[index] = target
-        self.constants = {c: targets[0] for c, targets in entries.items() if 0 in targets}
-
-    def target(self, symbol: str, args: Sequence[int]) -> int:
-        """Id of the state the rule for ``symbol`` over the argument ids
-        ``args`` leads to, or -1 when there is no such rule."""
-        index = 0
-        for a in args:
-            index = index * self.base + a + 1
-        try:
-            return self.tables[symbol][index]
-        except LookupError:
-            return -1
+            self.tables.setdefault(symbol, {})[index] = ids[target]
 
     def state_ids(self, gamma: Mapping[int, str], term: CompiledTerm) -> list[int]:
         """The state id at every node of ``term``, by node id, for the
         run under ``gamma`` (see :func:`run`, which also checks
         ``gamma``)."""
-        tables, base, constants = self.tables, self.base, self.constants
-        ids, declared = self.ids, self.declared
+        tables, base, ids, declared = self.tables, self.base, self.ids, self.declared
         states: list[int] = []
         for kind, label, kids in zip(term.kinds, term.labels, term.children):
             if kind is Node:
@@ -146,16 +128,15 @@ class CompiledAutomaton:
                 try:
                     state = tables[label][index]
                 except LookupError:
-                    state = -1
-                if state < 0:
-                    raise _no_transition(label, tuple(self.names[states[k]] for k in kids))
+                    raise _no_transition(label, tuple(self.names[states[k]] for k in kids)) from None
             elif kind is Var:
                 c = gamma.get(label)
                 if c is None:
                     raise UnboundVariableError(f"x{label} is not bound by the assignment")
-                state = constants.get(c, -1)
-                if state < 0:
-                    raise _no_transition(c, ())
+                try:
+                    state = tables[c][0]
+                except LookupError:
+                    raise _no_transition(c, ()) from None
             else:
                 state = ids.get(label, declared)
                 if state >= declared:
@@ -387,18 +368,25 @@ def _exceeds(base: int, exponent: int, bound: int) -> bool:
 
 
 def render_automaton(aut: Automaton) -> str:
-    """Canonical file-format text; round-trips with :func:`parse_automaton`."""
+    """Canonical file-format text; round-trips with :func:`parse_automaton`.
+
+    The rules printed are those of a declared symbol at its arity over
+    declared states, each once, ordered by the symbol's declaration and
+    then by the first declaration of each argument state; their targets
+    are printed as they are.
+    """
     sig = aut.signature
+    symbols = {name: i for i, (name, _) in enumerate(sig.symbols)}
+    order = {q: i for i, q in enumerate(dict.fromkeys(aut.states))}
+    rules = [(symbol, args, target) for (symbol, args), target in aut.rules.items()
+             if sig.arity(symbol) == len(args) and order.keys() >= set(args)]
+    rules.sort(key=lambda rule: (symbols[rule[0]], [order[q] for q in rule[1]]))
     lines = [
         "signature: " + " ".join(f"{n}/{a}" for n, a in sig.symbols),
         "states: " + " ".join(aut.states),
         "final: " + " ".join(q for q in aut.states if q in aut.final),
+        *(f"rule: {_lhs(symbol, args)} -> {target}" for symbol, args, target in rules),
     ]
-    for symbol, arity in sig.symbols:
-        for combo in product(aut.states, repeat=arity):
-            target = aut.rules.get((symbol, combo))
-            if target is not None:
-                lines.append(f"rule: {_lhs(symbol, combo)} -> {target}")
     return "\n".join(lines) + "\n"
 
 
@@ -513,12 +501,9 @@ def partial_run(aut: Automaton, gamma: Mapping[int, str], t: Term) -> Term:
                 index = index * base + a + 1
             else:  # every child collapsed
                 try:
-                    state = tables[label][index]
+                    done.append(tables[label][index])
                 except LookupError:
-                    state = -1
-                if state < 0:
-                    raise _no_transition(label, tuple(names[done[k]] for k in kids))
-                done.append(state)
+                    raise _no_transition(label, tuple(names[done[k]] for k in kids)) from None
                 continue
             args = tuple([StateLeaf(names[b]) if type(b) is int else b
                           for b in [done[k] for k in kids]])
@@ -530,10 +515,10 @@ def partial_run(aut: Automaton, gamma: Mapping[int, str], t: Term) -> Term:
         elif kind is Var and label not in gamma:
             done.append(Var(label))
         elif kind is Var:
-            state = compiled.constants.get(gamma[label], -1)
-            if state < 0:
-                raise _no_transition(gamma[label], ())
-            done.append(state)
+            try:
+                done.append(tables[gamma[label]][0])
+            except LookupError:
+                raise _no_transition(gamma[label], ()) from None
         else:  # a state no rule mentions has no id, so it stays a leaf
             done.append(compiled.ids.get(label, StateLeaf(label)))
     out = done[term.root]
@@ -548,32 +533,31 @@ def canonical_ground(aut: Automaton) -> dict[str, Term]:
     absent.  Every constant's state is present, and the state a frozen
     ground subtree evaluates to always has a representative.
 
-    Layer L holds the terms of depth L, built over representatives of
-    which the deepest is in layer L-1; a constant has none, so it is in
-    layer 0.
+    Only the rules of a declared symbol at its arity, from declared
+    states to a declared state, are read.  Layer L holds the terms of
+    depth L: a rule over representatives of which the deepest is in
+    layer L-1; a constant's rule has none, so it is in layer 0.
     """
-    sig = aut.signature
-    compiled = compile_automaton(aut)
-    chosen: dict[int, tuple[int, Term]] = {}  # state id -> (depth, term)
+    states, arity = set(aut.states), aut.signature.arity
+    rules = [(symbol, args, target) for (symbol, args), target in aut.rules.items()
+             if arity(symbol) == len(args) and target in states and states.issuperset(args)]
+    chosen: dict[str, tuple[int, Term]] = {}  # state -> (depth, term)
     layer = 0
     while True:
-        candidates: dict[int, tuple[tuple[int, str], Term]] = {}
-        ready = [q for q in range(compiled.declared) if q in chosen]
-        for symbol, arity in sig.symbols:
-            for combo in product(ready, repeat=arity):
-                if max((chosen[q][0] for q in combo), default=-1) != layer - 1:
-                    continue
-                state = compiled.target(symbol, combo)
-                if state < 0 or state in chosen:
-                    continue
-                term = Node(symbol, tuple(chosen[q][1] for q in combo))
-                text = render_term(term)
-                key = (len(text), text)
-                if state not in candidates or key < candidates[state][0]:
-                    candidates[state] = (key, term)
+        candidates: dict[str, tuple[tuple[int, str], Term]] = {}
+        for symbol, args, target in rules:
+            if target in chosen or not chosen.keys() >= set(args):
+                continue
+            if max((chosen[q][0] for q in args), default=-1) != layer - 1:
+                continue
+            term = Node(symbol, tuple(chosen[q][1] for q in args))
+            text = render_term(term)
+            key = (len(text), text)
+            if target not in candidates or key < candidates[target][0]:
+                candidates[target] = (key, term)
         if not candidates:
             break
         for state, (_, term) in candidates.items():
             chosen[state] = (layer, term)
         layer += 1
-    return {compiled.names[q]: chosen[q][1] for q in range(compiled.declared) if q in chosen}
+    return {q: chosen[q][1] for q in dict.fromkeys(aut.states) if q in chosen}

@@ -53,6 +53,9 @@ __all__ = [
 
 
 def _read_only(mapping: Mapping) -> Mapping:
+    """A read-only copy of ``mapping``.  It does not pickle, so each value
+    holding one copies and pickles through its constructor, from plain
+    dicts (``__reduce__``)."""
     return MappingProxyType(dict(mapping))
 
 
@@ -74,6 +77,10 @@ class WitnessPair:
     def __post_init__(self):
         object.__setattr__(self, "gamma1", _read_only(self.gamma1))
         object.__setattr__(self, "gamma2", _read_only(self.gamma2))
+
+    def __reduce__(self):
+        return WitnessPair, (self.position, dict(self.gamma1), dict(self.gamma2),
+                             self.sub_states, self.root_states)
 
     def verify(self, aut: Automaton, t: Term) -> bool:
         """Re-run both assignments and re-check every invariant."""
@@ -104,6 +111,10 @@ class EssentialityReport:
     def __post_init__(self):
         object.__setattr__(self, "witnesses", _read_only(self.witnesses))
 
+    def __reduce__(self):
+        return EssentialityReport, (self.essential_positions, self.fictive_positions,
+                                    self.essential_vars, dict(self.witnesses))
+
 
 @dataclass(frozen=True)
 class SeparabilityResult:
@@ -113,6 +124,10 @@ class SeparabilityResult:
     def __post_init__(self):
         if self.witness is not None:
             object.__setattr__(self, "witness", _read_only(self.witness))
+
+    def __reduce__(self):
+        return SeparabilityResult, (self.separable,
+                                    None if self.witness is None else dict(self.witness))
 
 
 class Analysis:

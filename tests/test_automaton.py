@@ -17,6 +17,7 @@ from fta import (
     canonical_ground,
     enumerate_assignments,
     EnumerationBudgetExceeded,
+    freeze_fictive,
     parse_assignment,
     parse_automaton,
     partial_run,
@@ -69,6 +70,10 @@ class TestParsing:
         assert sig2 == sig
         assert aut2.rules == aut.rules
         assert aut2.final == aut.final
+
+    def test_render_prints_each_rule_once_when_a_state_is_declared_twice(self, aut):
+        twice = Automaton(aut.signature, ("q0", "q0", "q1"), aut.final, aut.rules)
+        assert render_automaton(twice).splitlines()[3:] == render_automaton(aut).splitlines()[3:]
 
     @pytest.mark.parametrize("arity", ["²", "-1", "a", ""])
     def test_arity_must_be_decimal_digits(self, arity):
@@ -299,13 +304,26 @@ class TestCanonicalGround:
         for state, rep in canonical_ground(aut).items():
             assert run(aut, {}, rep).result == state
 
+    def test_rule_of_high_arity_is_read_not_searched_for(self, sig, aut):
+        # the argument tuples of h over two states number 2**40
+        wide_sig = Signature([*sig.symbols, ("h", 40)])
+        wide = Automaton(wide_sig, aut.states, aut.final, dict(aut.rules) | {("h", ("q1",) * 40): "q0"})
+        assert canonical_ground(wide) == canonical_ground(aut)
+        text = "f2(x2,f1(g(x1),0))"  # the fictive f1(g(x1),0) freezes to 0
+        report = freeze_fictive(wide, parse_term(text, wide_sig))
+        assert report.frozen_positions == {P("2")}
+        assert report == freeze_fictive(aut, parse_term(text, sig))
+        assert f"rule: h({','.join(['q1'] * 40)}) -> q0" in render_automaton(wide)
+
 
 class TestCompiledAutomaton:
     def test_state_ids_in_declaration_order(self, aut):
         compiled = compile_automaton(aut)
         assert compiled.names == ("q0", "q1") and compiled.declared == 2
         assert compile_automaton(aut) is compiled
-        assert compiled.target("f1", (1, 1)) == 1 and compiled.target("f1", (0, 1)) == 0
+        # f1(q1,q1) -> q1 and f1(q0,q1) -> q0, with the constants' states first
+        assert run(aut, {}, Node("f1", (Node("1"), Node("1")))).ids == (1, 1, 1)
+        assert run(aut, {}, Node("f1", (Node("0"), Node("1")))).ids == (0, 1, 0)
 
     def test_rule_of_high_arity_gets_a_sparse_table(self, sig, aut):
         # a dense table would need 2**41 entries for this one rule

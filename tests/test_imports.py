@@ -110,6 +110,17 @@ def test_only_the_analysis_and_the_enumerations_check_budgets():
         "verify.essential_by_definition"}
 
 
+def test_only_bounded_walks_take_products_of_states_or_constants():
+    """``itertools.product`` grows as a power of its input, so only walks
+    whose size is checked against a budget or :func:`fta.automaton._exceeds`
+    beforehand, or that build a complete automaton, call it.  Everything
+    else reads the rules an automaton has."""
+    assert functions_using(calls("product")) == {
+        "automaton._assemble", "automaton.enumerate_assignments", "essential.Analysis.witness",
+        "essential.Analysis.separating", "generate.random_automaton",
+        "verify.essential_by_definition"}
+
+
 #: The start of each kind of automaton defect message.
 DEFECT_PREFIXES = ("unknown symbol in rule", "rule arity mismatch", "unknown state in rule",
                    "nondeterministic:", "final state not in Q", "missing:")

@@ -6,7 +6,11 @@ term; the properties that need linearity live in the
 seeded suite (fta.verify) and its tests.
 """
 
+import copy
+import pickle
 import re
+from collections.abc import Mapping
+from dataclasses import fields, is_dataclass
 from itertools import product
 
 import hypothesis.strategies as st
@@ -24,12 +28,14 @@ from fta import (
     Position,
     PositionSet,
     RunTrace,
+    Signature,
     SplitMix64,
     StateLeaf,
     TermSyntaxError,
     UnboundVariableError,
     ValidationError,
     Var,
+    canonical_ground,
     check_assignment,
     check_reduction,
     essential_by_definition,
@@ -586,6 +592,58 @@ def test_run_matches_recursive_reference(aut, t, gamma):
         lambda: partial_run_by_recursion(aut, gamma, t))
 
 
+def canonical_ground_by_layers(aut):
+    """Reference for :func:`fta.canonical_ground`: layer L tries every
+    tuple, of each declared symbol's arity, over the declared states
+    reached so far, of which the deepest was reached in layer L-1, and
+    looks each up in ``aut.rules`` by name."""
+    chosen = {}  # state -> (depth, term)
+    layer = 0
+    while True:
+        candidates = {}
+        ready = [q for q in dict.fromkeys(aut.states) if q in chosen]
+        for symbol, arity in aut.signature.symbols:
+            for combo in product(ready, repeat=arity):
+                if max((chosen[q][0] for q in combo), default=-1) != layer - 1:
+                    continue
+                state = aut.rules.get((symbol, combo))
+                if state is None or state in chosen:
+                    continue
+                term = Node(symbol, tuple(chosen[q][1] for q in combo))
+                key = (len(render_term(term)), render_term(term))
+                if state not in candidates or key < candidates[state][0]:
+                    candidates[state] = (key, term)
+        if not candidates:
+            break
+        for state, (_, term) in candidates.items():
+            chosen[state] = (layer, term)
+        layer += 1
+    return {q: chosen[q][1] for q in dict.fromkeys(aut.states) if q in chosen}
+
+
+WITH_H3 = Signature([*SIG.symbols, ("h", 3)])
+
+
+@st.composite
+def ground_automata(draw):
+    """Valid and unvalidated automata, some over a signature with the
+    ternary symbol h and rules for it, with some states declared twice
+    and the declarations shuffled."""
+    aut = draw(st.one_of(automata(), unvalidated_automata()))
+    states = st.sampled_from([*aut.states, UNDECLARED])
+    h_rules = st.dictionaries(st.tuples(st.just("h"), st.tuples(states, states, states)), states,
+                              max_size=8)
+    declared = aut.states + tuple(draw(st.lists(st.sampled_from(aut.states), max_size=2)))
+    return Automaton(draw(st.sampled_from([SIG, WITH_H3])), tuple(draw(st.permutations(declared))),
+                     aut.final, dict(aut.rules) | draw(h_rules))
+
+
+@settings(max_examples=300, deadline=None)
+@given(ground_automata())
+def test_canonical_ground_matches_layered_reference(aut):
+    assert list(canonical_ground(aut).items()) == list(canonical_ground_by_layers(aut).items())
+
+
 @given(st.one_of(terms(), nonlinear_terms(), mixed_terms()))
 def test_position_names_and_order(t):
     assert_names_and_order(t)
@@ -860,3 +918,40 @@ def test_kept_text_is_the_walked_rendering(t, data):
     parsed = parse_term(text, SIG, allow_state_leaves=True)
     assert parsed == t
     assert render_term(parsed) == canonical == render_term(substitute(parsed, {}))
+
+
+DUPLICATES = [copy.copy, copy.deepcopy, lambda value: pickle.loads(pickle.dumps(value))]
+
+
+def mappings_of(value):
+    """The mappings among ``value``'s fields and those of the values it holds."""
+    for f in fields(value):
+        held = getattr(value, f.name)
+        if isinstance(held, Mapping):
+            yield held
+        elif is_dataclass(held):
+            yield from mappings_of(held)
+
+
+@settings(max_examples=40, deadline=None)
+@given(automata(), st.one_of(linear_terms(), nonlinear_terms()))
+def test_result_values_copy_and_pickle(aut, t):
+    """A copy or pickle round trip of an automaton or a result is an
+    equal value of the same type whose mappings are still read-only, and
+    a copied automaton answers queries as the original does."""
+    report = essential_positions(aut, t)
+    reduction = freeze_fictive(aut, t)
+    values = [aut, report, reduction, *report.witnesses.values(),
+              *(is_separable(aut, t, [p]) for p in report.essential_positions)]
+    for value in values:
+        for duplicate in DUPLICATES:
+            copied = duplicate(value)
+            assert type(copied) is type(value) and copied == value
+            for mapping in mappings_of(copied):
+                with pytest.raises(TypeError):
+                    mapping[next(iter(mapping), 0)] = None
+    for duplicate in DUPLICATES:
+        copied = duplicate(aut)
+        assert "_compiled" not in vars(copied)
+        assert essential_positions(copied, t) == report
+        assert freeze_fictive(copied, t) == reduction
