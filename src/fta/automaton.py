@@ -47,7 +47,6 @@ from .terms import (
     Term,
     Var,
     compile_term,
-    render_term,
 )
 
 #: Default cap on exhaustive searches (assignments or candidate pairs
@@ -229,9 +228,7 @@ def parse_automaton(text: str) -> tuple[Signature, Automaton]:
     :func:`validate` also calls, so both list a defect in the same words
     and order.
     """
-    sig_pairs: list[tuple[str, int]] | None = None
-    states: list[str] | None = None
-    final: list[str] | None = None
+    header: dict[str, list] = {}  # the signature, states and final lines, by key
     raw_rules: list[tuple[str, tuple[str, ...], str]] = []
 
     for line_no, raw in enumerate(text.splitlines(), 1):
@@ -242,26 +239,22 @@ def parse_automaton(text: str) -> tuple[Signature, Automaton]:
         if not sep:
             raise AutomatonSyntaxError("expected 'key: value'", line_no)
         key, rest = key.strip(), rest.strip()
+        if key in header:
+            raise AutomatonSyntaxError(f"duplicate {key} line", line_no)
         if key == "signature":
-            if sig_pairs is not None:
-                raise AutomatonSyntaxError("duplicate signature line", line_no)
-            sig_pairs = []
+            header[key] = []
             for tok in rest.split():
                 name, sep2, arity = tok.partition("/")
                 if not sep2 or not arity.isdecimal():
                     raise AutomatonSyntaxError(f"bad symbol declaration {tok!r}", line_no)
-                sig_pairs.append((name, int(arity)))
+                header[key].append((name, int(arity)))
         elif key == "states":
-            if states is not None:
-                raise AutomatonSyntaxError("duplicate states line", line_no)
-            states = rest.split()
-            for q in states:
+            header[key] = rest.split()
+            for q in header[key]:
                 if not _STATE_RE.match(q):
                     raise AutomatonSyntaxError(f"bad state name {q!r}", line_no)
         elif key == "final":
-            if final is not None:
-                raise AutomatonSyntaxError("duplicate final line", line_no)
-            final = rest.split()
+            header[key] = rest.split()
         elif key == "rule":
             lhs_text, sep2, target = rest.partition("->")
             if not sep2:
@@ -278,12 +271,10 @@ def parse_automaton(text: str) -> tuple[Signature, Automaton]:
         else:
             raise AutomatonSyntaxError(f"unknown directive {key!r}", line_no)
 
-    if sig_pairs is None:
-        raise AutomatonSyntaxError("missing 'signature:' line")
-    if states is None:
-        raise AutomatonSyntaxError("missing 'states:' line")
-    if final is None:
-        raise AutomatonSyntaxError("missing 'final:' line")
+    for key in ("signature", "states", "final"):
+        if key not in header:
+            raise AutomatonSyntaxError(f"missing '{key}:' line")
+    sig_pairs, states, final = header["signature"], header["states"], header["final"]
 
     try:
         sig = Signature(sig_pairs)
@@ -526,38 +517,43 @@ def partial_run(aut: Automaton, gamma: Mapping[int, str], t: Term) -> Term:
 
 
 def canonical_ground(aut: Automaton) -> dict[str, Term]:
-    """A minimal ground representative for every reachable state.
-
-    Representatives have minimal depth; ties are broken by render
-    length, then lexicographically.  States no ground term reaches are
-    absent.  Every constant's state is present, and the state a frozen
-    ground subtree evaluates to always has a representative.
+    """A minimal-depth ground representative for every reachable state.
 
     Only the rules of a declared symbol at its arity, from declared
-    states to a declared state, are read.  Layer L holds the terms of
-    depth L: a rule over representatives of which the deepest is in
-    layer L-1; a constant's rule has none, so it is in layer 0.
+    states to a declared state, are read, so the states present are
+    those a ground term reaches: every declared state a constant's rule
+    gives, and every state a rule gives from states present.  A state
+    only a state leaf reaches is absent.
+
+    The search goes in rounds.  In each round, every rule whose
+    arguments all have representatives and whose target has none
+    offers its symbol over the arguments' representatives, and each
+    target keeps the least offer by (render length, text).  Round 0
+    chooses the constants' states; a rule first offers in the round
+    after its last argument is chosen, so, by induction, round L
+    chooses terms of depth L and no term of a lower depth reaches a
+    state first chosen in round L.  A representative is the shortest
+    of its round's offers, not always the shortest term of its depth:
+    an argument's shorter but deeper term is never offered.  Only the
+    winners are built as terms.
     """
     states, arity = set(aut.states), aut.signature.arity
     rules = [(symbol, args, target) for (symbol, args), target in aut.rules.items()
              if arity(symbol) == len(args) and target in states and states.issuperset(args)]
-    chosen: dict[str, tuple[int, Term]] = {}  # state -> (depth, term)
-    layer = 0
+    texts: dict[str, str] = {}  # state -> its representative's text
+    chosen: dict[str, Term] = {}
     while True:
-        candidates: dict[str, tuple[tuple[int, str], Term]] = {}
+        offers: dict[str, tuple[tuple[int, str], str, tuple[str, ...]]] = {}
         for symbol, args, target in rules:
-            if target in chosen or not chosen.keys() >= set(args):
+            if target in texts or not texts.keys() >= set(args):
                 continue
-            if max((chosen[q][0] for q in args), default=-1) != layer - 1:
-                continue
-            term = Node(symbol, tuple(chosen[q][1] for q in args))
-            text = render_term(term)
+            text = _lhs(symbol, tuple(texts[q] for q in args))
             key = (len(text), text)
-            if target not in candidates or key < candidates[target][0]:
-                candidates[target] = (key, term)
-        if not candidates:
+            if target not in offers or key < offers[target][0]:
+                offers[target] = (key, symbol, args)
+        if not offers:
             break
-        for state, (_, term) in candidates.items():
-            chosen[state] = (layer, term)
-        layer += 1
-    return {q: chosen[q][1] for q in dict.fromkeys(aut.states) if q in chosen}
+        for target, ((_, text), symbol, args) in offers.items():
+            texts[target] = text
+            chosen[target] = Node(symbol, tuple(chosen[q] for q in args))
+    return {q: chosen[q] for q in dict.fromkeys(aut.states) if q in chosen}

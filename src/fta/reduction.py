@@ -132,8 +132,11 @@ def freeze_fictive(aut: Automaton, t: Term, *,
     and the resulting ground subtree is replaced by its state's minimal
     ground representative.  Every such state is read from the run of
     ``t`` under the first canonical assignment (see
-    :func:`fta.automaton.run`).  If a determining subtree exists and is
-    smaller than the frozen term, it becomes the reduced term instead.
+    :func:`fta.automaton.run`); a subtree is left as it is when its
+    representative would not shrink it, or when its state has none (a
+    state only a state leaf reaches).  If a determining subtree exists
+    and is smaller than the frozen term, it becomes the reduced term
+    instead.
     :func:`check_reduction` re-verifies the result exhaustively.
     """
     report = essential_positions(aut, t, budget=budget)
@@ -157,10 +160,9 @@ def freeze_fictive(aut: Automaton, t: Term, *,
             continue  # a variable occurs outside the subtree
         if reps is None:
             reps = canonical_ground(aut)
-        rep = reps[analysis(aut, t).first_state(node)]
-        saved = sizes[node] - node_count(rep)
-        if saved <= 0:
-            continue  # representative would not shrink the term
+        rep = reps.get(analysis(aut, t).first_state(node))
+        if rep is None or (saved := sizes[node] - node_count(rep)) <= 0:
+            continue  # no representative (a state leaf's state), or none smaller
         pruned, pruned_nodes = replace_at(pruned, p, rep), pruned_nodes - saved
         frozen.add(node)
 

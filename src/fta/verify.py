@@ -50,7 +50,6 @@ from .terms import (
     PositionSet,
     Term,
     compile_term,
-    is_prefix_closed,
     is_prefix_determined,
     ind_positions,
     node_count,
@@ -184,14 +183,9 @@ def verify_properties(aut: Automaton, t: Term, *, budget: int = DEFAULT_BUDGET,
         return reduction
 
     def p1():
-        rep = need_reduction().essentiality
-        if not is_prefix_closed(rep.essential_positions):
-            bad = [
-                str(p) for p in rep.essential_positions
-                if p.indices and p.parent() not in rep.essential_positions
-            ]
-            return [f"essential positions not prefix closed at: {', '.join(bad)}"]
-        return []
+        ess = need_reduction().essentiality.essential_positions
+        bad = [str(p) for p in ess if p.indices and p.parent() not in ess]
+        return [f"essential positions not prefix closed at: {', '.join(bad)}"] if bad else []
 
     def p2():
         return [

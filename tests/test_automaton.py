@@ -8,12 +8,15 @@ from fta import (
     Automaton,
     AutomatonSyntaxError,
     FtaError,
+    InvalidPositionError,
     Node,
+    Position,
     StateLeaf,
     UnboundVariableError,
     UnknownSymbolError,
     Signature,
     ValidationError,
+    Var,
     canonical_ground,
     enumerate_assignments,
     EnumerationBudgetExceeded,
@@ -85,6 +88,53 @@ class TestParsing:
             "final: q1", "final: q1  # accepting")
         _, aut = parse_automaton(text)
         assert aut.final == {"q1"}
+
+
+HEADER = "signature: 0/0 g/1\nstates: q0 q1\nfinal: q1\n"
+
+
+class TestInputErrors:
+    """Every input error of the readers, by its exact message."""
+
+    @pytest.mark.parametrize("text, message", [
+        (HEADER + "rule 0 -> q0\n", "line 4: expected 'key: value'"),
+        (HEADER + "signature: 0/0\n", "line 4: duplicate signature line"),
+        (HEADER + "states: q0\n", "line 4: duplicate states line"),
+        (HEADER + "final: q0\n", "line 4: duplicate final line"),
+        ("signature: 0/0\nstates: q-0\nfinal:\n", "line 2: bad state name 'q-0'"),
+        (HEADER + "rule: 0 q0\n", "line 4: rule needs '->'"),
+        (HEADER + "rule: (q0) -> q1\n", "line 4: bad rule left-hand side '(q0)'"),
+        (HEADER + "rule: 0 -> q0 q1\n", "line 4: bad rule target 'q0 q1'"),
+        (HEADER + "rule: 0 ->\n", "line 4: bad rule target ''"),
+        (HEADER + "bogus: 1\n", "line 4: unknown directive 'bogus'"),
+        ("states: q0\nfinal: q0\n", "missing 'signature:' line"),
+        ("signature: 0/0\nfinal: q0\n", "missing 'states:' line"),
+        ("signature: 0/0\nstates: q0\n", "missing 'final:' line"),
+        ("signature: 0/0 g-/1\nstates: q0\nfinal: q0\n", "bad symbol name 'g-'"),
+        ("signature: 0/0 x1/1\nstates: q0\nfinal: q0\n",
+         "symbol name 'x1' collides with the variable namespace"),
+        ("signature: 0/0 0/0\nstates: q0\nfinal: q0\n", "duplicate symbol '0'"),
+        ("signature: g/1\nstates: q0\nfinal: q0\n", "signature needs at least one nullary symbol"),
+    ])
+    def test_automaton_file(self, text, message):
+        with pytest.raises(AutomatonSyntaxError) as exc:
+            parse_automaton(text)
+        assert str(exc.value) == message
+
+    def test_assignment(self, sig):
+        assert parse_assignment("x1=0,", sig) == {1: "0"}
+        with pytest.raises(UnknownSymbolError) as exc:
+            parse_assignment("x1", sig)
+        assert str(exc.value) == "bad assignment binding 'x1'"
+
+    def test_value_constructors(self):
+        with pytest.raises(ValueError) as exc:
+            Signature([("0", 0), ("g", -1)])
+        assert str(exc.value) == "negative arity for 'g'"
+        with pytest.raises(InvalidPositionError) as exc:
+            Position((0,))
+        assert str(exc.value) == "child indices must be positive: (0,)"
+        assert (Node("0") == Var(1)) is False
 
 
 class TestValidate:

@@ -2,6 +2,7 @@ import copy
 import gc
 import pickle
 import weakref
+from dataclasses import replace
 
 import pytest
 
@@ -49,6 +50,12 @@ class TestWitnessSearch:
         assert w.sub_states == ("q0", "q1")
         assert w.root_states == ("q1", "q0")
         assert w.verify(aut, term)
+
+    def test_witness_must_agree_outside_its_subtree(self, aut, term):
+        w = is_essential_subtree(aut, term, P("1.1"))
+        assert w.verify(aut, term)
+        moved = replace(w, gamma2={**w.gamma2, 3: "1"})  # x3 occurs only outside 1.1
+        assert not moved.verify(aut, term)
 
     def test_fictive_position(self, aut, term):
         assert is_essential_subtree(aut, term, P("2.1")) is None

@@ -158,7 +158,7 @@ def test_parse_term_returns_a_term_or_a_located_error(text, allow):
     try:
         t = parse_term(text, SIG, allow_state_leaves=allow)
     except TermSyntaxError as exc:
-        assert 0 <= exc.offset <= len(text.encode("utf-8"))
+        assert 0 <= exc.offset <= len(text.encode("utf-8", "surrogatepass"))
     else:
         assert parse_term(render_term(t), SIG, allow_state_leaves=allow) == t
 

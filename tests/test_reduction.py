@@ -1,10 +1,14 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 
 from fta import (
+    Automaton,
     Position,
     PremiseViolatedError,
     ROOT,
+    Signature,
     check_reduction,
     determining_subtree,
     essential_by_definition,
@@ -16,6 +20,8 @@ from fta import (
     positions,
     runs_equal_all,
     subterm_at,
+    validate,
+    verify_properties,
 )
 
 from fta.terms import compile_term
@@ -175,6 +181,26 @@ class TestFreezeFictive:
         check_reduction(aut, t, rep)
         assert rep.reduced_term == parse_term("0", sig)
         assert rep.frozen_positions == {ROOT}
+
+    def test_state_leaf_whose_state_no_ground_term_reaches(self):
+        # only @q2 reaches q2, so q2 has no ground representative and the
+        # fictive @q2 leaf is left as it is; the determining x1 still wins
+        sig = Signature([("0", 0), ("1", 0), ("g", 1), ("f1", 2)])
+        rules = {("0", ()): "q0", ("1", ()): "q1",
+                 ("g", ("q0",)): "q1", ("g", ("q1",)): "q0", ("g", ("q2",)): "q0"}
+        for a, b in product(("q0", "q1", "q2"), repeat=2):
+            rules[("f1", (a, b))] = "q1" if (a, b) in (("q2", "q1"), ("q1", "q1")) else "q0"
+        aut = Automaton(sig, ("q0", "q1", "q2"), frozenset({"q1"}), rules)
+        assert validate(sig, aut) == []
+        t = parse_term("f1(@q2,x1)", sig, allow_state_leaves=True)
+        rep = freeze_fictive(aut, t)
+        check_reduction(aut, t, rep)
+        assert rep.reduced_term == parse_term("x1", sig)
+        assert rep.determining_position == P("2")
+        assert rep.frozen_positions == set()
+        assert (rep.original_nodes, rep.reduced_nodes) == (3, 1)
+        report = verify_properties(aut, t)
+        assert report.total_failures == report.total_budget_exceeded == 0
 
     def test_soundness_check_counts_assignments(self, aut, term):
         rep = freeze_fictive(aut, term)
