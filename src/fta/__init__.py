@@ -20,7 +20,6 @@ from .automaton import (
     render_assignment,
     render_automaton,
     run,
-    validate,
 )
 from .errors import (
     ArityMismatchError,
@@ -64,7 +63,6 @@ from .terms import (
     Term,
     Var,
     ind_positions,
-    is_prefix_closed,
     is_prefix_determined,
     node_count,
     parse_term,

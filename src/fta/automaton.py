@@ -26,7 +26,7 @@ import re
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, product
+from itertools import product
 from types import MappingProxyType
 from typing import Iterable, Iterator, Sequence
 
@@ -64,10 +64,14 @@ class Automaton:
     """States, final states and the transition tables over a signature.
 
     ``rules`` maps ``(symbol, argument-state-tuple)`` to the resulting
-    state; constants use the empty tuple.  It is a read-only copy of the
-    mapping passed in.  Construction checks nothing: :func:`validate`
-    lists the defects of an automaton built by hand, and
-    :func:`parse_automaton` refuses a file that has any.
+    state; constants use the empty tuple.  The rules passed in are a
+    mapping or ``((symbol, args), target)`` pairs, in which a key given
+    again with another target is nondeterministic; ``rules`` is a
+    read-only dict of them.  Construction raises
+    :class:`ValidationError`, with the defects that
+    :func:`parse_automaton` lists for a file declaring the same states,
+    final states and rules, unless the automaton is complete and
+    deterministic over distinct declared states.
     """
 
     signature: Signature
@@ -76,7 +80,12 @@ class Automaton:
     rules: Mapping[tuple[str, tuple[str, ...]], str] = field(repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "rules", MappingProxyType(dict(self.rules)))
+        given = self.rules
+        rules, defects = _assemble(self.signature, self.states, self.final,
+                                   given.items() if isinstance(given, Mapping) else given)
+        if defects:
+            raise ValidationError(defects)
+        object.__setattr__(self, "rules", MappingProxyType(rules))
 
     def __reduce__(self):
         """Copies and pickles are rebuilt from a plain dict of the rules
@@ -89,22 +98,20 @@ class CompiledAutomaton:
     """An automaton with integer states and one transition dict per
     symbol.
 
-    ``names[i]`` is the state with id i: the declared states in
-    declaration order, then every other state a rule mentions (only an
-    unvalidated automaton has those); ``ids`` is the inverse and
-    ``declared`` the number of declared states.  The rule
+    ``names[i]`` is the state with id i, in declaration order, and
+    ``ids`` is the inverse.  The rule
     ``f(q1,...,qn) -> q`` maps, in ``tables[f]``, the index of the
     argument ids a1..an in base ``len(names)`` with the digits a1+1,
     ..., an+1 (bijective numeration) to q's id, so argument tuples of
     every length have their own index and a constant's rule has index 0.
-    A missing rule is a ``LookupError`` from ``tables``.
+    The automaton is complete, so only a node whose symbol or arity the
+    signature does not have finds no rule: a ``LookupError`` from
+    ``tables``.
     """
 
     def __init__(self, aut: Automaton):
-        mentioned = (args + (target,) for (_, args), target in aut.rules.items())
-        self.names = tuple(dict.fromkeys(chain(aut.states, *mentioned)))
+        self.names = aut.states
         self.ids = ids = {q: i for i, q in enumerate(self.names)}
-        self.declared = len(set(aut.states))
         self.base = base = len(self.names)
         self.tables: dict[str, dict[int, int]] = {}
         for (symbol, args), target in aut.rules.items():
@@ -117,7 +124,7 @@ class CompiledAutomaton:
         """The state id at every node of ``term``, by node id, for the
         run under ``gamma`` (see :func:`run`, which also checks
         ``gamma``)."""
-        tables, base, ids, declared = self.tables, self.base, self.ids, self.declared
+        tables, base, ids = self.tables, self.base, self.ids
         states: list[int] = []
         for kind, label, kids in zip(term.kinds, term.labels, term.children):
             if kind is Node:
@@ -132,13 +139,10 @@ class CompiledAutomaton:
                 c = gamma.get(label)
                 if c is None:
                     raise UnboundVariableError(f"x{label} is not bound by the assignment")
-                try:
-                    state = tables[c][0]
-                except LookupError:
-                    raise _no_transition(c, ()) from None
+                state = tables[c][0]
             else:
-                state = ids.get(label, declared)
-                if state >= declared:
+                state = ids.get(label)
+                if state is None:
                     raise FtaError(f"@{label} is not a state of the automaton")
             states.append(state)
         return states
@@ -223,13 +227,12 @@ def parse_automaton(text: str) -> tuple[Signature, Automaton]:
 
     Raises :class:`AutomatonSyntaxError` for malformed lines and
     :class:`ValidationError` (carrying the defect list) for incomplete,
-    nondeterministic or otherwise ill-formed automata.  The rules are
-    assembled, and the defects listed, in one pass by the function
-    :func:`validate` also calls, so both list a defect in the same words
-    and order.
+    nondeterministic or otherwise ill-formed automata: the rules go to
+    :class:`Automaton` in file order, whose construction assembles them
+    and lists the defects in one pass.
     """
     header: dict[str, list] = {}  # the signature, states and final lines, by key
-    raw_rules: list[tuple[str, tuple[str, ...], str]] = []
+    rules: list[tuple[tuple[str, tuple[str, ...]], str]] = []
 
     for line_no, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -267,7 +270,7 @@ def parse_automaton(text: str) -> tuple[Signature, Automaton]:
             target = target.strip()
             if not target or len(target.split()) != 1:
                 raise AutomatonSyntaxError(f"bad rule target {target!r}", line_no)
-            raw_rules.append((symbol, args, target))
+            rules.append(((symbol, args), target))
         else:
             raise AutomatonSyntaxError(f"unknown directive {key!r}", line_no)
 
@@ -281,38 +284,24 @@ def parse_automaton(text: str) -> tuple[Signature, Automaton]:
     except ValueError as exc:
         raise AutomatonSyntaxError(str(exc)) from None
 
-    rules, defects = _assemble(sig, states, final, raw_rules)
-    if defects:
-        raise ValidationError(defects)
     return sig, Automaton(sig, tuple(states), frozenset(final), rules)
 
 
-def validate(sig: Signature, aut: Automaton) -> list[str]:
-    """Defect list; empty iff the automaton is complete and deterministic.
-
-    It is the list :func:`parse_automaton` reports for a file declaring
-    ``sig``, ``aut``'s states and final states and its rules in mapping
-    order.  The mapping is single-valued, so no rule is nondeterministic.
-    """
-    rules = ((symbol, args, target) for (symbol, args), target in aut.rules.items())
-    return _assemble(sig, aut.states, aut.final, rules)[1]
-
-
 def _assemble(sig: Signature, states: Sequence[str], final: Iterable[str],
-              rules: Iterable[tuple[str, tuple[str, ...], str]]
+              rules: Iterable[tuple[tuple[str, tuple[str, ...]], str]]
               ) -> tuple[dict[tuple[str, tuple[str, ...]], str], list[str]]:
-    """The rule mapping that ``rules``, ``(symbol, args, target)`` triples
+    """The rule mapping that ``rules``, ``((symbol, args), target)`` pairs
     in file order, assemble into, and the defects of the automaton with
     the declared ``states``, the ``final`` states and that mapping.
 
     The defects are, in order: duplicate state declarations; each rule
     not kept, by the first check it fails (unknown symbol, arity,
     undeclared state, another target than the kept rule's); the final
-    states outside Q; and, symbol by symbol, each argument tuple of the
-    distinct states, in declaration order, without a rule.  The rules
-    each symbol keeps are counted as they are, so a symbol of arity n is
-    complete iff it keeps |Q|^n, and only an incomplete symbol's tuples
-    are walked.  A symbol with more than :data:`DEFAULT_BUDGET` tuples,
+    states outside Q, sorted; and, symbol by symbol, each argument tuple
+    of the distinct states, in declaration order, without a rule.  The
+    rules each symbol keeps are counted as they are, so a symbol of
+    arity n is complete iff it keeps |Q|^n, and only an incomplete
+    symbol's tuples are walked.  A symbol with more than :data:`DEFAULT_BUDGET` tuples,
     or of a higher arity (so one tuple is that long), gets one defect
     with the count instead.
     """
@@ -322,8 +311,9 @@ def _assemble(sig: Signature, states: Sequence[str], final: Iterable[str],
     arities = dict(sig.symbols)
     assembled: dict[tuple[str, tuple[str, ...]], str] = {}
     counts = dict.fromkeys(arities, 0)  # kept rules per symbol
-    for symbol, args, target in rules:
-        key, arity = (symbol, args), arities.get(symbol)
+    for key, target in rules:
+        symbol, args = key
+        arity = arities.get(symbol)
         if arity is None:
             defects.append(f"unknown symbol in rule: {symbol}")
         elif len(args) != arity:
@@ -335,7 +325,7 @@ def _assemble(sig: Signature, states: Sequence[str], final: Iterable[str],
             counts[symbol] += 1
         elif assembled[key] != target:
             defects.append(f"nondeterministic: {_lhs(symbol, args)} -> {assembled[key]} / {target}")
-    defects.extend(f"final state not in Q: {q}" for q in frozenset(final) if q not in state_set)
+    defects.extend(f"final state not in Q: {q}" for q in sorted(set(final) - state_set))
     n = len(distinct)
     for symbol, arity in sig.symbols:
         have = counts[symbol]
@@ -361,22 +351,18 @@ def _exceeds(base: int, exponent: int, bound: int) -> bool:
 def render_automaton(aut: Automaton) -> str:
     """Canonical file-format text; round-trips with :func:`parse_automaton`.
 
-    The rules printed are those of a declared symbol at its arity over
-    declared states, each once, ordered by the symbol's declaration and
-    then by the first declaration of each argument state; their targets
-    are printed as they are.
+    The rules are printed ordered by the symbol's declaration and then
+    by the declaration of each argument state.
     """
     sig = aut.signature
     symbols = {name: i for i, (name, _) in enumerate(sig.symbols)}
-    order = {q: i for i, q in enumerate(dict.fromkeys(aut.states))}
-    rules = [(symbol, args, target) for (symbol, args), target in aut.rules.items()
-             if sig.arity(symbol) == len(args) and order.keys() >= set(args)]
-    rules.sort(key=lambda rule: (symbols[rule[0]], [order[q] for q in rule[1]]))
+    order = {q: i for i, q in enumerate(aut.states)}
+    keys = sorted(aut.rules, key=lambda key: (symbols[key[0]], [order[q] for q in key[1]]))
     lines = [
         "signature: " + " ".join(f"{n}/{a}" for n, a in sig.symbols),
         "states: " + " ".join(aut.states),
         "final: " + " ".join(q for q in aut.states if q in aut.final),
-        *(f"rule: {_lhs(symbol, args)} -> {target}" for symbol, args, target in rules),
+        *(f"rule: {_lhs(*key)} -> {aut.rules[key]}" for key in keys),
     ]
     return "\n".join(lines) + "\n"
 
@@ -491,7 +477,7 @@ def partial_run(aut: Automaton, gamma: Mapping[int, str], t: Term) -> Term:
                     break
                 index = index * base + a + 1
             else:  # every child collapsed
-                try:
+                try:  # no rule for a symbol or arity the signature lacks
                     done.append(tables[label][index])
                 except LookupError:
                     raise _no_transition(label, tuple(names[done[k]] for k in kids)) from None
@@ -499,18 +485,15 @@ def partial_run(aut: Automaton, gamma: Mapping[int, str], t: Term) -> Term:
             args = tuple([StateLeaf(names[b]) if type(b) is int else b
                           for b in [done[k] for k in kids]])
             # ``a`` is the first child that did not collapse; if it and the
-            # rest are state leaves, a state no rule reads blocks the node
+            # rest are state leaves, a state the automaton lacks blocks the node
             if type(a) is StateLeaf and all(type(b) is StateLeaf for b in args):
                 raise _no_transition(label, tuple(b.state for b in args))
             done.append(Node(label, args))
         elif kind is Var and label not in gamma:
             done.append(Var(label))
         elif kind is Var:
-            try:
-                done.append(tables[gamma[label]][0])
-            except LookupError:
-                raise _no_transition(gamma[label], ()) from None
-        else:  # a state no rule mentions has no id, so it stays a leaf
+            done.append(tables[gamma[label]][0])
+        else:  # a state the automaton lacks has no id, so it stays a leaf
             done.append(compiled.ids.get(label, StateLeaf(label)))
     out = done[term.root]
     return StateLeaf(names[out]) if type(out) is int else out
@@ -519,11 +502,9 @@ def partial_run(aut: Automaton, gamma: Mapping[int, str], t: Term) -> Term:
 def canonical_ground(aut: Automaton) -> dict[str, Term]:
     """A minimal-depth ground representative for every reachable state.
 
-    Only the rules of a declared symbol at its arity, from declared
-    states to a declared state, are read, so the states present are
-    those a ground term reaches: every declared state a constant's rule
-    gives, and every state a rule gives from states present.  A state
-    only a state leaf reaches is absent.
+    The states present are those a ground term reaches: every state a
+    constant's rule gives, and every state a rule gives from states
+    present.  A state only a state leaf reaches is absent.
 
     The search goes in rounds.  In each round, every rule whose
     arguments all have representatives and whose target has none
@@ -537,14 +518,11 @@ def canonical_ground(aut: Automaton) -> dict[str, Term]:
     an argument's shorter but deeper term is never offered.  Only the
     winners are built as terms.
     """
-    states, arity = set(aut.states), aut.signature.arity
-    rules = [(symbol, args, target) for (symbol, args), target in aut.rules.items()
-             if arity(symbol) == len(args) and target in states and states.issuperset(args)]
     texts: dict[str, str] = {}  # state -> its representative's text
     chosen: dict[str, Term] = {}
     while True:
         offers: dict[str, tuple[tuple[int, str], str, tuple[str, ...]]] = {}
-        for symbol, args, target in rules:
+        for (symbol, args), target in aut.rules.items():
             if target in texts or not texts.keys() >= set(args):
                 continue
             text = _lhs(symbol, tuple(texts[q] for q in args))
@@ -556,4 +534,4 @@ def canonical_ground(aut: Automaton) -> dict[str, Term]:
         for target, ((_, text), symbol, args) in offers.items():
             texts[target] = text
             chosen[target] = Node(symbol, tuple(chosen[q] for q in args))
-    return {q: chosen[q] for q in dict.fromkeys(aut.states) if q in chosen}
+    return {q: chosen[q] for q in aut.states if q in chosen}

@@ -101,14 +101,12 @@ class Node:
     symbol: str
     children: tuple["Term", ...] = ()
 
-    @classmethod
-    def _trusted(cls, symbol: str, children: tuple["Term", ...]) -> "Node":
-        """A node from fields already known to be right."""
-        node = object.__new__(cls)
-        fields = node.__dict__
+    def __init__(self, symbol: str, children: tuple["Term", ...] = ()):
+        # written straight into the instance dict, past the frozen
+        # dataclass's slower object.__setattr__
+        fields = self.__dict__
         fields["symbol"] = symbol
         fields["children"] = children
-        return node
 
     def _arrays(self) -> tuple:
         term = compile_term(self)
@@ -291,7 +289,6 @@ def parse_term(text: str, sig: Signature, *, allow_state_leaves: bool = False) -
         raise TermSyntaxError("empty input", 0)
     toks.append("")  # end of input: the lookahead never runs past it
     arities = sig._arities
-    trusted = Node._trusted
     kinds: list[type] = []
     labels: list[object] = []
     children: list[tuple[int, ...]] = []
@@ -317,7 +314,7 @@ def parse_term(text: str, sig: Signature, *, allow_state_leaves: bool = False) -
         leaf = leaves.get(tok)
         if leaf is None:
             if arity == 0:
-                leaf = (Node, tok, trusted(tok, ()))
+                leaf = (Node, tok, Node(tok))
             elif m := _VAR_RE.match(tok):
                 index = int(m.group(1))
                 leaf = (Var, index, Var(index))
@@ -361,7 +358,7 @@ def parse_term(text: str, sig: Signature, *, allow_state_leaves: bool = False) -
                                     f"{symbol} expects {arity} arguments, got {len(ids) - first}",
                                     at)
             children.append(tuple(ids[first:]))
-            node = trusted(symbol, tuple(done[first:]))
+            node = Node(symbol, tuple(done[first:]))
             del ids[first:], done[first:]
             ids.append(n)
             done.append(node)
@@ -639,12 +636,6 @@ def ind_positions(t: Term, p: Position) -> PositionSet:
     term = compile_term(t)
     node = term.node_at(p)
     return term.position_set(lambda i: term.independent(node, i))
-
-
-def is_prefix_closed(ps: Iterable[Position]) -> bool:
-    """True iff the set contains every prefix of each member."""
-    s = set(ps)
-    return all(p.indices == () or p.parent() in s for p in s)
 
 
 def is_prefix_determined(ps: Iterable[Position], qs: Iterable[Position]) -> bool:

@@ -40,6 +40,12 @@ def is_prefix(p: Position, q: Position) -> bool:
     return p.indices == q.indices[:len(p.indices)]
 
 
+def prefix_closed(ps) -> bool:
+    """By definition: every prefix of each member is a member."""
+    s = set(ps)
+    return all(Position(p.indices[:k]) in s for p in s for k in range(len(p.indices)))
+
+
 def depth(t) -> int:
     """By definition: the length of the longest position of ``t``."""
     return max(map(len, positions(t)))

@@ -138,9 +138,9 @@ def automaton_defects(sig, states, final, rules):
     kept), ``final`` states and ``rules``, a list of ``(symbol, args,
     target)`` in file order: ``(assembly, checks, assembled)``, where
     ``assembly`` lists those met while the rules are assembled into
-    ``assembled`` and ``checks`` the final states outside Q, then every
-    argument tuple of the distinct ``states``, in declaration order,
-    without a rule, found by walking them all."""
+    ``assembled`` and ``checks`` the final states outside Q, sorted,
+    then every argument tuple of the distinct ``states``, in declaration
+    order, without a rule, found by walking them all."""
     assembly = []
     if len(set(states)) != len(states):
         assembly.append("duplicate state declarations")
@@ -158,7 +158,7 @@ def automaton_defects(sig, states, final, rules):
         elif assembled[(symbol, args)] != target:
             assembly.append(f"nondeterministic: {lhs(symbol, args)} -> "
                             f"{assembled[(symbol, args)]} / {target}")
-    checks = [f"final state not in Q: {q}" for q in frozenset(final) if q not in states]
+    checks = [f"final state not in Q: {q}" for q in sorted(set(final) - set(states))]
     for symbol, arity in sig.symbols:
         for combo in product(dict.fromkeys(states), repeat=arity):
             if (symbol, combo) not in assembled:

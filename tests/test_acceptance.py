@@ -16,7 +16,6 @@ from fta import (
     freeze_fictive,
     ind_positions,
     is_essential_subtree,
-    is_prefix_closed,
     node_count,
     parse_term,
     positions,
@@ -32,7 +31,7 @@ from fta.cli import main as cli_main
 
 import pytest
 
-from conftest import P, PS
+from conftest import P, PS, prefix_closed
 
 G1 = {1: "0", 2: "0", 3: "0", 4: "1"}
 G2 = {1: "0", 2: "0", 3: "1", 4: "1"}
@@ -93,7 +92,7 @@ def test_criterion_3_essentiality_verdicts(aut, term):
 
     assert witness is not None and witness.verify(aut, term)
     assert fictive is None
-    assert is_prefix_closed(report.essential_positions)
+    assert prefix_closed(report.essential_positions)
     assert det == P("1")
     assert equal
     assert elapsed < 0.050

@@ -30,7 +30,6 @@ from fta import (
     render_term,
     run,
     subterm_at,
-    validate,
 )
 
 from fta.automaton import compile_automaton
@@ -48,7 +47,7 @@ class TestParsing:
         assert aut.states == ("q0", "q1")
         assert aut.final == {"q1"}
         assert len(aut.rules) == 12
-        assert validate(sig, aut) == []
+        assert Automaton(sig, aut.states, aut.final, aut.rules) == aut
 
     def test_missing_rule_is_incomplete(self):
         text = SAMPLE_AUTOMATON.replace("rule: f1(q1,q0) -> q0\n", "")
@@ -74,9 +73,10 @@ class TestParsing:
         assert aut2.rules == aut.rules
         assert aut2.final == aut.final
 
-    def test_render_prints_each_rule_once_when_a_state_is_declared_twice(self, aut):
-        twice = Automaton(aut.signature, ("q0", "q0", "q1"), aut.final, aut.rules)
-        assert render_automaton(twice).splitlines()[3:] == render_automaton(aut).splitlines()[3:]
+    def test_a_state_declared_twice_is_refused(self, aut):
+        with pytest.raises(ValidationError) as exc:
+            Automaton(aut.signature, ("q0", "q0", "q1"), aut.final, aut.rules)
+        assert exc.value.defects == ["duplicate state declarations"]
 
     @pytest.mark.parametrize("arity", ["²", "-1", "a", ""])
     def test_arity_must_be_decimal_digits(self, arity):
@@ -137,16 +137,21 @@ class TestInputErrors:
         assert (Node("0") == Var(1)) is False
 
 
-class TestValidate:
+def defects(*args) -> list[str]:
+    """The defects the :class:`Automaton` constructor refuses ``args`` with."""
+    with pytest.raises(ValidationError) as exc:
+        Automaton(*args)
+    return exc.value.defects
+
+
+class TestConstructorChecks:
     def test_final_outside_states(self, sig, aut):
-        broken = Automaton(sig, aut.states, frozenset({"q2"}), dict(aut.rules))
-        assert "final state not in Q: q2" in validate(sig, broken)
+        assert "final state not in Q: q2" in defects(sig, aut.states, frozenset({"q2"}), aut.rules)
 
     def test_missing_constant_rule(self, sig, aut):
         rules = dict(aut.rules)
         del rules[("1", ())]
-        broken = Automaton(sig, aut.states, aut.final, rules)
-        assert validate(sig, broken) == ["missing: 1"]
+        assert defects(sig, aut.states, aut.final, rules) == ["missing: 1"]
 
     def test_symbol_with_too_many_tuples_to_list_gets_a_count(self):
         # 2^21 argument tuples exceed DEFAULT_BUDGET; a rule over an
@@ -154,8 +159,7 @@ class TestValidate:
         sig = Signature([("0", 0), ("h", 21)])
         bad_args = ("q0",) * 20 + ("q9",)
         rules = {("0", ()): "q0", ("h", ("q0",) * 21): "q1", ("h", bad_args): "q0"}
-        broken = Automaton(sig, ("q0", "q1"), frozenset({"q1"}), rules)
-        assert validate(sig, broken) == [
+        assert defects(sig, ("q0", "q1"), frozenset({"q1"}), rules) == [
             f"unknown state in rule: h({','.join(bad_args)}) -> q0",
             "missing: all but 1 of the 2^21 rules for h",
         ]
@@ -163,8 +167,13 @@ class TestValidate:
     def test_one_state_and_a_higher_arity_than_the_budget_gets_a_count(self):
         # the one missing tuple would be 2^20 + 1 states long
         sig = Signature([("0", 0), ("h", 2 ** 20 + 1)])
-        broken = Automaton(sig, ("q0",), frozenset({"q0"}), {("0", ()): "q0"})
-        assert validate(sig, broken) == ["missing: all but 0 of the 1^1048577 rules for h"]
+        assert defects(sig, ("q0",), frozenset({"q0"}), {("0", ()): "q0"}) == [
+            "missing: all but 0 of the 1^1048577 rules for h"]
+
+    def test_rule_pairs_in_order_keep_a_repeated_key(self, sig, aut):
+        pairs = [*aut.rules.items(), (("g", ("q0",)), "q0")]
+        assert defects(sig, aut.states, aut.final, pairs) == ["nondeterministic: g(q0) -> q1 / q0"]
+        assert Automaton(sig, aut.states, aut.final, list(aut.rules.items())) == aut
 
 
 class TestRun:
@@ -253,6 +262,28 @@ class TestRun:
             run(aut, {}, bad)
 
 
+class TestTermsTheAutomatonHasNoRuleFor:
+    """The errors a complete automaton still meets: symbols, arities
+    and state leaves that the term has and the automaton does not."""
+
+    def test_symbol_outside_the_signature(self, sig, aut):
+        t = parse_term("f1(h(x1),0)", Signature([*sig.symbols, ("h", 1)]))
+        for evaluate in (run, partial_run):
+            with pytest.raises(FtaError, match=r"^no transition for h\(q0\)$"):
+                evaluate(aut, {1: "0"}, t)
+
+    def test_wrong_arity(self, aut):
+        with pytest.raises(FtaError, match=r"^no transition for g\(q0,q1\)$"):
+            run(aut, {}, Node("g", (Node("0"), Node("1"))))
+
+    def test_state_leaf_outside_the_states(self, sig, aut):
+        t = parse_term("g(@zz)", sig, allow_state_leaves=True)
+        with pytest.raises(FtaError, match=r"^@zz is not a state of the automaton$"):
+            run(aut, {}, t)
+        with pytest.raises(FtaError, match=r"^no transition for g\(zz\)$"):
+            partial_run(aut, {}, t)
+
+
 class TestPartialRun:
     def test_total_assignment_collapses_fully(self, aut, term):
         out = partial_run(aut, G3, term)
@@ -274,14 +305,6 @@ class TestPartialRun:
 
     def test_matches_run_on_total(self, aut, term):
         assert partial_run(aut, G1, term) == StateLeaf(run(aut, G1, term).result)
-
-    def test_bound_variable_needs_a_constant_rule(self, sig, aut):
-        rules = {key: q for key, q in aut.rules.items() if key != ("1", ())}
-        partial = Automaton(sig, aut.states, aut.final, rules)
-        t = parse_term("f1(x1,x2)", sig)
-        with pytest.raises(FtaError, match=r"^no transition for 1$"):
-            partial_run(partial, {2: "1"}, t)
-        assert render_term(partial_run(partial, {2: "0"}, t)) == "f1(x1,@q0)"
 
 
 class TestEnumerateAssignments:
@@ -326,6 +349,13 @@ class TestAssignmentText:
             parse_assignment(text, sig)
 
 
+def one_state_with_h40(sig) -> Automaton:
+    """The complete one-state automaton over ``sig`` and ``h/40``."""
+    wide_sig = Signature([*sig.symbols, ("h", 40)])
+    return Automaton(wide_sig, ("q0",), frozenset({"q0"}),
+                     {(symbol, ("q0",) * arity): "q0" for symbol, arity in wide_sig.symbols})
+
+
 class TestCanonicalGround:
     def test_sample(self, aut):
         reps = canonical_ground(aut)
@@ -354,31 +384,36 @@ class TestCanonicalGround:
         for state, rep in canonical_ground(aut).items():
             assert run(aut, {}, rep).result == state
 
-    def test_rule_of_high_arity_is_read_not_searched_for(self, sig, aut):
+    def test_symbol_of_high_arity_is_counted_not_searched_for(self, sig, aut):
         # the argument tuples of h over two states number 2**40
         wide_sig = Signature([*sig.symbols, ("h", 40)])
-        wide = Automaton(wide_sig, aut.states, aut.final, dict(aut.rules) | {("h", ("q1",) * 40): "q0"})
-        assert canonical_ground(wide) == canonical_ground(aut)
-        text = "f2(x2,f1(g(x1),0))"  # the fictive f1(g(x1),0) freezes to 0
-        report = freeze_fictive(wide, parse_term(text, wide_sig))
-        assert report.frozen_positions == {P("2")}
-        assert report == freeze_fictive(aut, parse_term(text, sig))
-        assert f"rule: h({','.join(['q1'] * 40)}) -> q0" in render_automaton(wide)
+        rules = dict(aut.rules) | {("h", ("q1",) * 40): "q0"}
+        assert defects(wide_sig, aut.states, aut.final, rules) == [
+            "missing: all but 1 of the 2^40 rules for h"]
+
+    def test_one_state_with_a_symbol_of_high_arity(self, sig):
+        one = one_state_with_h40(sig)
+        wide_sig = one.signature
+        assert {q: render_term(t) for q, t in canonical_ground(one).items()} == {"q0": "0"}
+        report = freeze_fictive(one, parse_term(f"f2(x2,h({','.join(['x1'] * 40)}))", wide_sig))
+        assert render_term(report.reduced_term) == "0"
+        assert f"rule: h({','.join(['q0'] * 40)}) -> q0" in render_automaton(one)
+        assert parse_automaton(render_automaton(one)) == (wide_sig, one)
 
 
 class TestCompiledAutomaton:
     def test_state_ids_in_declaration_order(self, aut):
         compiled = compile_automaton(aut)
-        assert compiled.names == ("q0", "q1") and compiled.declared == 2
+        assert compiled.names == ("q0", "q1")
         assert compile_automaton(aut) is compiled
         # f1(q1,q1) -> q1 and f1(q0,q1) -> q0, with the constants' states first
         assert run(aut, {}, Node("f1", (Node("1"), Node("1")))).ids == (1, 1, 1)
         assert run(aut, {}, Node("f1", (Node("0"), Node("1")))).ids == (0, 1, 0)
 
-    def test_rule_of_high_arity_gets_a_sparse_table(self, sig, aut):
-        # a dense table would need 2**41 entries for this one rule
-        wide = Automaton(sig, aut.states, aut.final, dict(aut.rules) | {("h", ("q1",) * 40): "q0"})
-        assert isinstance(compile_automaton(wide).tables["h"], dict)
-        assert run(wide, {}, Node("h", (Node("1"),) * 40)).result == "q0"
-        with pytest.raises(FtaError, match=r"^no transition for h\(q0,q1,"):
-            run(wide, {}, Node("h", (Node("0"),) + (Node("1"),) * 39))
+    def test_rule_of_high_arity_gets_a_sparse_table(self, sig):
+        # the argument ids of h(q0,...,q0) have index 40 in base 1
+        one = one_state_with_h40(sig)
+        assert compile_automaton(one).tables["h"] == {40: 0}
+        assert run(one, {}, Node("h", (Node("1"),) * 40)).result == "q0"
+        with pytest.raises(FtaError, match=r"^no transition for h\(q0,q0,"):
+            run(one, {}, Node("h", (Node("0"),) * 39))

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -69,6 +73,20 @@ class TestCheck:
         assert main(["check", str(path)]) == 1
         assert capsys.readouterr().out == (
             "duplicate state declarations\nmissing: g(q0)\nmissing: g(q1)\n")
+
+    def test_final_states_outside_q_in_the_same_order_under_every_hash_seed(self, tmp_path):
+        path = tmp_path / "finals.fta"
+        path.write_text("signature: 0/0\nstates: q0\nfinal: qa qb qc qd\nrule: 0 -> q0\n")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        outputs = set()
+        for seed in ("1", "2", "3", "4"):
+            env = {**os.environ, "PYTHONHASHSEED": seed,
+                   "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+            done = subprocess.run([sys.executable, "-m", "fta.cli", "check", str(path)],
+                                  env=env, capture_output=True, text=True, check=False)
+            assert done.returncode == 1, done.stderr
+            outputs.add(done.stdout)
+        assert outputs == {"".join(f"final state not in Q: {q}\n" for q in ("qa", "qb", "qc", "qd"))}
 
     def test_json_mode(self, aut_file, capsys):
         assert main(["check", "--json", aut_file]) == 0

@@ -20,7 +20,6 @@ from fta import (
     freeze_fictive,
     ind_positions,
     is_essential_subtree,
-    is_prefix_closed,
     is_separable,
     parse_automaton,
     parse_term,
@@ -31,7 +30,7 @@ from fta import (
 from fta.essential import essential_in_subterm
 from fta.terms import compile_term
 
-from conftest import P, PS, SAMPLE_AUTOMATON, SAMPLE_TERM, is_prefix
+from conftest import P, PS, SAMPLE_AUTOMATON, SAMPLE_TERM, is_prefix, prefix_closed
 
 # Frozen from an independent enumeration of all assignment pairs over
 # the boolean semantics of the sample automaton (q0=0, q1=1; g=not,
@@ -151,7 +150,7 @@ class TestReport:
 
     def test_prefix_closed_on_sample(self, aut, term):
         rep = essential_positions(aut, term)
-        assert is_prefix_closed(rep.essential_positions)
+        assert prefix_closed(rep.essential_positions)
 
     def test_essential_vars_included(self, aut, term):
         rep = essential_positions(aut, term)

@@ -2,6 +2,7 @@ import pytest
 
 from fta import (
     DEFAULT_SIGNATURE,
+    Automaton,
     GenParams,
     SplitMix64,
     Var,
@@ -11,7 +12,6 @@ from fta import (
     render_automaton,
     render_term,
     subterm_at,
-    validate,
     variables,
 )
 
@@ -65,7 +65,7 @@ class TestRandomAutomaton:
     @pytest.mark.parametrize("seed", range(20))
     def test_valid_and_complete(self, seed):
         aut = random_automaton(GenParams(seed=seed, state_count=3))
-        assert validate(DEFAULT_SIGNATURE, aut) == []
+        assert Automaton(DEFAULT_SIGNATURE, aut.states, aut.final, aut.rules) == aut
         assert aut.final
 
     def test_single_state_collapse(self):

@@ -128,8 +128,9 @@ DEFECT_PREFIXES = ("unknown symbol in rule", "rule arity mismatch", "unknown sta
 
 @pytest.mark.parametrize("prefix", DEFECT_PREFIXES)
 def test_each_defect_message_is_built_in_one_function(prefix):
-    """Parsing and :func:`fta.validate` list an automaton's defects
-    through one function, so each message has one wording."""
+    """The :class:`fta.Automaton` constructor lists an automaton's
+    defects, for itself and for parsing, through one function, so each
+    message has one wording."""
     def starts_message(node) -> bool:
         return (isinstance(node, ast.Constant) and isinstance(node.value, str)
                 and node.value.startswith(prefix))

@@ -42,7 +42,6 @@ from fta import (
     essential_positions,
     essential_vars,
     is_essential_subtree,
-    is_prefix_closed,
     is_prefix_determined,
     is_separable,
     enumerate_assignments,
@@ -61,7 +60,6 @@ from fta import (
     run,
     substitute,
     subterm_at,
-    validate,
     variables,
     verify_properties,
 )
@@ -69,7 +67,7 @@ from fta.automaton import compile_automaton
 from fta.essential import essential_in_subterm
 from fta.terms import compile_term
 
-from conftest import assert_names_and_order, is_prefix
+from conftest import assert_names_and_order, is_prefix, prefix_closed
 from reference_parsers import automaton_defects, lhs, parse_term_by_characters
 
 SIG = DEFAULT_SIGNATURE
@@ -203,7 +201,7 @@ def test_parser_matches_the_character_loop_reference(text, allow):
 @given(terms())
 def test_positions_prefix_closed_and_counted(t):
     pos = positions(t)
-    assert is_prefix_closed(pos)
+    assert prefix_closed(pos)
     assert len(pos) == node_count(t)
 
 
@@ -446,30 +444,19 @@ def outcome(f):
         return type(exc), str(exc)
 
 
-#: A state that no automaton declares but that unvalidated automata's
-#: rules may mention, and one that nothing mentions.
-UNDECLARED, UNKNOWN = "q8", "q9"
+#: A state that no automaton has.
+UNKNOWN = "q9"
+
+WITH_H3 = Signature([*SIG.symbols, ("h", 3)])
 
 
-@st.composite
-def unvalidated_automata(draw):
-    """Random automata with 1-4 states, built without validation: some
-    lose transitions, some rules lead to or read an undeclared state,
-    and some have an arity their symbol does not have."""
-    aut = random_automaton(GenParams(seed=draw(st.integers(0, 2 ** 32)),
-                                     state_count=draw(st.integers(1, 4))))
-    rules = dict(aut.rules)
-    keys = sorted(rules)
-    for key in draw(st.lists(st.sampled_from(keys), max_size=3, unique=True)):
-        del rules[key]
-    for key in draw(st.lists(st.sampled_from(keys), max_size=2, unique=True)):
-        rules[key] = UNDECLARED
-    states = st.sampled_from([*aut.states, UNDECLARED])
-    extra = st.tuples(st.sampled_from(["0", "g", "f1", "h"]),
-                      st.lists(states, max_size=3).map(tuple), states)
-    for symbol, args, target in draw(st.lists(extra, max_size=4)):
-        rules[(symbol, args)] = target
-    return Automaton(aut.signature, aut.states, aut.final, rules)
+def complete_automata():
+    """Random automata with 1-4 states, over the signature or over it
+    with the ternary symbol h."""
+    return st.builds(
+        lambda sig, seed, states: random_automaton(
+            GenParams(signature=sig, seed=seed, state_count=states)),
+        st.sampled_from([SIG, WITH_H3]), st.integers(0, 2 ** 32), st.integers(1, 4))
 
 
 @st.composite
@@ -507,40 +494,44 @@ def automaton_text(sig, states, final, rules):
     ])
 
 
+def defects_or(build):
+    """What ``build()`` returns, or the defects it is refused with."""
+    try:
+        return build()
+    except ValidationError as exc:
+        return exc.defects
+
+
 @settings(max_examples=300, deadline=None)
 @given(automaton_parts())
 def test_automaton_parser_matches_full_validation(parts):
     """``parse_automaton`` lists the defects, in order, that assembling
-    the rules and walking every argument tuple lists.  The public
-    :func:`validate` of an automaton holding each rule's first
-    occurrence lists what parsing its declarations and those rules does."""
+    the rules and walking every argument tuple lists, and the
+    :class:`fta.Automaton` constructor lists the same for the same
+    declarations and rule pairs.  Given a mapping, the constructor
+    lists what parsing its rules in mapping order does."""
     sig, states, final, rules = parts
+    assembly, checks, assembled = automaton_defects(sig, states, final, rules)
+    parsed = defects_or(lambda: parse_automaton(automaton_text(sig, states, final, rules))[1])
+    pairs = [((symbol, args), target) for symbol, args, target in rules]
+    built = defects_or(lambda: Automaton(sig, tuple(states), frozenset(final), pairs))
+    if assembly + checks:
+        assert parsed == built == assembly + checks
+    else:
+        assert parsed == built and built.rules == assembled
+
     first = {}
     for symbol, args, target in rules:
         first.setdefault((symbol, args), target)
     kept = [(symbol, args, target) for (symbol, args), target in first.items()]
-    try:
-        parse_automaton(automaton_text(sig, states, final, kept))
-        parsed = []
-    except ValidationError as exc:
-        parsed = exc.defects
-    assert validate(sig, Automaton(sig, tuple(states), frozenset(final), first)) == parsed
-
-    text = automaton_text(sig, states, final, rules)
-    assembly, checks, assembled = automaton_defects(sig, states, final, rules)
-    aut = Automaton(sig, tuple(states), frozenset(final), assembled)
-    if not assembly + checks:
-        assert parse_automaton(text)[1] == aut
-        return
-    with pytest.raises(ValidationError) as exc:
-        parse_automaton(text)
-    assert exc.value.defects == assembly + checks
+    assert defects_or(lambda: Automaton(sig, tuple(states), frozenset(final), first)) == \
+        defects_or(lambda: parse_automaton(automaton_text(sig, states, final, kept))[1])
 
 
 def mixed_terms():
-    """Terms whose leaves include state leaves, some of them undeclared
-    or unknown, and whose nodes sometimes have the wrong arity."""
-    state_leaves = st.sampled_from(["q0", "q1", "q2", "q3", UNDECLARED, UNKNOWN]).map(StateLeaf)
+    """Terms whose leaves include state leaves, some of them unknown to
+    the automaton, and whose nodes sometimes have the wrong arity."""
+    state_leaves = st.sampled_from(["q0", "q1", "q2", "q3", UNKNOWN]).map(StateLeaf)
     return st.recursive(
         st.one_of(leaves(), state_leaves),
         lambda ch: st.one_of(
@@ -552,31 +543,25 @@ def mixed_terms():
     )
 
 
-def edited(aut, drop=(), add=None):
-    rules = {k: v for k, v in aut.rules.items() if k not in drop} | (add or {})
-    return Automaton(aut.signature, aut.states, aut.final, rules)
-
-
 def at(aut, text, gamma):
     """An example for the run test: ``text`` may hold state leaves."""
     return example(aut, parse_term(text, SIG, allow_state_leaves=True), gamma)
 
 
 TWO = random_automaton(GenParams(seed=0, state_count=2))
-G_Q0 = ("g", ("q0",))
 
 
 @settings(max_examples=300, deadline=None)
-@given(unvalidated_automata(), st.one_of(linear_terms(), nonlinear_terms(), mixed_terms()),
+@given(complete_automata(),
+       st.one_of(linear_terms(), nonlinear_terms(), mixed_terms(),
+                 st.builds(lambda *args: Node("h", args), *[mixed_terms()] * 3)),
        st.dictionaries(st.integers(1, 4), st.sampled_from(SIG.constants)))
-# every error path, and undeclared rule targets read by further rules
-@at(edited(TWO, drop=[G_Q0]), "g(f1(x1,0))", {1: "0"})
-@at(edited(TWO, drop=[("1", ())]), "f2(x1,x2)", {1: "0", 2: "1"})
-@at(edited(TWO, add={("g", (UNDECLARED,)): "q1"}), f"g(@{UNDECLARED})", {})
+# every error path
+@at(TWO, f"g(@{UNKNOWN})", {})
 @at(TWO, f"f1(g(@{UNKNOWN}),@q1)", {})
 @at(TWO, "f1(x1,g(x2))", {2: "1"})
-@at(edited(TWO, add={("0", ()): UNDECLARED, ("g", (UNDECLARED,)): "q1"}), "g(g(x1))", {1: "0"})
-@at(edited(TWO, add={("0", ()): UNDECLARED}), "f1(x1,0)", {1: "0"})
+@example(TWO, Node("g", (Node("0"), Node("1"))), {})
+@example(TWO, Node("h", (Var(1), Node("0"), Var(2))), {1: "1", 2: "0"})
 def test_run_matches_recursive_reference(aut, t, gamma):
     # some assignments leave variables unbound
     expected = outcome(lambda: run_by_recursion(aut, gamma, t))
@@ -601,7 +586,7 @@ def canonical_ground_by_layers(aut):
     layer = 0
     while True:
         candidates = {}
-        ready = [q for q in dict.fromkeys(aut.states) if q in chosen]
+        ready = [q for q in aut.states if q in chosen]
         for symbol, arity in aut.signature.symbols:
             for combo in product(ready, repeat=arity):
                 if max((chosen[q][0] for q in combo), default=-1) != layer - 1:
@@ -618,24 +603,25 @@ def canonical_ground_by_layers(aut):
         for state, (_, term) in candidates.items():
             chosen[state] = (layer, term)
         layer += 1
-    return {q: chosen[q][1] for q in dict.fromkeys(aut.states) if q in chosen}
-
-
-WITH_H3 = Signature([*SIG.symbols, ("h", 3)])
+    return {q: chosen[q][1] for q in aut.states if q in chosen}
 
 
 @st.composite
 def ground_automata(draw):
-    """Valid and unvalidated automata, some over a signature with the
-    ternary symbol h and rules for it, with some states declared twice
-    and the declarations shuffled."""
-    aut = draw(st.one_of(automata(), unvalidated_automata()))
-    states = st.sampled_from([*aut.states, UNDECLARED])
-    h_rules = st.dictionaries(st.tuples(st.just("h"), st.tuples(states, states, states)), states,
-                              max_size=8)
-    declared = aut.states + tuple(draw(st.lists(st.sampled_from(aut.states), max_size=2)))
-    return Automaton(draw(st.sampled_from([SIG, WITH_H3])), tuple(draw(st.permutations(declared))),
-                     aut.final, dict(aut.rules) | draw(h_rules))
+    """Complete automata from :func:`complete_automata` with their
+    declarations shuffled; some have one more state, which only the
+    rules reading it give, so no ground term reaches it."""
+    aut = draw(complete_automata())
+    states, rules = list(aut.states), dict(aut.rules)
+    if draw(st.booleans()):
+        unreached = f"q{len(states)}"
+        states.append(unreached)
+        rng = SplitMix64(draw(st.integers(0, 2 ** 32)))
+        for symbol, arity in aut.signature.symbols:
+            for combo in product(states, repeat=arity):
+                if unreached in combo:
+                    rules[(symbol, combo)] = states[rng.below(len(states))]
+    return Automaton(aut.signature, tuple(draw(st.permutations(states))), aut.final, rules)
 
 
 @settings(max_examples=300, deadline=None)

@@ -19,7 +19,6 @@ from fta import (
     UnknownSymbolError,
     Var,
     ind_positions,
-    is_prefix_closed,
     is_prefix_determined,
     node_count,
     parse_term,
@@ -33,7 +32,7 @@ from fta import (
 
 from fta.terms import _TOKEN_RE, compile_term
 
-from conftest import P, PS, SAMPLE_TERM, assert_names_and_order, depth, is_prefix
+from conftest import P, PS, SAMPLE_TERM, assert_names_and_order, depth, is_prefix, prefix_closed
 
 ALL_POSITIONS = PS(
     "ε", "1", "2", "1.1", "1.1.1", "1.1.2", "2.1", "2.1.1", "2.1.1.1",
@@ -263,7 +262,7 @@ class TestPositions:
         assert positions(Node("g", (Var(1),))) == PS("ε", "1")
 
     def test_prefix_closed(self, term):
-        assert is_prefix_closed(positions(term))
+        assert prefix_closed(positions(term))
 
 
 class TestNames:
@@ -416,11 +415,6 @@ class TestIndependence:
 
 
 class TestPrefixPredicates:
-    def test_prefix_closed(self):
-        assert is_prefix_closed(PS("ε", "1", "2"))
-        assert not is_prefix_closed(PS("1.1"))
-        assert is_prefix_closed(set())
-
     def test_prefix_determined(self, term):
         assert is_prefix_determined(ind_positions(term, P("2")), positions(term))
         assert not is_prefix_determined(PS("ε"), PS("ε", "1"))
