@@ -50,7 +50,7 @@ def _witness_json(w, position_name):
 
 def _emit(args, lines, *, command, inputs, verdict=None, witnesses=None,
           positions_out=None, report=None):
-    if getattr(args, "json", False):
+    if args.json:
         payload = {
             "command": command,
             "inputs": inputs,
@@ -78,7 +78,7 @@ def _load_automaton(path: str):
 
 
 def _load_term(args, sig):
-    if getattr(args, "term", None) is not None:
+    if args.term is not None:
         return parse_term(args.term, sig)
     text = Path(args.term_file).read_text(encoding="utf-8")
     return parse_term(text, sig)

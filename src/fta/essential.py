@@ -29,7 +29,6 @@ from .automaton import (
 )
 from .errors import (
     EnumerationBudgetExceeded,
-    InvalidPositionError,
     NotEssentialError,
     NotIndependentError,
 )
@@ -278,30 +277,6 @@ def is_essential_subtree(aut: Automaton, t: Term, p: Position, *,
     """Witness that the subtree occurrence at ``p`` is essential, or None."""
     found = analysis(aut, t)
     return found.witness(found.term.node_at(p), p, budget)
-
-
-def essential_in_subterm(aut: Automaton, t: Term, top: Position, p: Position, *,
-                         budget: int = DEFAULT_BUDGET) -> bool:
-    """Whether the subtree at ``p`` is essential for the subterm of ``t``
-    at ``top``, a prefix of ``p``: the verdict, and the budget check, of
-    :func:`is_essential_subtree` on that subterm at the rest of ``p``
-    below ``top``.
-
-    It is read from ``t``'s analysis and makes no run of its own once
-    the analysis holds every assignment's: the subterm's run is ``t``'s
-    run at the subterm's node ids, whatever the variables outside the
-    subterm are, so those stay at the first constant.
-    """
-    found = analysis(aut, t)
-    term = found.term
-    try:
-        node, inner = term.node_at(top), term.node_at(p)
-    except InvalidPositionError:
-        node = inner = None
-    if inner is None or not node - term.sizes[node] < inner <= node:
-        raise InvalidPositionError(f"{top} is not a prefix of {p} in the term")
-    outside = term.variables - term.variables_at[node]  # at the first constants
-    return found.witness(inner, p, budget, outside, 0, node) is not None
 
 
 def essential_positions(aut: Automaton, t: Term, *,

@@ -42,16 +42,14 @@ from .automaton import (
     run,
 )
 from .errors import EnumerationBudgetExceeded, FtaError
-from .essential import essential_in_subterm
+from .essential import analysis
 from .generate import DEFAULT_SIGNATURE, GenParams, SplitMix64, random_automaton, random_term
 from .reduction import fictive_from_determining, freeze_fictive, runs_equal_all
 from .terms import (
-    Position,
     PositionSet,
     Term,
     compile_term,
     is_prefix_determined,
-    ind_positions,
     node_count,
     parse_term,
     positions,
@@ -188,10 +186,14 @@ def verify_properties(aut: Automaton, t: Term, *, budget: int = DEFAULT_BUDGET,
         return [f"essential positions not prefix closed at: {', '.join(bad)}"] if bad else []
 
     def p2():
+        """Ind(p) is prefix determined unless some node independent of
+        p's node has a child that is not, read from subtree id ranges."""
+        term = compile_term(t)
         return [
-            f"independent positions of {p} not prefix determined"
-            for p in pos
-            if not is_prefix_determined(ind_positions(t, p), pos)
+            f"independent positions of {term.names[i]} not prefix determined"
+            for i in term.order
+            if any(term.independent(i, j) and not term.independent(i, k)
+                   for j, kids in enumerate(term.children) for k in kids)
         ]
 
     def p3():
@@ -219,19 +221,26 @@ def verify_properties(aut: Automaton, t: Term, *, budget: int = DEFAULT_BUDGET,
         is separable iff p is essential, its witness is the ``gamma1``
         of p's witness restricted to them, and it enumerates no more
         than the search at p, within a budget the report already met.
-        The verdict within each subterm is read from the whole term's
-        analysis, so p5 makes no runs.
+        Within the subterm at each proper prefix of p, found by one walk
+        down, p's verdict is a search in the whole term's analysis with
+        the subterm's node as the root and the variables outside it at
+        the first constants (they cannot change the subterm's run), so
+        p5 makes no runs.
         """
         rep = need_reduction().essentiality
+        found = analysis(aut, t)
+        term = found.term
         details = []
         for p in rep.essential_positions:
-            # cut 0 is the whole term, where the report already found p essential
-            for cut in range(len(p.indices), 0, -1):
-                prefix = Position(p.indices[:cut])
-                if not essential_in_subterm(aut, t, prefix, p, budget=budget):
-                    details.append(
-                        f"separable position {p} is not essential within the subtree at {prefix}"
-                    )
+            path = [term.root]
+            for i in p.indices:
+                path.append(term.children[path[-1]][i - 1])
+            # path[0] is the whole term, where the report already found p essential
+            for top in reversed(path[1:]):
+                outside = term.variables - term.variables_at[top]
+                if found.witness(path[-1], p, budget, outside, 0, top) is None:
+                    details.append(f"separable position {p} is not essential"
+                                   f" within the subtree at {term.positions[top]}")
         return details
 
     def p6():

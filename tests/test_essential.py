@@ -27,7 +27,7 @@ from fta import (
     run,
     verify_properties,
 )
-from fta.essential import essential_in_subterm
+from fta.essential import analysis
 from fta.terms import compile_term
 
 from conftest import P, PS, SAMPLE_AUTOMATON, SAMPLE_TERM, is_prefix, prefix_closed
@@ -67,13 +67,6 @@ class TestWitnessSearch:
         with pytest.raises(InvalidPositionError):
             is_essential_subtree(aut, term, P("4.4"))
 
-    def test_subterm_verdict_needs_a_prefix(self, aut, term):
-        from fta.essential import essential_in_subterm
-        assert essential_in_subterm(aut, term, P("1"), P("1.1"))
-        for top, p in ((P("2"), P("1.1")), (P("1.1"), P("1")), (P("4"), P("1"))):
-            with pytest.raises(InvalidPositionError):
-                essential_in_subterm(aut, term, top, p)
-
     def test_witnesses_self_verify(self, aut, term):
         rep = essential_positions(aut, term)
         for p, w in rep.witnesses.items():
@@ -109,12 +102,6 @@ class TestPositionLookup:
         with pytest.raises(InvalidPositionError,
                            match=f"^{missing.replace('.', '[.]')} is not a position of the term$"):
             query(aut, term, P(missing))
-
-    def test_subterm_needs_a_prefix_present_in_the_term(self, aut, term):
-        for top, p in (("1", "1.1.1.1"), ("3", "3.1"), ("2", "1.1")):
-            with pytest.raises(InvalidPositionError,
-                               match=f"^{top} is not a prefix of {p} in the term$"):
-                essential_in_subterm(aut, term, P(top), P(p))
 
     def test_separable_order_of_checks(self, aut, term):
         # 2.1 is fictive and 1 contains 1.1; each set is looked up whole
@@ -291,9 +278,6 @@ class TestBudget:
         (lambda aut, t, b: is_essential_subtree(aut, t, P("1.1"), budget=b), 2 ** (2 + 2 * 2)),
         # the root: nothing outside, all four inside
         (lambda aut, t, b: essential_positions(aut, t, budget=b), 2 ** (0 + 2 * 4)),
-        # within the subterm at 1, x3 and x4 are fixed: nothing is outside
-        (lambda aut, t, b: essential_in_subterm(aut, t, P("1"), P("1.1"), budget=b),
-         2 ** (0 + 2 * 2)),
         (lambda aut, t, b: essential_vars(aut, t, budget=b), 2 ** 4),
         (lambda aut, t, b: determining_subtree(aut, t, budget=b), 2 ** 4),
         (lambda aut, t, b: fictive_from_determining(aut, t, P("1"), budget=b), 2 ** 4),
@@ -307,8 +291,8 @@ class TestBudget:
          2 ** (2 + 2 * 2)),
         (lambda aut, t, b: is_separable(aut, t, [], budget=b), 2 ** 0),
         (lambda aut, t, b: is_separable(aut, t, [], [], budget=b), 2 ** 0),
-    ], ids=["is_essential_subtree", "essential_positions", "essential_in_subterm",
-            "essential_vars", "determining_subtree", "fictive_from_determining",
+    ], ids=["is_essential_subtree", "essential_positions", "essential_vars",
+            "determining_subtree", "fictive_from_determining",
             "is_separable-y", "is_separable-y-explicit", "is_separable-z",
             "is_separable-gamma", "is_separable-gamma-explicit"])
     def test_charge_is_pinned(self, aut, term, query, count):
@@ -430,7 +414,10 @@ def test_a_queried_term_is_freed_without_the_cycle_collector(sig, aut):
 def test_a_shallow_copy_gets_its_own_analysis(sig, aut):
     # the copy shares the original's attributes, the analysis among them
     t = parse_term(SAMPLE_TERM, sig)
-    essential_in_subterm(aut, t, P("1"), P("1.1"))  # leaves rows still to be made
+    # the search at 1.1 finds its witness under the first of the four
+    # assignments to x3, x4, so rows are still to be made
+    is_essential_subtree(aut, t, P("1.1"))
+    assert len(analysis(aut, t)._rows) < 2 ** 4
     c = copy.copy(t)
     del t
     assert essential_positions(aut, c).essential_positions == ESSENTIAL

@@ -64,7 +64,6 @@ from fta import (
     verify_properties,
 )
 from fta.automaton import compile_automaton
-from fta.essential import essential_in_subterm
 from fta.terms import compile_term
 
 from conftest import assert_names_and_order, is_prefix, prefix_closed
@@ -761,23 +760,39 @@ def verdict(f):
         return exc.required, exc.cap
 
 
-def subterm_verdict_by_definition(aut, t, top, p, budget):
-    sub = subterm_at(t, top)
-    rest = Position(p.indices[len(top):])
-    return verdict(lambda: is_essential_subtree(aut, sub, rest, budget=budget) is not None)
-
-
 def p5_by_definition(aut, t, budget):
-    """p5's outcome (budget exceeded, failure count) from fresh subterms."""
+    """p5's outcome (budget exceeded, failure details) from fresh
+    subterms: p must stay essential within the subterm at each proper
+    prefix, searched on that subterm object as a term of its own."""
     try:
         ess = essential_positions(aut, t, budget=budget).essential_positions
-        failures = sum(
-            not is_essential_subtree(aut, subterm_at(t, Position(p.indices[:cut])),
-                                     Position(p.indices[cut:]), budget=budget)
-            for p in ess for cut in range(len(p), 0, -1))
+        details = [
+            f"separable position {p} is not essential within the subtree at {top}"
+            for p in ess for cut in range(len(p), 0, -1)
+            for top in [Position(p.indices[:cut])]
+            if is_essential_subtree(aut, subterm_at(t, top), Position(p.indices[cut:]),
+                                    budget=budget) is None]
     except EnumerationBudgetExceeded:
-        return 1, 0
-    return 0, failures
+        return 1, []
+    return 0, details
+
+
+def p2_by_definition(t):
+    """p2's failure details from the position algebra."""
+    pos = positions(t)
+    return [f"independent positions of {p} not prefix determined"
+            for p in pos if not is_prefix_determined(ind_positions(t, p), pos)]
+
+
+def assert_p2_p5_by_definition(aut, t, budget):
+    """verify's p2 and p5 give the by-definition details, in order;
+    returns p5's."""
+    outcomes = verify_properties(aut, t, budget=budget).outcomes
+    p2, p5 = outcomes["ind-prefix-determined"], outcomes["separable-strong-chain"]
+    assert (p2.budget_exceeded, [f.detail for f in p2.failures]) == (0, p2_by_definition(t))
+    expected = p5_by_definition(aut, t, budget)
+    assert (p5.budget_exceeded, [f.detail for f in p5.failures]) == expected
+    return expected[1]
 
 
 BUDGETS = st.sampled_from([2, 4, 8, 16, 64, 256, 2 ** 20])
@@ -785,25 +800,22 @@ BUDGETS = st.sampled_from([2, 4, 8, 16, 64, 256, 2 ** 20])
 
 @settings(max_examples=60, deadline=None)
 @given(automata(), st.one_of(linear_terms(), nonlinear_terms(max_var=3)), BUDGETS)
-def test_p5_reads_the_store_like_fresh_subterms(aut, t, budget):
-    for p in positions(t):
-        for cut in range(len(p), 0, -1):
-            top = Position(p.indices[:cut])
-            got = verdict(lambda: essential_in_subterm(aut, t, top, p, budget=budget))
-            assert got == subterm_verdict_by_definition(aut, t, top, p, budget)
-    outcome = verify_properties(aut, t, budget=budget).outcomes["separable-strong-chain"]
-    assert (outcome.budget_exceeded, len(outcome.failures)) == p5_by_definition(aut, t, budget)
+def test_p2_and_p5_match_their_definitions(aut, t, budget):
+    assert_p2_p5_by_definition(aut, t, budget)
 
 
-@settings(max_examples=5, deadline=None)
-@given(automata(), chains(), BUDGETS, st.data())
-def test_p5_reads_the_store_like_fresh_subterms_on_deep_chains(aut, t, budget, data):
-    pos = list(positions(t))
-    for _ in range(3):
-        p = data.draw(st.sampled_from(pos[-60:]))  # deep, so its subterms stay small
-        top = Position(p.indices[:data.draw(st.integers(len(p) - 40, len(p)))])
-        got = verdict(lambda: essential_in_subterm(aut, t, top, p, budget=budget))
-        assert got == subterm_verdict_by_definition(aut, t, top, p, budget)
+@settings(max_examples=8, deadline=None)
+@given(automata(), chains(levels=100), BUDGETS)
+def test_p2_and_p5_match_their_definitions_on_deep_chains(aut, t, budget):
+    assert_p2_p5_by_definition(aut, t, budget)
+
+
+def test_p5_matches_its_definition_on_genuine_failures(aut, sig):
+    # x1 at 1.1 and at 2 couples the two sides of the root (README)
+    t = parse_term("f2(f1(x1,g(x1)),x1)", sig)
+    assert assert_p2_p5_by_definition(aut, t, 2 ** 20) == [
+        f"separable position {p} is not essential within the subtree at 1"
+        for p in ("1.1", "1.2", "1.2.1")]
 
 
 def report_by_position(aut, t, budget):

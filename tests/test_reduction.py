@@ -1,3 +1,4 @@
+from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given, settings
 
 from fta import (
     Automaton,
+    FtaError,
     Position,
     PremiseViolatedError,
     ROOT,
@@ -203,6 +205,12 @@ class TestFreezeFictive:
     def test_soundness_check_counts_assignments(self, aut, term):
         rep = freeze_fictive(aut, term)
         assert check_reduction(aut, term, rep) == 16
+
+    def test_soundness_check_catches_a_wrong_term(self, sig, aut, term):
+        # not(x1 or x2) for the reduction's not(x1 and x2)
+        rep = replace(freeze_fictive(aut, term), reduced_term=parse_term("g(f2(x1,x2))", sig))
+        with pytest.raises(FtaError, match="^reduction changed a run result; this is a bug$"):
+            check_reduction(aut, term, rep)
 
 
 class TestCostReport:

@@ -1,4 +1,7 @@
 import json
+import sys
+import time
+from dataclasses import replace
 
 import pytest
 
@@ -14,6 +17,7 @@ from fta import (
     verify_properties,
 )
 
+import fta.verify
 from conftest import P
 
 
@@ -113,3 +117,39 @@ class TestBudgetHandling:
         assert {name: o.budget_exceeded for name, o in report.outcomes.items()} == {
             name: int(name != "ind-prefix-determined") for name in PROPERTY_NAMES
         }
+
+
+class TestPruneSoundness:
+    """p7 re-checks the reduction it is given, so a wrong one is reported."""
+
+    @staticmethod
+    def tamper(monkeypatch, **changes):
+        made = fta.verify.freeze_fictive
+        monkeypatch.setattr(fta.verify, "freeze_fictive",
+                            lambda *args, **kwargs: replace(made(*args, **kwargs), **changes))
+
+    def details(self, aut, term):
+        return [f.detail for f in verify_properties(aut, term).outcomes["prune-soundness"].failures]
+
+    def test_a_changed_run_result(self, monkeypatch, sig, aut, term):
+        # not(x1 or x2), of 4 nodes like the reduction's not(x1 and x2)
+        self.tamper(monkeypatch, reduced_term=parse_term("g(f2(x1,x2))", sig))
+        assert self.details(aut, term) == ["pruning to g(f2(x1,x2)) changed a run result"]
+
+    @pytest.mark.parametrize("counts", [(16, 5), (15, 4), (3, 4)])
+    def test_inconsistent_node_accounting(self, monkeypatch, aut, term, counts):
+        self.tamper(monkeypatch, original_nodes=counts[0], reduced_nodes=counts[1])
+        assert self.details(aut, term) == [
+            f"inconsistent node accounting: {counts[0]} -> {counts[1]}"]
+
+
+def test_a_deep_chain_verifies_in_bounded_time(sig, aut):
+    # p2 and p5 read independence and ancestors from node ids, so a
+    # 400-level chain takes about a second on one core; time cubic in
+    # depth would take several.  A line tracer (tools/linecov.py) slows
+    # it about sixfold.
+    t = parse_term("g(" * 400 + "x1" + ")" * 400, sig)
+    start = time.perf_counter()
+    report = verify_properties(aut, t)
+    assert time.perf_counter() - start < (4.0 if sys.gettrace() is None else 30.0)
+    assert report.total_failures == report.total_budget_exceeded == 0
