@@ -41,7 +41,6 @@ from .errors import (
 from .terms import (
     CompiledTerm,
     Node,
-    Position,
     Signature,
     StateLeaf,
     Term,
@@ -158,7 +157,7 @@ def compile_automaton(aut: Automaton) -> CompiledAutomaton:
     return compiled
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True)
 class RunTrace:
     """The state at every node of a term, for one run.
 
@@ -166,48 +165,20 @@ class RunTrace:
     compiled form (:class:`fta.terms.CompiledTerm`), as state ids of the
     automaton's compiled form (:class:`CompiledAutomaton`, whose
     ``names`` maps them back).  ``states`` holds the same states as
-    names, by node id; the package reads them there, at a node it has
-    found.  ``per_position`` is a read-only dict of the state names by
-    position, for callers outside the package; it needs the term's
-    position table (:attr:`fta.terms.CompiledTerm.positions`), which
-    its first read builds.  Each is made from ``ids`` when first read,
-    so a caller that reads only ``result`` and ``ids``, as the analysis
-    of a term does (:class:`fta.essential.Analysis`), never pays for
-    names.
-    Two traces are equal when their results, states and states by
-    position are; ``repr`` shows the result and the states by position.
-    Attributes cannot be set.
+    names, by node id, made from ``ids`` when first read, so a caller
+    that reads only ``result`` and ``ids``, as the analysis of a term
+    does (:class:`fta.essential.Analysis`), never pays for names.
+    Two traces are equal, and hash alike, when their results, ids and
+    state names are.  Attributes cannot be set.
     """
 
     result: str
     ids: tuple[int, ...]
-    _term: CompiledTerm
     _names: tuple[str, ...]
 
     @cached_property
     def states(self) -> tuple[str, ...]:
         return tuple(map(self._names.__getitem__, self.ids))
-
-    @cached_property
-    def per_position(self) -> Mapping[Position, str]:
-        names = self._names
-        return MappingProxyType({p: names[i] for p, i in zip(self._term.positions, self.ids)})
-
-    def __getstate__(self) -> dict:
-        """Copies and pickles leave ``per_position`` out (a read-only
-        mapping does not pickle); it is made again when first read."""
-        return {k: v for k, v in self.__dict__.items() if k != "per_position"}
-
-    def __eq__(self, other):
-        if not isinstance(other, RunTrace):
-            return NotImplemented
-        return (self.result, self.states, self.per_position) == (
-            other.result, other.states, other.per_position)
-
-    __hash__ = None  # unhashable, like the per_position mapping
-
-    def __repr__(self) -> str:
-        return f"RunTrace(result={self.result!r}, per_position={dict(self.per_position)!r})"
 
 
 def _lhs(symbol: str, args: tuple[str, ...]) -> str:
@@ -450,7 +421,7 @@ def run(aut: Automaton, gamma: Mapping[int, str], t: Term) -> RunTrace:
     term = compile_term(t)
     compiled = compile_automaton(aut)
     ids = tuple(compiled.state_ids(gamma, term))
-    return RunTrace(compiled.names[ids[-1]], ids, term, compiled.names)
+    return RunTrace(compiled.names[ids[-1]], ids, compiled.names)
 
 
 def partial_run(aut: Automaton, gamma: Mapping[int, str], t: Term) -> Term:

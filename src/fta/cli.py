@@ -65,13 +65,6 @@ def _emit(args, lines, *, command, inputs, verdict=None, witnesses=None,
             print(line)
 
 
-def _position_names(t, ps) -> list[str]:
-    """The rendered name of each position of ``t`` in ``ps``, in order,
-    read from the names table of ``t``'s compiled form."""
-    term = compile_term(t)
-    return [term.names[i] for i in term.order if term.positions[i] in ps]
-
-
 def _load_automaton(path: str):
     text = Path(path).read_text(encoding="utf-8")
     return parse_automaton(text)
@@ -147,8 +140,8 @@ def cmd_essential(args) -> int:
               inputs=inputs, verdict="essential", witnesses=[_witness_json(w, str(p))])
         return 0
     rep = essential_positions(aut, t, budget=args.max_assignments)
-    essential = _position_names(t, rep.essential_positions)
-    fictive = _position_names(t, rep.fictive_positions)
+    essential = [str(p) for p in rep.essential_positions]
+    fictive = [str(p) for p in rep.fictive_positions]
     witnesses = [rep.witnesses[p] for p in rep.essential_positions]
     lines = [
         f"essential positions: {' '.join(essential)}",
@@ -200,7 +193,7 @@ def cmd_prune(args) -> int:
     rep = freeze_fictive(aut, t, budget=args.max_assignments)
     original, reduced = rep.original_nodes, rep.reduced_nodes
     saved = 1.0 - reduced / original
-    frozen = _position_names(t, rep.frozen_positions)
+    frozen = [str(p) for p in rep.frozen_positions]
     reduced_text = render_term(rep.reduced_term)
     if reduced == original:
         lines = ["no reduction"]

@@ -1,6 +1,6 @@
 import pytest
 
-from fta import Position, parse_automaton, parse_term, positions
+from fta import Position, parse_automaton, parse_term, positions, run, subterm_at
 from fta.terms import compile_term
 
 # Two-state automaton over {0,1}: g negates, f1 is conjunction-like,
@@ -49,6 +49,13 @@ def prefix_closed(ps) -> bool:
 def depth(t) -> int:
     """By definition: the length of the longest position of ``t``."""
     return max(map(len, positions(t)))
+
+
+def state_at(aut, gamma, t, p: Position) -> str:
+    """By definition: the state that the run of ``aut`` over ``t``
+    under ``gamma`` has at ``p`` is the run's result on the subterm at
+    ``p``."""
+    return run(aut, gamma, subterm_at(t, p)).result
 
 
 def assert_names_and_order(t):

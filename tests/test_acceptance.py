@@ -31,7 +31,7 @@ from fta.cli import main as cli_main
 
 import pytest
 
-from conftest import P, PS, prefix_closed
+from conftest import P, PS, prefix_closed, state_at
 
 G1 = {1: "0", 2: "0", 3: "0", 4: "1"}
 G2 = {1: "0", 2: "0", 3: "1", 4: "1"}
@@ -63,15 +63,13 @@ def test_criterion_1_position_algebra(term):
 
 
 def test_criterion_2_run_table(aut, term):
-    tr1 = run(aut, G1, term)
     for pos_text, state in [("1.1", "q0"), ("2.2.1", "q0"), ("1", "q1"),
                             ("2.2", "q1"), ("2.1.1.2", "q0"), ("2.1.1", "q0"),
                             ("2.1", "q1"), ("2", "q1"), ("ε", "q1")]:
-        assert tr1.per_position[P(pos_text)] == state
-    tr2 = run(aut, G2, term)
+        assert state_at(aut, G1, term, P(pos_text)) == state
     for pos_text, state in [("2.1.1.2", "q1"), ("2.1.1", "q1"), ("2.1", "q0"),
                             ("2", "q1"), ("ε", "q1")]:
-        assert tr2.per_position[P(pos_text)] == state
+        assert state_at(aut, G2, term, P(pos_text)) == state
     assert run(aut, G3, term).result == "q1"
     assert run(aut, G4, term).result == "q0"
 

@@ -34,7 +34,7 @@ from fta import (
 
 from fta.automaton import compile_automaton
 
-from conftest import P, SAMPLE_AUTOMATON
+from conftest import P, SAMPLE_AUTOMATON, state_at
 
 G1 = {1: "0", 2: "0", 3: "0", 4: "1"}
 G2 = {1: "0", 2: "0", 3: "1", 4: "1"}
@@ -185,10 +185,9 @@ class TestRun:
         (G4, {"ε": "q0"}),
     ])
     def test_published_state_table(self, aut, term, gamma, expected):
-        trace = run(aut, gamma, term)
         for pos_text, state in expected.items():
-            assert trace.per_position[P(pos_text)] == state
-        assert trace.result == expected["ε"]
+            assert state_at(aut, gamma, term, P(pos_text)) == state
+        assert run(aut, gamma, term).result == expected["ε"]
 
     def test_deterministic(self, aut, term):
         assert run(aut, G1, term) == run(aut, G1, term)
@@ -198,43 +197,36 @@ class TestRun:
         assert trace != run(aut, G2, term)
         assert trace != run(aut, G1, parse_term("g(x1)", sig))
         assert trace != (trace.result, trace.states)
-        assert repr(trace) == f"RunTrace(result='q1', per_position={dict(trace.per_position)!r})"
-        with pytest.raises(TypeError):
-            hash(trace)
-        for attr in ("result", "ids", "states", "per_position", "other"):
+        again = run(aut, G1, term)
+        assert trace == again and hash(trace) == hash(again)
+        assert len({trace, again, run(aut, G2, term)}) == 2
+        names = compile_automaton(aut).names
+        assert repr(trace) == f"RunTrace(result='q1', ids={trace.ids!r}, _names={names!r})"
+        for attr in ("result", "ids", "_names", "states", "other"):
             with pytest.raises(FrozenInstanceError):
                 setattr(trace, attr, None)
             with pytest.raises(FrozenInstanceError):
                 delattr(trace, attr)
-        with pytest.raises(TypeError):
-            trace.per_position[P("1")] = "q0"
+        # the same state names, declared in another order, give other ids
+        other = run(Automaton(sig, aut.states[::-1], aut.final, aut.rules), G1, term)
+        assert (other.result, other.states) == (trace.result, trace.states) and other != trace
 
     @pytest.mark.parametrize("duplicate", [
         copy.copy, copy.deepcopy, lambda trace: pickle.loads(pickle.dumps(trace)),
     ], ids=["copy", "deepcopy", "pickle"])
     def test_trace_copies_and_pickles_after_it_is_read(self, aut, term, duplicate):
         trace = run(aut, G1, term)
-        assert trace.per_position[P("1.1")] == "q0"
-        assert duplicate(trace) == trace
+        assert trace.states[0] == "q0"
+        copied = duplicate(trace)
+        assert copied == trace and copied.states == trace.states
 
     def test_names_made_only_when_read(self, aut, term):
         trace = run(aut, G1, term)
         names = compile_automaton(aut).names
         assert trace.result == names[trace.ids[-1]] == "q1"
-        assert trace.per_position[P("1.1")] == "q0"
-        assert "states" not in trace.__dict__  # neither ids nor a lookup named every node
+        assert "states" not in trace.__dict__  # reading the result and ids named no node
         assert trace.states == tuple(names[i] for i in trace.ids)
         assert trace.states is trace.states  # made once
-
-    def test_per_position_lacks_positions_outside_the_term(self, aut, term):
-        states = run(aut, G1, term).per_position
-        for missing in (P("3"), P("1.1.1.1"), P("2.1.1.2.2.1")):
-            assert missing not in states
-            assert states.get(missing) is None
-            with pytest.raises(KeyError):
-                states[missing]
-        assert "1.1" not in states  # only positions are keys
-        assert len(states) == len(list(states)) == 16
 
     def test_compositional(self, sig, aut, term):
         trace = run(aut, G1, term)

@@ -30,7 +30,7 @@ from fta import (
 from fta.essential import analysis
 from fta.terms import compile_term
 
-from conftest import P, PS, SAMPLE_AUTOMATON, SAMPLE_TERM, is_prefix, prefix_closed
+from conftest import P, PS, SAMPLE_AUTOMATON, SAMPLE_TERM, is_prefix, prefix_closed, state_at
 
 # Frozen from an independent enumeration of all assignment pairs over
 # the boolean semantics of the sample automaton (q0=0, q1=1; g=not,
@@ -78,11 +78,9 @@ class TestWitnessSearch:
         # subtree's ancestors, a witness pair keeps its disagreement at
         # every prefix of its position
         w = is_essential_subtree(aut, term, P("1.1"))
-        tr1 = run(aut, w.gamma1, term)
-        tr2 = run(aut, w.gamma2, term)
         for cut in range(len(w.position.indices) + 1):
-            q = P(".".join(map(str, w.position.indices[:cut])) or "ε")
-            assert tr1.per_position[q] != tr2.per_position[q]
+            q = Position(w.position.indices[:cut])
+            assert state_at(aut, w.gamma1, term, q) != state_at(aut, w.gamma2, term, q)
 
 
 class TestPositionLookup:
@@ -304,12 +302,11 @@ class TestBudget:
 
 @pytest.mark.parametrize("read", [
     lambda aut, t: aut.rules,
-    lambda aut, t: run(aut, {1: "0", 2: "1", 3: "1", 4: "0"}, t).per_position,
     lambda aut, t: essential_positions(aut, t).witnesses,
     lambda aut, t: is_essential_subtree(aut, t, P("1.1")).gamma1,
     lambda aut, t: is_essential_subtree(aut, t, P("1.1")).gamma2,
     lambda aut, t: is_separable(aut, t, PS("1.1")).witness,
-], ids=["rules", "per_position", "witnesses", "gamma1", "gamma2", "separable_witness"])
+], ids=["rules", "witnesses", "gamma1", "gamma2", "separable_witness"])
 def test_values_are_read_only(aut, term, read):
     mapping = read(aut, term)
     key = next(iter(mapping))
@@ -403,7 +400,7 @@ def test_a_queried_term_is_freed_without_the_cycle_collector(sig, aut):
     try:
         t = parse_term(SAMPLE_TERM, sig)
         results = [essential_positions(aut, t), freeze_fictive(aut, t), verify_properties(aut, t),
-                   run(aut, {1: "0", 2: "1", 3: "1", 4: "0"}, t).per_position, positions(t)]
+                   run(aut, {1: "0", 2: "1", 3: "1", 4: "0"}, t), positions(t)]
         dead = weakref.ref(t)
         del t, results
         assert dead() is None

@@ -24,6 +24,15 @@ def test_no_private_names_imported_across_modules():
     assert offences == []
 
 
+def test_the_automaton_does_not_know_positions():
+    """Runs give states by node id, so ``fta.automaton`` imports nothing
+    of the position layer."""
+    path = Path(fta.__file__).parent / "automaton.py"
+    imported = {alias.name for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    assert imported & {"Position", "PositionSet", "positions"} == set()
+
+
 def test_runtime_imports_only_the_standard_library():
     offences = []
     for path in MODULES:

@@ -66,7 +66,7 @@ from fta import (
 from fta.automaton import compile_automaton
 from fta.terms import compile_term
 
-from conftest import assert_names_and_order, is_prefix, prefix_closed
+from conftest import assert_names_and_order, is_prefix, prefix_closed, state_at
 from reference_parsers import automaton_defects, lhs, parse_term_by_characters
 
 SIG = DEFAULT_SIGNATURE
@@ -568,7 +568,7 @@ def test_run_matches_recursive_reference(aut, t, gamma):
     if isinstance(got, RunTrace):
         names = compile_automaton(aut).names
         assert tuple(names[i] for i in got.ids) == got.states
-        got = got.result, dict(got.per_position)
+        got = got.result, dict(zip(compile_term(t).positions, got.states))
         assert got == expected
         assert list(got[1]) == list(expected[1])  # post-order, as the recursion fills it
     assert got == expected
@@ -646,8 +646,7 @@ def witness_by_double_loop(aut, t, p):
         evaluated = []
         for inner_values in product(consts, repeat=len(inner)):
             gamma = dict(zip(outer, outer_values)) | dict(zip(inner, inner_values))
-            tr = run(aut, gamma, t)
-            evaluated.append((gamma, tr.per_position[p], tr.result))
+            evaluated.append((gamma, state_at(aut, gamma, t, p), run(aut, gamma, t).result))
         for gamma1, sub1, root1 in evaluated:
             for gamma2, sub2, root2 in evaluated:
                 if sub1 != sub2 and root1 != root2:

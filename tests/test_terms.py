@@ -186,6 +186,7 @@ class TestPosition:
     def test_parse_render(self):
         assert str(P("2.1.1")) == "2.1.1"
         assert P("2.1.1").indices == (2, 1, 1)
+        assert repr(P("2.1.1")) == "Position(2.1.1)" and repr(ROOT) == "Position(ε)"
 
     def test_bad_positions(self):
         for text in ("0", "1.0", "a", "1..2", "-1", "²", "1.²"):

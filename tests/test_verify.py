@@ -18,7 +18,8 @@ from fta import (
 )
 
 import fta.verify
-from conftest import P
+from fta.terms import CompiledTerm, compile_term
+from conftest import P, SAMPLE_TERM
 
 
 class TestSuiteOnSample:
@@ -141,6 +142,22 @@ class TestPruneSoundness:
         self.tamper(monkeypatch, original_nodes=counts[0], reduced_nodes=counts[1])
         assert self.details(aut, term) == [
             f"inconsistent node accounting: {counts[0]} -> {counts[1]}"]
+
+
+def test_p2_reports_a_child_that_is_not_independent(monkeypatch, sig, aut):
+    # p2 cannot fail while independence is read from subtree id ranges,
+    # so break it: the leaf at 2.1.1.1 is independent of no node, though
+    # its parent is independent of every node outside its own ancestors
+    # and subtree
+    t = parse_term(SAMPLE_TERM, sig)  # not the shared term: its analysis would keep the break
+    leaf = compile_term(t).node_at(P("2.1.1.1"))
+    real = CompiledTerm.independent
+    monkeypatch.setattr(CompiledTerm, "independent",
+                        lambda self, i, j: j != leaf and real(self, i, j))
+    failures = verify_properties(aut, t).outcomes["ind-prefix-determined"].failures
+    assert [f.detail for f in failures] == [
+        f"independent positions of {p} not prefix determined"
+        for p in ("1", "1.1", "2.2", "1.1.1", "1.1.2", "2.2.1", "2.2.1.1", "2.2.1.2")]
 
 
 def test_a_deep_chain_verifies_in_bounded_time(sig, aut):
