@@ -48,11 +48,11 @@ def _witness_json(w, position_name):
     }
 
 
-def _emit(args, lines, *, command, inputs, verdict=None, witnesses=None,
+def _emit(args, lines, *, inputs, verdict=None, witnesses=None,
           positions_out=None, report=None):
     if args.json:
         payload = {
-            "command": command,
+            "command": args.cmd,
             "inputs": inputs,
             "verdict": verdict,
             "witnesses": witnesses,
@@ -66,15 +66,17 @@ def _emit(args, lines, *, command, inputs, verdict=None, witnesses=None,
 
 
 def _load_automaton(path: str):
-    text = Path(path).read_text(encoding="utf-8")
-    return parse_automaton(text)
+    return parse_automaton(Path(path).read_text(encoding="utf-8"))
 
 
-def _load_term(args, sig):
-    if args.term is not None:
-        return parse_term(args.term, sig)
-    text = Path(args.term_file).read_text(encoding="utf-8")
-    return parse_term(text, sig)
+def _load(args):
+    """The automaton, then the term, and the JSON ``inputs`` naming both."""
+    sig, aut = _load_automaton(args.automaton)
+    text = args.term
+    if text is None:
+        text = Path(args.term_file).read_text(encoding="utf-8")
+    t = parse_term(text, sig)
+    return aut, t, {"automaton": args.automaton, "term": render_term(t)}
 
 
 def _witness_lines(w):
@@ -87,26 +89,23 @@ def _witness_lines(w):
 
 
 def cmd_check(args) -> int:
+    inputs = {"automaton": args.automaton}
     try:
-        sig, aut = _load_automaton(args.automaton)
+        _, aut = _load_automaton(args.automaton)
     except ValidationError as exc:
-        _emit(args, exc.defects, command="check",
-              inputs={"automaton": args.automaton},
-              verdict="defects", report=exc.defects)
+        _emit(args, exc.defects, inputs=inputs, verdict="defects", report=exc.defects)
         return 1
     line = f"complete deterministic: {len(aut.states)} states, {len(aut.rules)} rules"
-    _emit(args, [line], command="check", inputs={"automaton": args.automaton},
-          verdict="ok", report={"states": len(aut.states), "rules": len(aut.rules)})
+    _emit(args, [line], inputs=inputs, verdict="ok",
+          report={"states": len(aut.states), "rules": len(aut.rules)})
     return 0
 
 
 def cmd_run(args) -> int:
-    sig, aut = _load_automaton(args.automaton)
-    t = _load_term(args, sig)
-    gamma = parse_assignment(args.assign, sig) if args.assign else {}
+    aut, t, inputs = _load(args)
+    gamma = parse_assignment(args.assign, aut.signature) if args.assign else {}
+    inputs["assign"] = _assignment_json(gamma)
     term = compile_term(t)
-    inputs = {"automaton": args.automaton, "term": render_term(t),
-              "assign": _assignment_json(gamma)}
     if term.variables <= gamma.keys():
         trace = run(aut, gamma, t)
         lines = [trace.result]
@@ -117,27 +116,24 @@ def cmd_run(args) -> int:
                 trace_json = dict(items)
             else:
                 lines += [f"{name} {state}" for name, state in items]
-        _emit(args, lines, command="run", inputs=inputs, verdict=trace.result,
-              report=trace_json)
+        _emit(args, lines, inputs=inputs, verdict=trace.result, report=trace_json)
         return 0
     mixed = render_term(partial_run(aut, gamma, t))
-    _emit(args, [mixed], command="run", inputs=inputs, verdict=mixed)
+    _emit(args, [mixed], inputs=inputs, verdict=mixed)
     return 0
 
 
 def cmd_essential(args) -> int:
-    sig, aut = _load_automaton(args.automaton)
-    t = _load_term(args, sig)
-    inputs = {"automaton": args.automaton, "term": render_term(t)}
+    aut, t, inputs = _load(args)
     if args.position is not None:
         p = Position.parse(args.position)
         inputs["position"] = str(p)
         w = is_essential_subtree(aut, t, p, budget=args.max_assignments)
         if w is None:
-            _emit(args, ["fictive"], command="essential", inputs=inputs, verdict="fictive")
+            _emit(args, ["fictive"], inputs=inputs, verdict="fictive")
             return 1
-        _emit(args, ["essential"] + _witness_lines(w), command="essential",
-              inputs=inputs, verdict="essential", witnesses=[_witness_json(w, str(p))])
+        _emit(args, ["essential"] + _witness_lines(w), inputs=inputs,
+              verdict="essential", witnesses=[_witness_json(w, str(p))])
         return 0
     rep = essential_positions(aut, t, budget=args.max_assignments)
     essential = [str(p) for p in rep.essential_positions]
@@ -156,7 +152,7 @@ def cmd_essential(args) -> int:
             f" | sub {w.sub_states[0]},{w.sub_states[1]}"
             f" | root {w.root_states[0]},{w.root_states[1]}"
         )
-    _emit(args, lines, command="essential", inputs=inputs, verdict="report",
+    _emit(args, lines, inputs=inputs, verdict="report",
           witnesses=[_witness_json(w, name) for name, w in zip(essential, witnesses)],
           positions_out={
               "essential": essential,
@@ -167,29 +163,24 @@ def cmd_essential(args) -> int:
 
 
 def cmd_separable(args) -> int:
-    sig, aut = _load_automaton(args.automaton)
-    t = _load_term(args, sig)
+    aut, t, inputs = _load(args)
     ys = [Position.parse(p) for p in args.set.split(",") if p.strip()]
     zs = None
     if args.wrt is not None:
         zs = [Position.parse(p) for p in args.wrt.split(",") if p.strip()]
-    inputs = {"automaton": args.automaton, "term": render_term(t),
-              "set": [str(p) for p in ys],
-              "wrt": None if zs is None else [str(p) for p in zs]}
+    inputs["set"] = [str(p) for p in ys]
+    inputs["wrt"] = None if zs is None else [str(p) for p in zs]
     result = is_separable(aut, t, ys, zs, budget=args.max_assignments)
     if result.separable:
-        _emit(args, [f"separable: {render_assignment(result.witness)}"],
-              command="separable", inputs=inputs, verdict="separable",
-              witnesses=_assignment_json(result.witness))
+        _emit(args, [f"separable: {render_assignment(result.witness)}"], inputs=inputs,
+              verdict="separable", witnesses=_assignment_json(result.witness))
         return 0
-    _emit(args, ["not separable"], command="separable", inputs=inputs,
-          verdict="not separable")
+    _emit(args, ["not separable"], inputs=inputs, verdict="not separable")
     return 1
 
 
 def cmd_prune(args) -> int:
-    sig, aut = _load_automaton(args.automaton)
-    t = _load_term(args, sig)
+    aut, t, inputs = _load(args)
     rep = freeze_fictive(aut, t, budget=args.max_assignments)
     original, reduced = rep.original_nodes, rep.reduced_nodes
     saved = 1.0 - reduced / original
@@ -211,8 +202,7 @@ def cmd_prune(args) -> int:
         checked = check_reduction(aut, t, rep, budget=args.max_assignments)
         lines.append(f"soundness: OK ({checked} assignments)")
         soundness = {"checked_assignments": checked}
-    _emit(args, lines, command="prune",
-          inputs={"automaton": args.automaton, "term": render_term(t)},
+    _emit(args, lines, inputs=inputs,
           verdict="reduced" if reduced < original else "no reduction",
           positions_out={
               "determining": None if rep.determining_position is None
@@ -278,10 +268,8 @@ def cmd_verify(args) -> int:
             print("error: need an automaton and a term, or --random/--replay",
                   file=sys.stderr)
             return 2
-        sig, aut = _load_automaton(args.automaton)
-        t = _load_term(args, sig)
+        aut, t, inputs = _load(args)
         report = verify_properties(aut, t, budget=args.max_assignments)
-        inputs = {"automaton": args.automaton, "term": render_term(t)}
 
     lines = _report_lines(report)
     artifact_paths = []
@@ -293,7 +281,7 @@ def cmd_verify(args) -> int:
             lines.extend(f"FAIL {outcome.name}: {f.detail}" for f in outcome.failures)
     else:
         lines.append("all properties passed")
-    _emit(args, lines, command="verify", inputs=inputs,
+    _emit(args, lines, inputs=inputs,
           verdict="pass" if report.total_failures == 0 else "fail",
           report={"properties": _report_json(report), "artifacts": artifact_paths})
     if report.total_failures:
@@ -318,61 +306,44 @@ def build_parser() -> argparse.ArgumentParser:
         description="Runs, essential-subtree analysis and pruning for "
                     "complete deterministic bottom-up tree automata.")
     sub = parser.add_subparsers(dest="cmd", required=True)
+    commands = {}
+    for name, func, help_text in (
+            ("check", cmd_check, "validate completeness and determinism"),
+            ("run", cmd_run, "run the automaton over a term"),
+            ("essential", cmd_essential, "essential/fictive analysis"),
+            ("separable", cmd_separable, "separability of a set of essential positions"),
+            ("prune", cmd_prune,
+             "freeze fictive subtrees / truncate to a determining subtree"),
+            ("verify", cmd_verify, "run the property suite")):
+        p = commands[name] = sub.add_parser(name, help=help_text)
+        p.set_defaults(func=func)
+        p.add_argument("--json", action="store_true", help="machine-readable output")
+        p.add_argument("--max-assignments", type=_at_least(1), default=DEFAULT_BUDGET,
+                       metavar="N",
+                       help="cap on each search, checked up front; a witness search "
+                            "at a position counts k^(outer + 2*inner) candidate pairs")
+        if name != "check":
+            # verify can draw its instances (--random) or replay one instead
+            src = p.add_mutually_exclusive_group(required=name != "verify")
+            src.add_argument("-t", "--term", help="term text")
+            src.add_argument("-f", "--term-file", help="file containing the term")
+        p.add_argument("automaton", nargs="?" if name == "verify" else None)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", help="machine-readable output")
-    common.add_argument("--max-assignments", type=_at_least(1), default=DEFAULT_BUDGET,
-                        metavar="N",
-                        help="cap on each search, checked up front; a witness search "
-                             "at a position counts k^(outer + 2*inner) candidate pairs")
-
-    term_src = argparse.ArgumentParser(add_help=False)
-    group = term_src.add_mutually_exclusive_group(required=True)
-    group.add_argument("-t", "--term", help="term text")
-    group.add_argument("-f", "--term-file", help="file containing the term")
-
-    p = sub.add_parser("check", parents=[common],
-                       help="validate completeness and determinism")
-    p.add_argument("automaton")
-    p.set_defaults(func=cmd_check)
-
-    p = sub.add_parser("run", parents=[common, term_src],
-                       help="run the automaton over a term")
-    p.add_argument("automaton")
+    p = commands["run"]
     p.add_argument("--assign", default="", metavar="x1=c,...",
                    help="assignment; partial assignments yield a mixed term")
     p.add_argument("--trace", action="store_true", help="print the state at every position")
-    p.set_defaults(func=cmd_run)
-
-    p = sub.add_parser("essential", parents=[common, term_src],
-                       help="essential/fictive analysis")
-    p.add_argument("automaton")
-    p.add_argument("--position", metavar="P", help="classify one position only")
-    p.set_defaults(func=cmd_essential)
-
-    p = sub.add_parser("separable", parents=[common, term_src],
-                       help="separability of a set of essential positions")
-    p.add_argument("automaton")
+    commands["essential"].add_argument("--position", metavar="P",
+                                       help="classify one position only")
+    p = commands["separable"]
     p.add_argument("--set", required=True, metavar="P1,P2,...",
                    help="positions that must stay essential")
     p.add_argument("--wrt", metavar="Q1,Q2,...",
                    help="independent essential positions to fix (default: all "
                         "positions independent of the set)")
-    p.set_defaults(func=cmd_separable)
-
-    p = sub.add_parser("prune", parents=[common, term_src],
-                       help="freeze fictive subtrees / truncate to a determining subtree")
-    p.add_argument("automaton")
-    p.add_argument("--verify", action="store_true",
-                   help="re-check the reduction exhaustively")
-    p.set_defaults(func=cmd_prune)
-
-    p = sub.add_parser("verify", parents=[common],
-                       help="run the property suite")
-    p.add_argument("automaton", nargs="?")
-    src = p.add_mutually_exclusive_group()
-    src.add_argument("-t", "--term", help="term text")
-    src.add_argument("-f", "--term-file", help="file containing the term")
+    commands["prune"].add_argument("--verify", action="store_true",
+                                   help="re-check the reduction exhaustively")
+    p = commands["verify"]
     p.add_argument("--random", action="store_true", help="check seeded random instances")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--count", type=_at_least(0), default=100)
@@ -382,14 +353,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--failure-dir", default="fta-failures",
                    help="where failure artifacts are written")
     p.add_argument("--replay", metavar="FILE", help="re-run a failure artifact")
-    p.set_defaults(func=cmd_verify)
-
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if getattr(sys.__stdout__, "errors", None) == "strict" and sys.stdout is sys.__stdout__:
+        # the process's own stdout escapes what it cannot encode (ε, →), as stderr does
+        sys.stdout.reconfigure(errors="backslashreplace")
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except EnumerationBudgetExceeded as exc:

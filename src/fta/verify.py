@@ -22,6 +22,9 @@ Seven properties are checked per (automaton, term) instance:
 All seven hold for linear terms (no repeated variables) over any
 complete deterministic automaton; the bundled generator only produces
 such terms, so suite failures on generated instances indicate bugs.
+Property 2 holds on every term: a child's subtree id range lies inside
+its parent's, so each child of a node independent of p is independent
+of p too, and a p2 failure can only mean a wrong compiled form.
 On terms where one variable occurs at several independent positions,
 properties 1, 3 and 5 can have genuine counterexamples (a repeated
 variable couples subtrees that are positionally independent); the suite

@@ -1,18 +1,24 @@
-"""By-definition references for the term and automaton parsers.
+"""By-definition references for the term, automaton and command line
+parsers.
 
 ``parse_term_by_characters`` is a character-at-a-time tokenizer and a
 parse loop that builds every node through the public constructors, the
 way the package parsed terms before it scanned tokens with one regular
 expression.  ``automaton_defects`` assembles an automaton from
 structured parts and lists its defects with the full ``product`` walk
-over every argument tuple of every symbol.  The tests compare the
-package's parsers with these.
+over every argument tuple of every symbol.  ``build_cli_parser`` is
+the command line parser as it was written before one table declared the
+subcommands: two parent parsers for the common options and the term
+source, and each subcommand's arguments spelled out.  The tests compare
+the package's parsers with these.
 """
 
+import argparse
 import re
 from itertools import product
 
 from fta import (
+    DEFAULT_BUDGET,
     ArityMismatchError,
     Node,
     StateLeaf,
@@ -20,6 +26,7 @@ from fta import (
     UnknownSymbolError,
     Var,
 )
+from fta.cli import cmd_check, cmd_essential, cmd_prune, cmd_run, cmd_separable, cmd_verify
 
 VAR_RE = re.compile(r"x([1-9][0-9]*)\Z")
 
@@ -164,3 +171,87 @@ def automaton_defects(sig, states, final, rules):
             if (symbol, combo) not in assembled:
                 checks.append(f"missing: {lhs(symbol, combo)}")
     return assembly, checks, assembled
+
+
+def _at_least(minimum: int):
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}")
+        return value
+    return integer
+
+
+def build_cli_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="fta",
+        description="Runs, essential-subtree analysis and pruning for "
+                    "complete deterministic bottom-up tree automata.")
+    sub = parser.add_subparsers(dest="cmd", required=True)
+
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--json", action="store_true", help="machine-readable output")
+    common.add_argument("--max-assignments", type=_at_least(1), default=DEFAULT_BUDGET,
+                        metavar="N",
+                        help="cap on each search, checked up front; a witness search "
+                             "at a position counts k^(outer + 2*inner) candidate pairs")
+
+    term_src = argparse.ArgumentParser(add_help=False)
+    group = term_src.add_mutually_exclusive_group(required=True)
+    group.add_argument("-t", "--term", help="term text")
+    group.add_argument("-f", "--term-file", help="file containing the term")
+
+    p = sub.add_parser("check", parents=[common],
+                       help="validate completeness and determinism")
+    p.add_argument("automaton")
+    p.set_defaults(func=cmd_check)
+
+    p = sub.add_parser("run", parents=[common, term_src],
+                       help="run the automaton over a term")
+    p.add_argument("automaton")
+    p.add_argument("--assign", default="", metavar="x1=c,...",
+                   help="assignment; partial assignments yield a mixed term")
+    p.add_argument("--trace", action="store_true", help="print the state at every position")
+    p.set_defaults(func=cmd_run)
+
+    p = sub.add_parser("essential", parents=[common, term_src],
+                       help="essential/fictive analysis")
+    p.add_argument("automaton")
+    p.add_argument("--position", metavar="P", help="classify one position only")
+    p.set_defaults(func=cmd_essential)
+
+    p = sub.add_parser("separable", parents=[common, term_src],
+                       help="separability of a set of essential positions")
+    p.add_argument("automaton")
+    p.add_argument("--set", required=True, metavar="P1,P2,...",
+                   help="positions that must stay essential")
+    p.add_argument("--wrt", metavar="Q1,Q2,...",
+                   help="independent essential positions to fix (default: all "
+                        "positions independent of the set)")
+    p.set_defaults(func=cmd_separable)
+
+    p = sub.add_parser("prune", parents=[common, term_src],
+                       help="freeze fictive subtrees / truncate to a determining subtree")
+    p.add_argument("automaton")
+    p.add_argument("--verify", action="store_true",
+                   help="re-check the reduction exhaustively")
+    p.set_defaults(func=cmd_prune)
+
+    p = sub.add_parser("verify", parents=[common],
+                       help="run the property suite")
+    p.add_argument("automaton", nargs="?")
+    src = p.add_mutually_exclusive_group()
+    src.add_argument("-t", "--term", help="term text")
+    src.add_argument("-f", "--term-file", help="file containing the term")
+    p.add_argument("--random", action="store_true", help="check seeded random instances")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--count", type=_at_least(0), default=100)
+    p.add_argument("--max-depth", type=_at_least(0), default=4)
+    p.add_argument("--max-vars", type=_at_least(0), default=4)
+    p.add_argument("--max-states", type=_at_least(1), default=3)
+    p.add_argument("--failure-dir", default="fta-failures",
+                   help="where failure artifacts are written")
+    p.add_argument("--replay", metavar="FILE", help="re-run a failure artifact")
+    p.set_defaults(func=cmd_verify)
+
+    return parser

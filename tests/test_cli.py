@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -7,9 +9,12 @@ from pathlib import Path
 
 import pytest
 
-from fta.cli import main
+from fta.cli import build_parser, main
 
 from conftest import SAMPLE_AUTOMATON, SAMPLE_TERM
+from reference_parsers import build_cli_parser
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 @pytest.fixture()
@@ -24,6 +29,77 @@ def wide_term(n=25):
     for i in range(2, n + 1):
         text = f"f1(x{i},{text})"
     return text
+
+
+def fta_process(argv, **env):
+    """``python -m fta.cli argv`` in a new process, with ``env`` added to
+    the environment; stdout and stderr are kept as bytes."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "fta.cli", *argv],
+                          env={**os.environ, "PYTHONPATH": path, **env},
+                          capture_output=True, check=False)
+
+
+@pytest.mark.parametrize("encoding", ["ascii", "utf-8"])
+def test_a_stdout_escapes_what_its_encoding_cannot_hold(encoding, aut_file, capsys):
+    """ε and → reach an ASCII stdout as backslash escapes, and the command
+    keeps its own exit code; a UTF-8 stdout gets the text unchanged."""
+    for argv in (["run", "--trace", "--assign", "x1=0,x2=1,x3=1,x4=0"],
+                 ["essential"], ["prune"]):
+        argv = [*argv, aut_file, "-t", SAMPLE_TERM]
+        assert main(argv) == 0
+        text = capsys.readouterr().out
+        assert "ε" in text or "→" in text
+        done = fta_process(argv, PYTHONIOENCODING=encoding)
+        assert (done.returncode, done.stderr) == (0, b"")
+        assert done.stdout == text.encode(encoding, "backslashreplace")
+
+
+CLI_ARGV = [
+    [], ["--help"], ["bogus"], ["--json", "check", "a.fta"],
+    ["check", "--help"], ["check", "a.fta"], ["check"], ["check", "a.fta", "-t", "x1"],
+    ["check", "--json", "--max-assignments", "7", "a.fta"],
+    ["run", "--help"], ["run", "a.fta"], ["run", "-t", "x1"],
+    ["run", "a.fta", "-t", "x1", "-f", "t.txt"], ["run", "-f", "t.txt", "a.fta"],
+    ["run", "a.fta", "--term", "x1", "--assign", "x1=0", "--trace", "--json",
+     "--max-assignments", "5"],
+    ["run", "a.fta", "--te", "x1", "--max-assignments", "0"],
+    ["run", "a.fta", "-t", "x1", "--max-assignments", "many"],
+    ["essential", "--help"], ["essential", "a.fta", "--term-file", "t.txt"],
+    ["essential", "a.fta", "-t", "x1", "--position", "1.2", "--json"],
+    ["separable", "--help"], ["separable", "a.fta", "-t", "x1"],
+    ["separable", "a.fta", "-t", "x1", "--set", "1,2", "--wrt", "3"],
+    ["prune", "--help"], ["prune", "a.fta", "-t", "x1", "--verify", "--json"],
+    ["prune", "a.fta", "-f", "t.txt", "--position", "1"],
+    ["verify", "--help"], ["verify"], ["verify", "a.fta", "-t", "x1"],
+    ["verify", "-f", "t.txt", "a.fta", "--json"], ["verify", "-t", "x1", "-f", "t.txt"],
+    ["verify", "--random", "--seed", "3", "--count", "0", "--max-depth", "2",
+     "--max-vars", "1", "--max-states", "1", "--failure-dir", "d",
+     "--max-assignments", "9"],
+    ["verify", "--rand", "--replay", "r.json"], ["verify", "--count", "-1"],
+    ["verify", "--max-states", "0"], ["verify", "--seed", "x"],
+    ["verify", "a.fta", "b.fta"],
+]
+
+
+def parse_outcome(build, argv):
+    """The namespace (``None`` on exit), stdout, stderr and exit code of
+    parsing ``argv`` with the parser ``build()`` makes."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            namespace, code = vars(build().parse_args(argv)), None
+        except SystemExit as exc:
+            namespace, code = None, exc.code
+    return namespace, out.getvalue(), err.getvalue(), code
+
+
+@pytest.mark.parametrize("argv", CLI_ARGV, ids=lambda argv: " ".join(argv) or "no-arguments")
+def test_the_parser_matches_the_reference(argv, monkeypatch):
+    """Help, usage errors and namespaces (each command's function
+    included) are those of the parser before the subcommand table."""
+    monkeypatch.setenv("COLUMNS", "80")
+    assert parse_outcome(build_parser, argv) == parse_outcome(build_cli_parser, argv)
 
 
 @pytest.mark.parametrize("command", [
@@ -77,15 +153,11 @@ class TestCheck:
     def test_final_states_outside_q_in_the_same_order_under_every_hash_seed(self, tmp_path):
         path = tmp_path / "finals.fta"
         path.write_text("signature: 0/0\nstates: q0\nfinal: qa qb qc qd\nrule: 0 -> q0\n")
-        src = str(Path(__file__).resolve().parent.parent / "src")
         outputs = set()
         for seed in ("1", "2", "3", "4"):
-            env = {**os.environ, "PYTHONHASHSEED": seed,
-                   "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-            done = subprocess.run([sys.executable, "-m", "fta.cli", "check", str(path)],
-                                  env=env, capture_output=True, text=True, check=False)
+            done = fta_process(["check", str(path)], PYTHONHASHSEED=seed)
             assert done.returncode == 1, done.stderr
-            outputs.add(done.stdout)
+            outputs.add(done.stdout.decode())
         assert outputs == {"".join(f"final state not in Q: {q}\n" for q in ("qa", "qb", "qc", "qd"))}
 
     def test_json_mode(self, aut_file, capsys):

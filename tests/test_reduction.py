@@ -213,7 +213,7 @@ class TestFreezeFictive:
             check_reduction(aut, term, rep)
 
 
-class TestCostReport:
+class TestNodeCounts:
     """The node counts a reduction reports are those of its terms."""
 
     def test_sample(self, aut, term):
