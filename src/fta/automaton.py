@@ -176,6 +176,14 @@ class RunTrace:
     ids: tuple[int, ...]
     _names: tuple[str, ...]
 
+    def __init__(self, result: str, ids: tuple[int, ...], _names: tuple[str, ...]):
+        # written straight into the instance dict, as fta.terms.Node is,
+        # past the frozen dataclass's slower object.__setattr__
+        fields = self.__dict__
+        fields["result"] = result
+        fields["ids"] = ids
+        fields["_names"] = _names
+
     @cached_property
     def states(self) -> tuple[str, ...]:
         return tuple(map(self._names.__getitem__, self.ids))
@@ -344,12 +352,11 @@ def render_automaton(aut: Automaton) -> str:
 
 def check_assignment(sig: Signature, gamma: Mapping[int, str]) -> None:
     """Every assignment image must be a nullary symbol of ``sig``."""
+    constants = sig.constants
     for v, c in gamma.items():
-        arity = sig.arity(c)
-        if arity is None:
-            raise UnknownSymbolError(f"assignment value {c!r} for x{v} is not a symbol")
-        if arity != 0:
-            raise UnknownSymbolError(f"assignment value {c!r} for x{v} is not nullary")
+        if c not in constants:
+            kind = "a symbol" if sig.arity(c) is None else "nullary"
+            raise UnknownSymbolError(f"assignment value {c!r} for x{v} is not {kind}")
 
 
 def parse_assignment(text: str, sig: Signature) -> Assignment:

@@ -7,6 +7,7 @@ Exit codes: 0 success / affirmative verdict, 1 negative verdict,
 from __future__ import annotations
 
 import argparse
+import codecs
 import hashlib
 import json
 import sys
@@ -251,9 +252,22 @@ def _dump_failures(report, directory: str) -> list[str]:
     return paths
 
 
+def _usage_error(message: str) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return 2
+
+
 def cmd_verify(args) -> int:
+    # the instance comes from exactly one source: one given, drawn (--random) or replayed
+    replay = args.replay is not None
+    if args.random and replay:
+        return _usage_error("--random and --replay cannot be combined")
+    if (args.random or replay) and any(
+            a is not None for a in (args.automaton, args.term, args.term_file)):
+        flag = "--random" if args.random else "--replay"
+        return _usage_error(f"{flag} cannot be combined with an automaton or a term")
     inputs = {}
-    if args.replay is not None:
+    if replay:
         blob = Path(args.replay).read_text(encoding="utf-8")
         report = replay_failure(blob, budget=args.max_assignments)
         inputs = {"replay": args.replay}
@@ -265,9 +279,7 @@ def cmd_verify(args) -> int:
         inputs = {"seed": args.seed, "count": args.count}
     else:
         if args.automaton is None or (args.term is None and args.term_file is None):
-            print("error: need an automaton and a term, or --random/--replay",
-                  file=sys.stderr)
-            return 2
+            return _usage_error("need an automaton and a term, or --random/--replay")
         aut, t, inputs = _load(args)
         report = verify_properties(aut, t, budget=args.max_assignments)
 
@@ -356,10 +368,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _restore_or_escape(exc: UnicodeError) -> tuple[str | bytes, int]:
+    """Codec error handler for encoding: a lone surrogate U+DC80–U+DCFF
+    is written back as the byte it stands for, as ``surrogateescape``
+    does, and any other character the encoding cannot hold is
+    backslash-escaped, as ``backslashreplace`` does; one character per
+    call."""
+    if not isinstance(exc, UnicodeEncodeError):
+        raise exc
+    c = exc.object[exc.start]
+    if "\udc80" <= c <= "\udcff":
+        return bytes([ord(c) - 0xDC00]), exc.start + 1
+    return c.encode("ascii", "backslashreplace").decode("ascii"), exc.start + 1
+
+
+#: The name :func:`_restore_or_escape` is registered under.
+RESTORE_OR_ESCAPE = "fta.surrogateescape-backslashreplace"
+codecs.register_error(RESTORE_OR_ESCAPE, _restore_or_escape)
+
+#: What the process's own stdout switches to, by its error handler, so
+#: that it escapes what it cannot encode (ε, →), as stderr does.
+_STDOUT_ERRORS = {"strict": "backslashreplace", "surrogateescape": RESTORE_OR_ESCAPE}
+
+
 def main(argv=None) -> int:
-    if getattr(sys.__stdout__, "errors", None) == "strict" and sys.stdout is sys.__stdout__:
-        # the process's own stdout escapes what it cannot encode (ε, →), as stderr does
-        sys.stdout.reconfigure(errors="backslashreplace")
+    # a replaced stdout (StringIO, a capture) is left alone
+    errors = sys.stdout is sys.__stdout__ and _STDOUT_ERRORS.get(getattr(sys.stdout, "errors", None))
+    if errors:
+        sys.stdout.reconfigure(errors=errors)
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

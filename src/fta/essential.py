@@ -150,6 +150,7 @@ class Analysis:
         k = len(self._consts)
         self._weight = {v: k ** e for e, v in enumerate(sorted(self.term.variables, reverse=True))}
         self._rows: dict[int, tuple[int, ...]] = {}
+        self._numbers: dict[frozenset[int], list[int]] = {}  # see witness
 
     def _afford(self, digits: int, budget: int) -> int:
         """How many assignments ``digits`` variables have, if ``budget`` allows."""
@@ -189,20 +190,26 @@ class Analysis:
         is then the first member of the earliest group that has a group
         differing in both states, paired with the earliest member of
         such a group, so the search is linear in the inner assignments.
+        The numbers of the assignments to a set of variables that give
+        every other variable the first constant, in canonical order, are
+        kept per set, so a set met again at another node costs nothing.
         """
         term = self.term
-        inner = sorted(term.variables_at[node])
+        inner = term.variables_at[node]
         if not inner:
             return None
-        outer = sorted(term.variables - term.variables_at[node] - fixed)
+        outer = term.variables - inner - fixed
         self._afford(len(outer) + 2 * len(inner), budget)
 
-        k, weight = len(self._consts), self._weight
-        inner_numbers = [sum(weight[v] * i for v, i in zip(inner, digits))
-                         for digits in product(range(k), repeat=len(inner))]
+        k, weight, numbers = len(self._consts), self._weight, self._numbers
+        for vs in (inner, outer):
+            if vs not in numbers:  # each variable adds the weight of its constant's index
+                numbers[vs] = list(map(sum, product(*[[weight[v] * i for i in range(k)]
+                                                      for v in sorted(vs)])))
+        inner_numbers = numbers[inner]
         get, make = self._rows.get, self._run
-        for digits in product(range(k), repeat=len(outer)):
-            start = base + sum(weight[v] * i for v, i in zip(outer, digits))
+        for start in numbers[outer]:
+            start += base
             first: dict[tuple[int, int], int] = {}
             for number in inner_numbers:
                 number += start
@@ -214,7 +221,7 @@ class Analysis:
                 if partners:
                     n2, sub2, root2 = min(partners)
                     names = compile_automaton(self.aut).names
-                    order = [*sorted(fixed), *outer, *inner]
+                    order = [*sorted(fixed), *sorted(outer), *sorted(inner)]
                     return WitnessPair(p, self._assignment(n1, order), self._assignment(n2, order),
                                        (names[sub1], names[sub2]), (names[root1], names[root2]))
         return None

@@ -133,7 +133,8 @@ def freeze_fictive(aut: Automaton, t: Term, *,
     ground representative.  Every such state is read from the run of
     ``t`` under the first canonical assignment (see
     :func:`fta.automaton.run`); a subtree is left as it is when its
-    representative would not shrink it, or when its state has none (a
+    representative would not shrink it, as for every leaf, which is
+    skipped before its state is read, or when its state has none (a
     state only a state leaf reaches).  If a determining subtree exists
     and is smaller than the frozen term, it becomes the reduced term
     instead.
@@ -153,6 +154,8 @@ def freeze_fictive(aut: Automaton, t: Term, *,
         p = term.positions[node]
         if below_fictive[node] or p in report.essential_positions:
             continue  # essential, or not maximal
+        if sizes[node] == 1:
+            continue  # a leaf: no representative is smaller
         first = node - sizes[node] + 1  # the subtree's ids are first..node
         below_fictive[first:node] = b"\1" * (node - first)
         if not all(first <= first_leaf[v] and last_leaf[v] <= node

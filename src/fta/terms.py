@@ -62,11 +62,14 @@ class Signature:
         if not any(a == 0 for _, a in self.symbols):
             raise ValueError("signature needs at least one nullary symbol")
         object.__setattr__(self, "_arities", dict(self.symbols))
+        object.__setattr__(self, "_constants", tuple(n for n, a in self.symbols if a == 0))
 
     @property
     def constants(self) -> tuple[str, ...]:
-        """Nullary symbols, in declaration order."""
-        return tuple(n for n, a in self.symbols if a == 0)
+        """Nullary symbols, in declaration order; listed once, when the
+        signature is made, since every run's assignment is checked
+        against them."""
+        return self._constants
 
     def arity(self, name: str) -> int | None:
         """Arity of ``name``, or None if the symbol is not declared."""

@@ -52,10 +52,8 @@ from .terms import (
     PositionSet,
     Term,
     compile_term,
-    is_prefix_determined,
     node_count,
     parse_term,
-    positions,
     render_term,
     variables,
 )
@@ -131,10 +129,15 @@ def essential_by_definition(aut: Automaton, t: Term, *,
     Keeps none of the factored-search structure: each total assignment
     is run once, by this function itself (it never reads the term's
     analysis, :class:`fta.essential.Analysis`).
-    At every position the runs are put in buckets by their values
-    outside the subtree, and the double loop runs inside each bucket, so
-    it sees exactly the pairs that agree outside the subtree.  The budget
-    still counts all pairs.  Used as the independent oracle for
+    For each distinct set of subtree variables, the runs are put once in
+    buckets by their values outside those variables, so a bucket holds
+    exactly the runs that agree outside the subtree at every position
+    with that set.  At each position, a bucket is decided by a double
+    loop over its distinct (subtree state, root state) pairs, of which
+    there are at most |Q|²; a bucket of one run, or of one distinct
+    pair, has no pair that differs.  So the work is O(n·N) plus at most
+    |Q|⁴ pair checks per bucket.  The budget still counts all N² pairs,
+    up front.  Used as the independent oracle for
     :func:`fta.essential.essential_positions`.
     """
     vs = sorted(variables(t))
@@ -145,29 +148,38 @@ def essential_by_definition(aut: Automaton, t: Term, *,
     runs = [(values, run(aut, dict(zip(vs, values)), t).ids)
             for values in product(consts, repeat=len(vs))]
     term = compile_term(t)
+    partitions: dict[frozenset[int], list[list[tuple[int, ...]]]] = {}  # by inner variables
 
     def essential(node: int) -> bool:
         inner = term.variables_at[node]
-        outer_idx = [i for i, v in enumerate(vs) if v not in inner]
-        buckets: dict[tuple[str, ...], list[tuple[int, int]]] = {}
-        for values, states in runs:
-            buckets.setdefault(tuple(values[i] for i in outer_idx), []).append(
-                (states[node], states[-1]))
-        return any(
-            sub1 != sub2 and root1 != root2
-            for pairs in buckets.values()
-            for sub1, root1 in pairs
-            for sub2, root2 in pairs
-        )
+        buckets = partitions.get(inner)
+        if buckets is None:
+            outer_idx = [i for i, v in enumerate(vs) if v not in inner]
+            by_outer: dict[tuple[str, ...], list[tuple[int, ...]]] = {}
+            for values, states in runs:
+                by_outer.setdefault(tuple([values[i] for i in outer_idx]), []).append(states)
+            buckets = partitions[inner] = [rows for rows in by_outer.values() if len(rows) > 1]
+        for rows in buckets:
+            pairs = {(states[node], states[-1]) for states in rows}
+            if len(pairs) > 1 and any(sub1 != sub2 and root1 != root2
+                                      for sub1, root1 in pairs for sub2, root2 in pairs):
+                return True
+        return False
 
     return term.position_set(essential)
 
 
 def verify_properties(aut: Automaton, t: Term, *, budget: int = DEFAULT_BUDGET,
                       seed: int | None = None) -> PropertyReport:
-    """Run all seven properties on one instance."""
-    report = PropertyReport.empty()
-    pos = positions(t)
+    """Run all seven properties on one instance.
+
+    Properties 1, 2, 3 and 6 read the term by node id: its positions
+    and their rendered names come from its compiled form, and its
+    (parent, child) edges are listed once, grouped by parent.
+    """
+    term = compile_term(t)
+    paths = term.positions
+    families = [(j, kids) for j, kids in enumerate(term.children) if kids]
 
     # One reduction backs properties 1 and 3-7; it exceeds the budget
     # exactly when its essentiality report does.
@@ -184,24 +196,35 @@ def verify_properties(aut: Automaton, t: Term, *, budget: int = DEFAULT_BUDGET,
         return reduction
 
     def p1():
+        """A child is essential only under an essential parent; the
+        children come parent by parent in breadth-first order, which
+        is the order of their positions."""
         ess = need_reduction().essentiality.essential_positions
-        bad = [str(p) for p in ess if p.indices and p.parent() not in ess]
+        bad = [term.names[k] for j in term.order if paths[j] not in ess
+               for k in term.children[j] if paths[k] in ess]
         return [f"essential positions not prefix closed at: {', '.join(bad)}"] if bad else []
 
     def p2():
         """Ind(p) is prefix determined unless some node independent of
         p's node has a child that is not, read from subtree id ranges."""
-        term = compile_term(t)
-        return [
-            f"independent positions of {term.names[i]} not prefix determined"
-            for i in term.order
-            if any(term.independent(i, j) and not term.independent(i, k)
-                   for j, kids in enumerate(term.children) for k in kids)
-        ]
+        independent = term.independent
+
+        def undetermined(i: int) -> bool:
+            for j, kids in families:
+                if independent(i, j):
+                    for k in kids:
+                        if not independent(i, k):
+                            return True
+            return False
+
+        return [f"independent positions of {term.names[i]} not prefix determined"
+                for i in term.order if undetermined(i)]
 
     def p3():
-        rep = need_reduction().essentiality
-        if not is_prefix_determined(rep.fictive_positions, pos):
+        """The term's positions are prefix closed, so the fictive set is
+        prefix determined iff no fictive node has a child that is not."""
+        fict = need_reduction().essentiality.fictive_positions
+        if any(paths[j] in fict and paths[k] not in fict for j, kids in families for k in kids):
             return ["fictive positions not prefix determined"]
         return []
 
@@ -232,7 +255,6 @@ def verify_properties(aut: Automaton, t: Term, *, budget: int = DEFAULT_BUDGET,
         """
         rep = need_reduction().essentiality
         found = analysis(aut, t)
-        term = found.term
         details = []
         for p in rep.essential_positions:
             path = [term.root]
@@ -247,13 +269,13 @@ def verify_properties(aut: Automaton, t: Term, *, budget: int = DEFAULT_BUDGET,
         return details
 
     def p6():
-        rep = need_reduction().essentiality
+        search = need_reduction().essentiality.essential_positions
         oracle = essential_by_definition(aut, t, budget=budget)
+        differ = search ^ oracle
         return [
-            f"essentiality of {p}: search says {p in rep.essential_positions},"
+            f"essentiality of {term.names[i]}: search says {p in search},"
             f" enumeration says {p in oracle}"
-            for p in pos
-            if (p in rep.essential_positions) != (p in oracle)
+            for i in term.order if (p := paths[i]) in differ
         ]
 
     def p7():
@@ -267,20 +289,20 @@ def verify_properties(aut: Automaton, t: Term, *, budget: int = DEFAULT_BUDGET,
             details.append(f"inconsistent node accounting: {original} -> {reduced}")
         return details
 
+    outcomes = {}
     texts = None  # the instance's automaton and term text, rendered for the first failure
     for name, check in zip(PROPERTY_NAMES, (p1, p2, p3, p4, p5, p6, p7)):
-        outcome = report.outcomes[name]
-        outcome.instances_checked += 1
+        outcome = outcomes[name] = PropertyOutcome(name, 1)
         try:
             details = check()
         except EnumerationBudgetExceeded:
-            outcome.budget_exceeded += 1
+            outcome.budget_exceeded = 1
             continue
         if details and texts is None:
             texts = render_automaton(aut), render_term(t)
         for detail in details:
             outcome.failures.append(PropertyFailure(name, detail, *texts, seed))
-    return report
+    return PropertyReport(outcomes)
 
 
 def check_random_instances(*, seed: int, count: int,

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from fta.cli import build_parser, main
+from fta.cli import RESTORE_OR_ESCAPE, build_parser, main
 
 from conftest import SAMPLE_AUTOMATON, SAMPLE_TERM
 from reference_parsers import build_cli_parser
@@ -53,6 +53,47 @@ def test_a_stdout_escapes_what_its_encoding_cannot_hold(encoding, aut_file, caps
         done = fta_process(argv, PYTHONIOENCODING=encoding)
         assert (done.returncode, done.stderr) == (0, b"")
         assert done.stdout == text.encode(encoding, "backslashreplace")
+
+
+def restored_or_escaped(text: str) -> bytes:
+    """``text`` as an ASCII stream with the ``surrogateescape`` handler
+    shows it once ``main`` has taken it over: a lone surrogate
+    U+DC80-U+DCFF becomes its byte, any other non-ASCII character a
+    backslash escape."""
+    return b"".join(c.encode("ascii", "surrogateescape") if "\udc80" <= c <= "\udcff"
+                    else c.encode("ascii", "backslashreplace") for c in text)
+
+
+def test_a_surrogateescape_stdout_keeps_bytes_and_escapes_the_rest(aut_file, tmp_path):
+    """A stdout with ``surrogateescape`` writes an undecodable argument
+    byte back (here in a failure directory's name) and escapes ε and →,
+    where it raised ``UnicodeEncodeError``; the command keeps its own
+    exit code."""
+    failure_dir = str(tmp_path / "d\udcff")  # the shell's $'d\xff'
+    for argv, code in ((["essential", aut_file, "-t", SAMPLE_TERM], 0),
+                       (["prune", aut_file, "-t", SAMPLE_TERM], 0),
+                       (["verify", aut_file, "-t", "f2(f1(x1,g(x1)),x1)",
+                         "--failure-dir", failure_dir], 1)):
+        out = io.StringIO()  # unlike the capture, it holds lone surrogates
+        with contextlib.redirect_stdout(out):
+            assert main(argv) == code
+        text = out.getvalue()
+        assert "ε" in text or "→" in text or "\udcff" in text
+        done = fta_process(argv, PYTHONIOENCODING="ascii:surrogateescape")
+        assert (done.returncode, done.stderr) == (code, b"")
+        assert done.stdout == restored_or_escaped(text)
+
+
+def test_the_stdout_error_handler_restores_escaped_bytes_and_escapes_the_rest():
+    """In process, where stdout is always captured: the handler ``main``
+    gives a ``surrogateescape`` stdout, on ASCII and on UTF-8, and not
+    for decoding."""
+    text = "ε\udcff→\ud800x"
+    assert text.encode("ascii", RESTORE_OR_ESCAPE) == b"\\u03b5\xff\\u2192\\ud800x"
+    assert text.encode("utf-8", RESTORE_OR_ESCAPE) == "ε".encode() + b"\xff" + "→".encode() + (
+        b"\\ud800x")
+    with pytest.raises(UnicodeDecodeError):
+        b"\xff".decode("ascii", RESTORE_OR_ESCAPE)
 
 
 CLI_ARGV = [
@@ -396,6 +437,35 @@ class TestVerify:
 
     def test_missing_inputs(self, capsys):
         assert main(["verify"]) == 2
+
+    @pytest.mark.parametrize("sources, message", [
+        (["AUT", "-t", "x1", "--random"], "--random cannot be combined with an automaton or a term"),
+        (["AUT", "--random"], "--random cannot be combined with an automaton or a term"),
+        (["-t", "x1", "--random"], "--random cannot be combined with an automaton or a term"),
+        (["-f", "t.txt", "--random"], "--random cannot be combined with an automaton or a term"),
+        (["AUT", "-t", "x1", "--replay", "r.json"],
+         "--replay cannot be combined with an automaton or a term"),
+        (["AUT", "--replay", "r.json"], "--replay cannot be combined with an automaton or a term"),
+        (["-f", "t.txt", "--replay", "r.json"],
+         "--replay cannot be combined with an automaton or a term"),
+        (["--random", "--replay", "r.json"], "--random and --replay cannot be combined"),
+        (["AUT", "-t", "x1", "--random", "--replay", "r.json"],
+         "--random and --replay cannot be combined"),
+    ], ids=["aut-term-random", "aut-random", "term-random", "file-random", "aut-term-replay",
+            "aut-replay", "file-replay", "random-replay", "aut-term-random-replay"])
+    def test_sources_of_instances_are_not_combined(self, aut_file, tmp_path, capsys, monkeypatch,
+                                                   sources, message):
+        """A given instance is never dropped for drawn or replayed ones,
+        nor --random for --replay: one error line and exit 2, before
+        any file is read (r.json does not exist) or artifact written."""
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        argv = ["verify", *[aut_file if a == "AUT" else a for a in sources]]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
+        assert list(work.iterdir()) == []
 
     @pytest.mark.parametrize("options, artifact", [
         (["--random", "--max-depth", "-1"], None),

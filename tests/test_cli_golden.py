@@ -89,6 +89,10 @@ def _readme_commands() -> list[list[str]]:
         ["essential", "boolean.fta", *t, "--position", "3"],
         ["run", "boolean.fta", *t, "--assign", "x1=2"],
         ["check", "missing.fta"],
+        # verify refuses to choose between the sources of its instances
+        ["verify", "boolean.fta", *t, "--random", "--count", "2"],
+        ["verify", "-f", "readme.term", "--replay", "missing.json", "--json"],
+        ["verify", "--random", "--replay", "missing.json"],
     ]
 
 

@@ -72,16 +72,16 @@ from reference_parsers import automaton_defects, lhs, parse_term_by_characters
 SIG = DEFAULT_SIGNATURE
 
 
-def leaves(max_var=3):
+def leaves(max_var=3, constants=("0", "1")):
     return st.one_of(
         st.integers(1, max_var).map(Var),
-        st.sampled_from(["0", "1"]).map(Node),
+        st.sampled_from(constants).map(Node),
     )
 
 
-def terms(max_leaves=10, max_var=3):
+def terms(max_leaves=10, max_var=3, constants=("0", "1")):
     return st.recursive(
-        leaves(max_var),
+        leaves(max_var, constants),
         lambda ch: st.one_of(
             st.builds(lambda a: Node("g", (a,)), ch),
             st.builds(lambda a, b: Node("f1", (a, b)), ch, ch),
@@ -92,11 +92,11 @@ def terms(max_leaves=10, max_var=3):
 
 
 @st.composite
-def nonlinear_terms(draw, max_leaves=8, max_var=2):
+def nonlinear_terms(draw, max_leaves=8, max_var=2, constants=("0", "1")):
     """Terms in which some variable occurs at two independent leaves:
     one leaf on each side of a binary node is replaced by that variable,
     and the node is wrapped in up to two unary symbols."""
-    halves = [draw(terms(max_leaves // 2, max_var)) for _ in range(2)]
+    halves = [draw(terms(max_leaves // 2, max_var, constants)) for _ in range(2)]
     v = Var(draw(st.integers(1, max_var)))
     for i, half in enumerate(halves):
         leaf = draw(st.sampled_from(
@@ -752,6 +752,38 @@ def test_bucketed_oracle_matches_all_pairs_on_chains(aut, t):
     assert essential_by_definition(aut, t) == essential_by_all_pairs(aut, t)
 
 
+#: The default signature with a third constant, so a bucket of the
+#: oracle holds 3^m runs and up to 4 states give up to 16 distinct pairs.
+THREE_CONSTANTS = Signature([("0", 0), ("1", 0), ("2", 0), ("g", 1), ("f1", 2), ("f2", 2)])
+
+
+def three_constant_automata():
+    return st.builds(
+        lambda seed, states: random_automaton(
+            GenParams(signature=THREE_CONSTANTS, seed=seed, state_count=states)),
+        st.integers(0, 2 ** 32), st.integers(1, 4))
+
+
+def three_constant_terms():
+    """Linear terms as the seeded generator draws them, with up to four
+    variables, and non-linear ones with up to three."""
+    return st.one_of(
+        st.builds(lambda seed: random_term(GenParams(signature=THREE_CONSTANTS, seed=seed)),
+                  st.integers(0, 2 ** 32)),
+        nonlinear_terms(max_var=3, constants=THREE_CONSTANTS.constants))
+
+
+@settings(max_examples=60, deadline=None)
+@given(three_constant_automata(), three_constant_terms())
+def test_oracle_over_three_constants(aut, t):
+    """Off the default signature the bucketed oracle still sees exactly
+    the pairs that agree outside each subtree, and the search agrees
+    with it (p6)."""
+    assert essential_by_definition(aut, t) == essential_by_all_pairs(aut, t)
+    p6 = verify_properties(aut, t).outcomes["oracle-agreement"]
+    assert (p6.failures, p6.budget_exceeded) == ([], 0)
+
+
 def verdict(f):
     try:
         return f()
@@ -807,6 +839,48 @@ def test_p2_and_p5_match_their_definitions(aut, t, budget):
 @given(automata(), chains(levels=100), BUDGETS)
 def test_p2_and_p5_match_their_definitions_on_deep_chains(aut, t, budget):
     assert_p2_p5_by_definition(aut, t, budget)
+
+
+def p1_p3_p6_by_definition(aut, t, budget):
+    """p1's, p3's and p6's outcomes (budget exceeded, failure details)
+    from the position algebra: parents by ``Position.parent``, prefix
+    determination by ``is_prefix_determined`` and the positions in the
+    order of ``positions(t)``."""
+    try:
+        rep = essential_positions(aut, t, budget=budget)
+    except EnumerationBudgetExceeded:
+        return [(1, [])] * 3
+    ess, pos = rep.essential_positions, positions(t)
+    bad = [str(p) for p in ess if p.indices and p.parent() not in ess]
+    p1 = [f"essential positions not prefix closed at: {', '.join(bad)}"] if bad else []
+    p3 = ([] if is_prefix_determined(rep.fictive_positions, pos)
+          else ["fictive positions not prefix determined"])
+    try:
+        oracle = essential_by_definition(aut, t, budget=budget)
+    except EnumerationBudgetExceeded:
+        return [(0, p1), (0, p3), (1, [])]
+    return [(0, p1), (0, p3), (0, [
+        f"essentiality of {p}: search says {p in ess}, enumeration says {p in oracle}"
+        for p in pos if (p in ess) != (p in oracle)])]
+
+
+def assert_p1_p3_p6_by_definition(aut, t, budget):
+    outcomes = verify_properties(aut, t, budget=budget).outcomes
+    assert [(outcomes[name].budget_exceeded, [f.detail for f in outcomes[name].failures])
+            for name in ("essential-prefix-closed", "fictive-prefix-determined",
+                         "oracle-agreement")] == p1_p3_p6_by_definition(aut, t, budget)
+
+
+@settings(max_examples=60, deadline=None)
+@given(automata(), st.one_of(linear_terms(), nonlinear_terms(max_var=3)), BUDGETS)
+def test_p1_p3_and_p6_match_their_definitions(aut, t, budget):
+    assert_p1_p3_p6_by_definition(aut, t, budget)
+
+
+@settings(max_examples=8, deadline=None)
+@given(automata(), chains(levels=100), BUDGETS)
+def test_p1_p3_and_p6_match_their_definitions_on_deep_chains(aut, t, budget):
+    assert_p1_p3_p6_by_definition(aut, t, budget)
 
 
 def test_p5_matches_its_definition_on_genuine_failures(aut, sig):

@@ -25,6 +25,7 @@ from fta import (
     verify_properties,
 )
 
+from fta.essential import analysis
 from fta.terms import compile_term
 
 from conftest import P, PS
@@ -201,6 +202,23 @@ class TestFreezeFictive:
         assert (rep.original_nodes, rep.reduced_nodes) == (3, 1)
         report = verify_properties(aut, t)
         assert report.total_failures == report.total_budget_exceeded == 0
+
+    @pytest.mark.parametrize("text, essential, fictive, runs", [
+        ("0", "", "ε", 0),  # a one-node ground term
+        ("g(f2(x1,f1(x1,x2)))", "ε 1 1.1 1.2 1.2.1", "1.2.2", 4),  # a maximal fictive x2 leaf
+    ])
+    def test_a_fictive_leaf_stays(self, sig, aut, text, essential, fictive, runs):
+        """No representative is smaller than a leaf, so a fictive leaf is
+        left as it is before its state is read: the ground leaf's term
+        makes no run at all."""
+        t = parse_term(text, sig)
+        rep = freeze_fictive(aut, t)
+        check_reduction(aut, t, rep)
+        assert (rep.essentiality.essential_positions, rep.essentiality.fictive_positions) == (
+            PS(*essential.split()), PS(*fictive.split()))
+        assert rep.frozen_positions == set()
+        assert rep.reduced_term == t and rep.determining_position is None
+        assert len(analysis(aut, t)._rows) == runs
 
     def test_soundness_check_counts_assignments(self, aut, term):
         rep = freeze_fictive(aut, term)

@@ -18,7 +18,7 @@ from fta import (
 )
 
 import fta.verify
-from fta.terms import CompiledTerm, compile_term
+from fta.terms import CompiledTerm, PositionSet, compile_term
 from conftest import P, SAMPLE_TERM
 
 
@@ -158,6 +158,20 @@ def test_p2_reports_a_child_that_is_not_independent(monkeypatch, sig, aut):
     assert [f.detail for f in failures] == [
         f"independent positions of {p} not prefix determined"
         for p in ("1", "1.1", "2.2", "1.1.1", "1.1.2", "2.2.1", "2.2.1.1", "2.2.1.2")]
+
+
+def test_p6_reports_each_disagreement_in_position_order(monkeypatch, sig, aut):
+    # the oracle cannot disagree with the search, so make it: it calls
+    # every position but the root essential
+    t = parse_term(SAMPLE_TERM, sig)
+    everywhere_but_root = PositionSet(p for p in positions(t) if p.indices)
+    monkeypatch.setattr(fta.verify, "essential_by_definition",
+                        lambda aut, t, budget: everywhere_but_root)
+    failures = verify_properties(aut, t).outcomes["oracle-agreement"].failures
+    assert [f.detail for f in failures] == [
+        "essentiality of ε: search says True, enumeration says False",
+        *(f"essentiality of {p}: search says False, enumeration says True"
+          for p in ("2.1", "2.1.1", "2.1.1.1", "2.1.1.2", "2.1.1.2.1", "2.1.1.2.2"))]
 
 
 def test_a_deep_chain_verifies_in_bounded_time(sig, aut):
