@@ -63,7 +63,6 @@ from .terms import (
     Term,
     Var,
     ind_positions,
-    is_prefix_determined,
     node_count,
     parse_term,
     positions,

@@ -405,7 +405,7 @@ def main(argv=None) -> int:
     except (NotEssentialError, NotIndependentError, PremiseViolatedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (FtaError, OSError, UnicodeDecodeError) as exc:
+    except (FtaError, OSError, UnicodeDecodeError, UnicodeEncodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

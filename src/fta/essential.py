@@ -18,7 +18,7 @@ import weakref
 from dataclasses import dataclass
 from itertools import product
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .automaton import (
     DEFAULT_BUDGET,
@@ -150,7 +150,7 @@ class Analysis:
         k = len(self._consts)
         self._weight = {v: k ** e for e, v in enumerate(sorted(self.term.variables, reverse=True))}
         self._rows: dict[int, tuple[int, ...]] = {}
-        self._numbers: dict[frozenset[int], list[int]] = {}  # see witness
+        self._numbers: dict[frozenset[int], list[int]] = {}  # inner sets' only: see witness
 
     def _afford(self, digits: int, budget: int) -> int:
         """How many assignments ``digits`` variables have, if ``budget`` allows."""
@@ -169,11 +169,18 @@ class Analysis:
                                        self._t()).ids
         return row
 
-    def witness(self, node: int, p: Position, budget: int, fixed: frozenset[int] = frozenset(),
-                base: int = 0, top: int = -1) -> WitnessPair | None:
-        """Canonical-first witness search at node ``node``, whose
-        position ``p`` the witness reports, factored by the subtree's
-        variables.
+    def _numbering(self, vs: Iterable[int]) -> Iterator[int]:
+        """The numbers of the assignments to ``vs`` that give every other
+        variable the first constant, lazily, in canonical order: each
+        variable adds the weight of its constant's index."""
+        k, weight = len(self._consts), self._weight
+        return map(sum, product(*[[weight[v] * i for i in range(k)] for v in sorted(vs)]))
+
+    def witness(self, node: int, budget: int, fixed: frozenset[int] = frozenset(),
+                base: int = 0, top: int = -1) -> tuple[int, int, int, int, int, int] | None:
+        """Canonical-first witness search at node ``node``, factored by
+        the subtree's variables: the two assignments' numbers, then
+        their states at ``node`` and at ``top``, or None.
 
         The search space is: assignments to the variables outside the
         subtree, crossed with ordered pairs of assignments to the
@@ -190,9 +197,9 @@ class Analysis:
         is then the first member of the earliest group that has a group
         differing in both states, paired with the earliest member of
         such a group, so the search is linear in the inner assignments.
-        The numbers of the assignments to a set of variables that give
-        every other variable the first constant, in canonical order, are
-        kept per set, so a set met again at another node costs nothing.
+        Outer assignments are numbered as they are reached; the inner
+        ones, read once per outer assignment, are kept per set of
+        variables, so a set met again at another node costs nothing.
         """
         term = self.term
         inner = term.variables_at[node]
@@ -201,14 +208,11 @@ class Analysis:
         outer = term.variables - inner - fixed
         self._afford(len(outer) + 2 * len(inner), budget)
 
-        k, weight, numbers = len(self._consts), self._weight, self._numbers
-        for vs in (inner, outer):
-            if vs not in numbers:  # each variable adds the weight of its constant's index
-                numbers[vs] = list(map(sum, product(*[[weight[v] * i for i in range(k)]
-                                                      for v in sorted(vs)])))
-        inner_numbers = numbers[inner]
+        inner_numbers = self._numbers.get(inner)
+        if inner_numbers is None:
+            inner_numbers = self._numbers[inner] = list(self._numbering(inner))
         get, make = self._rows.get, self._run
-        for start in numbers[outer]:
+        for start in self._numbering(outer):
             start += base
             first: dict[tuple[int, int], int] = {}
             for number in inner_numbers:
@@ -220,11 +224,21 @@ class Analysis:
                             if sub2 != sub1 and root2 != root1]
                 if partners:
                     n2, sub2, root2 = min(partners)
-                    names = compile_automaton(self.aut).names
-                    order = [*sorted(fixed), *sorted(outer), *sorted(inner)]
-                    return WitnessPair(p, self._assignment(n1, order), self._assignment(n2, order),
-                                       (names[sub1], names[sub2]), (names[root1], names[root2]))
+                    return n1, n2, sub1, sub2, root1, root2
         return None
+
+    def witness_pair(self, node: int, p: Position, budget: int) -> WitnessPair | None:
+        """The search at ``node`` (see :meth:`witness`), as a witness at
+        its position ``p``."""
+        found = self.witness(node, budget)
+        if found is None:
+            return None
+        n1, n2, sub1, sub2, root1, root2 = found
+        names = compile_automaton(self.aut).names
+        inner = self.term.variables_at[node]
+        order = [*sorted(self.term.variables - inner), *sorted(inner)]
+        return WitnessPair(p, self._assignment(n1, order), self._assignment(n2, order),
+                           (names[sub1], names[sub2]), (names[root1], names[root2]))
 
     def matching(self, candidates: list[int], budget: int) -> tuple[list[int], bool]:
         """The ``candidates`` (node ids) whose subtree gets the whole
@@ -255,16 +269,15 @@ class Analysis:
             (get(n) or make(n))[-1] != (get(n + w) or make(n + w))[-1]
             for n in numbers if n // w % k < k - 1))
 
-    def separating(self, targets: list, domain: frozenset[int], budget: int) -> Assignment | None:
+    def separating(self, nodes: list[int], domain: frozenset[int],
+                   budget: int) -> Assignment | None:
         """The first assignment to ``domain``, in canonical order, under
-        which each node of ``targets`` has a witness at its position
-        with ``domain`` fixed, or None; ``budget`` caps the assignments."""
-        order = sorted(domain)
-        self._afford(len(order), budget)
-        for digits in product(range(len(self._consts)), repeat=len(order)):
-            base = sum(self._weight[v] * i for v, i in zip(order, digits))
-            if all(self.witness(i, y, budget, domain, base) is not None for i, y in targets):
-                return self._assignment(base, order)
+        which each of ``nodes`` has a witness with ``domain`` fixed, or
+        None; ``budget`` caps the assignments."""
+        self._afford(len(domain), budget)
+        for base in self._numbering(domain):
+            if all(self.witness(i, budget, domain, base) is not None for i in nodes):
+                return self._assignment(base, sorted(domain))
         return None
 
 
@@ -283,7 +296,7 @@ def is_essential_subtree(aut: Automaton, t: Term, p: Position, *,
                          budget: int = DEFAULT_BUDGET) -> WitnessPair | None:
     """Witness that the subtree occurrence at ``p`` is essential, or None."""
     found = analysis(aut, t)
-    return found.witness(found.term.node_at(p), p, budget)
+    return found.witness_pair(found.term.node_at(p), p, budget)
 
 
 def essential_positions(aut: Automaton, t: Term, *,
@@ -299,7 +312,7 @@ def essential_positions(aut: Automaton, t: Term, *,
     found = analysis(aut, t)
     term = found.term
     witnesses = {i: w for i in term.order
-                 if (w := found.witness(i, term.positions[i], budget)) is not None}
+                 if (w := found.witness_pair(i, term.positions[i], budget)) is not None}
     ess = term.position_set(witnesses.__contains__)
     fict = term.position_set(lambda i: i not in witnesses)
     evars = frozenset(term.labels[i] for i in witnesses if term.kinds[i] is Var)
@@ -337,7 +350,7 @@ def is_separable(aut: Automaton, t: Term, ys: Iterable[Position],
     ys = sorted(set(ys), key=lambda p: p.order_key)
     y_nodes = [term.node_at(y) for y in ys]
     for y, i in zip(ys, y_nodes):
-        if found.witness(i, y, budget) is None:
+        if found.witness(i, budget) is None:
             raise NotEssentialError(f"position {y} is not essential")
     y_vars = set().union(*(term.variables_at[i] for i in y_nodes))
     if zs is None:
@@ -348,9 +361,9 @@ def is_separable(aut: Automaton, t: Term, ys: Iterable[Position],
         if not all(term.independent(i, j) for i in y_nodes for j in z_nodes):
             raise NotIndependentError("sets not independent")
         for z, j in zip(zs, z_nodes):
-            if found.witness(j, z, budget) is None:
+            if found.witness(j, budget) is None:
                 raise NotEssentialError(f"position {z} is not essential")
         z_vars = set().union(*(term.variables_at[j] for j in z_nodes))
 
-    gamma = found.separating(list(zip(y_nodes, ys)), frozenset(z_vars - y_vars), budget)
+    gamma = found.separating(y_nodes, frozenset(z_vars - y_vars), budget)
     return SeparabilityResult(gamma is not None, gamma)

@@ -190,11 +190,6 @@ class Position:
         """Sort key giving the length-then-lexicographic order."""
         return (len(self.indices), self.indices)
 
-    def parent(self) -> "Position":
-        if not self.indices:
-            raise InvalidPositionError("the root has no parent")
-        return Position(self.indices[:-1])
-
 
 ROOT = Position(())
 
@@ -639,24 +634,3 @@ def ind_positions(t: Term, p: Position) -> PositionSet:
     term = compile_term(t)
     node = term.node_at(p)
     return term.position_set(lambda i: term.independent(node, i))
-
-
-def is_prefix_determined(ps: Iterable[Position], qs: Iterable[Position]) -> bool:
-    """True iff the set contains every extension (within ``qs``) of each member.
-
-    One pass over ``qs``: a q must be in ``ps`` when some prefix of it
-    is, and each prefix's verdict is worked out once, from its parent's.
-    """
-    inside = {p.indices for p in ps}
-    covered = {(): () in inside}  # by index tuple: does some prefix lie in ``ps``?
-    for q in qs:
-        ix, above = q.indices, []
-        while ix not in covered:
-            above.append(ix)
-            ix = ix[:-1]
-        verdict = covered[ix]
-        for ix in reversed(above):
-            verdict = covered[ix] = verdict or ix in inside
-        if verdict and q.indices not in inside:
-            return False
-    return True

@@ -13,9 +13,8 @@ Seven properties are checked per (automaton, term) instance:
 5. separable-strong-chain: a separable essential position stays
    essential in every subterm along the one-level-at-a-time chain up to
    the root; every essential position is separable on its own.
-6. oracle-agreement: the factored essentiality search agrees with a
-   direct double loop over the pairs of once-run total assignments that
-   agree outside the subtree.
+6. oracle-agreement: the factored essentiality search agrees with the
+   enumeration oracle, :func:`essential_by_definition`.
 7. prune-soundness: pruning preserves every run result and its node
    accounting is consistent.
 
@@ -251,7 +250,7 @@ def verify_properties(aut: Automaton, t: Term, *, budget: int = DEFAULT_BUDGET,
         down, p's verdict is a search in the whole term's analysis with
         the subterm's node as the root and the variables outside it at
         the first constants (they cannot change the subterm's run), so
-        p5 makes no runs.
+        p5 makes no runs and builds no witness.
         """
         rep = need_reduction().essentiality
         found = analysis(aut, t)
@@ -263,7 +262,7 @@ def verify_properties(aut: Automaton, t: Term, *, budget: int = DEFAULT_BUDGET,
             # path[0] is the whole term, where the report already found p essential
             for top in reversed(path[1:]):
                 outside = term.variables - term.variables_at[top]
-                if found.witness(path[-1], p, budget, outside, 0, top) is None:
+                if found.witness(path[-1], budget, outside, 0, top) is None:
                     details.append(f"separable position {p} is not essential"
                                    f" within the subtree at {term.positions[top]}")
         return details

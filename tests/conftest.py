@@ -40,6 +40,12 @@ def is_prefix(p: Position, q: Position) -> bool:
     return p.indices == q.indices[:len(p.indices)]
 
 
+def prefix_determined_by_definition(ps, qs) -> bool:
+    """By definition: ``ps`` holds every member of ``qs`` that extends
+    one of its own."""
+    return all(q in ps for p in ps for q in qs if is_prefix(p, q))
+
+
 def prefix_closed(ps) -> bool:
     """By definition: every prefix of each member is a member."""
     s = set(ps)

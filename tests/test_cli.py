@@ -84,6 +84,20 @@ def test_a_surrogateescape_stdout_keeps_bytes_and_escapes_the_rest(aut_file, tmp
         assert done.stdout == restored_or_escaped(text)
 
 
+def test_a_replaced_stdout_that_cannot_encode_the_output_is_an_io_error(aut_file, tmp_path,
+                                                                        capsys):
+    """A replaced stdout is left alone, so a strict UTF-8 one cannot
+    write a lone surrogate (here in a failure directory's name): the
+    command ends with one ``error:`` line and exit code 2, the I/O code."""
+    out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+    with contextlib.redirect_stdout(out):
+        code = main(["verify", aut_file, "-t", "f2(f1(x1,g(x1)),x1)",
+                     "--failure-dir", str(tmp_path / "d\udcff")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_the_stdout_error_handler_restores_escaped_bytes_and_escapes_the_rest():
     """In process, where stdout is always captured: the handler ``main``
     gives a ``surrogateescape`` stdout, on ASCII and on UTF-8, and not

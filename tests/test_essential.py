@@ -27,7 +27,7 @@ from fta import (
     run,
     verify_properties,
 )
-from fta.essential import analysis
+from fta.essential import WitnessPair, analysis
 from fta.terms import compile_term
 
 from conftest import P, PS, SAMPLE_AUTOMATON, SAMPLE_TERM, is_prefix, prefix_closed, state_at
@@ -391,6 +391,42 @@ class TestRunsOncePerAssignment:
         t = parse_term(f"f2(f1({half(1)},x15),f1({half(8)},g(x15)))", sig)
         assert not is_separable(aut, t, PS("1.1.1", "2.1.1")).separable
         assert len(runs) == len(set(runs)) == 2 ** 15
+
+
+class TestSearchesBuildOnlyWhatTheyAnswer:
+    @pytest.fixture()
+    def built(self, monkeypatch):
+        """Counts the witness pairs constructed."""
+        count = [0]
+        real = WitnessPair.__post_init__
+
+        def counting(self):
+            count[0] += 1
+            real(self)
+
+        monkeypatch.setattr(WitnessPair, "__post_init__", counting)
+        return count
+
+    def test_verify_properties_builds_only_the_reported_witnesses(self, sig, aut, built):
+        t = parse_term(SAMPLE_TERM, sig)
+        verify_properties(aut, t)
+        assert built[0] == len(ESSENTIAL)  # one per essential position, for the report
+
+    def test_is_separable_builds_no_witness(self, sig, aut, built):
+        assert is_separable(aut, parse_term(SAMPLE_TERM, sig), [P("1.1")]).separable
+        assert built[0] == 0
+
+    def test_one_position_numbers_only_what_it_enumerates(self, sig, aut):
+        # the deepest leaf of an 18-variable comb: the first of its
+        # 2 ** 17 outer assignments already gives the pair
+        text = "x1"
+        for i in range(2, 19):
+            text = f"f2(x{i},{text})"
+        t = parse_term(text, sig)
+        assert is_essential_subtree(aut, t, Position((2,) * 17)) is not None
+        found = analysis(aut, t)
+        assert len(found._rows) == 2
+        assert sum(map(len, found._numbers.values())) == 2
 
 
 def test_a_queried_term_is_freed_without_the_cycle_collector(sig, aut):

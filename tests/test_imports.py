@@ -123,10 +123,12 @@ def test_only_bounded_walks_take_products_of_states_or_constants():
     """``itertools.product`` grows as a power of its input, so only walks
     whose size is checked against a budget or :func:`fta.automaton._exceeds`
     beforehand, or that build a complete automaton, call it.  Everything
-    else reads the rules an automaton has."""
+    else reads the rules an automaton has.  The analysis numbers
+    assignments in one lazy helper, whose callers check their budget
+    before they enumerate."""
     assert functions_using(calls("product")) == {
-        "automaton._assemble", "automaton.enumerate_assignments", "essential.Analysis.witness",
-        "essential.Analysis.separating", "generate.random_automaton",
+        "automaton._assemble", "automaton.enumerate_assignments",
+        "essential.Analysis._numbering", "generate.random_automaton",
         "verify.essential_by_definition"}
 
 

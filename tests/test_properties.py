@@ -42,7 +42,6 @@ from fta import (
     essential_positions,
     essential_vars,
     is_essential_subtree,
-    is_prefix_determined,
     is_separable,
     enumerate_assignments,
     fictive_from_determining,
@@ -66,7 +65,8 @@ from fta import (
 from fta.automaton import compile_automaton
 from fta.terms import compile_term
 
-from conftest import assert_names_and_order, is_prefix, prefix_closed, state_at
+from conftest import (assert_names_and_order, is_prefix, prefix_closed,
+                      prefix_determined_by_definition, state_at)
 from reference_parsers import automaton_defects, lhs, parse_term_by_characters
 
 SIG = DEFAULT_SIGNATURE
@@ -208,7 +208,7 @@ def test_positions_prefix_closed_and_counted(t):
 def test_independent_sets_prefix_determined(t):
     pos = positions(t)
     for p in pos:
-        assert is_prefix_determined(ind_positions(t, p), pos)
+        assert prefix_determined_by_definition(ind_positions(t, p), pos)
 
 
 def assert_iterates_in_order(ps):
@@ -673,26 +673,14 @@ def ind_positions_by_definition(t, p):
     return {q for q in positions(t) if not (is_prefix(p, q) or is_prefix(q, p))}
 
 
-def prefix_determined_by_definition(ps, qs):
-    return all(q in ps for p in ps for q in qs if is_prefix(p, q))
-
-
 def assert_position_algebra_by_definition(t, data):
     pos = list(positions(t))
     picks = pos if len(pos) <= 40 else data.draw(
         st.lists(st.sampled_from(pos), min_size=1, max_size=4))
     for p in picks:
         assert ind_positions(t, p) == ind_positions_by_definition(t, p)
-    # arbitrary sets: ``qs`` not prefix closed, ``ps`` not a subset of it
-    outside = [Position((9,)), Position((1, 9)), Position((2, 1, 9))]
-    for _ in range(4):
-        qs = set(data.draw(st.lists(st.sampled_from(pos), max_size=12)))
-        ps = set(data.draw(st.lists(st.sampled_from(pos + outside), max_size=6)))
-        if data.draw(st.booleans()):  # often determined: close ps downwards within qs
-            ps |= {q for q in qs if any(is_prefix(p, q) for p in ps)}
-        assert is_prefix_determined(ps, qs) == prefix_determined_by_definition(ps, qs)
     p = data.draw(st.sampled_from(pos))
-    assert is_prefix_determined(ind_positions(t, p), pos)
+    assert prefix_determined_by_definition(ind_positions(t, p), pos)
 
 
 @settings(max_examples=60, deadline=None)
@@ -812,7 +800,7 @@ def p2_by_definition(t):
     """p2's failure details from the position algebra."""
     pos = positions(t)
     return [f"independent positions of {p} not prefix determined"
-            for p in pos if not is_prefix_determined(ind_positions(t, p), pos)]
+            for p in pos if not prefix_determined_by_definition(ind_positions(t, p), pos)]
 
 
 def assert_p2_p5_by_definition(aut, t, budget):
@@ -843,17 +831,17 @@ def test_p2_and_p5_match_their_definitions_on_deep_chains(aut, t, budget):
 
 def p1_p3_p6_by_definition(aut, t, budget):
     """p1's, p3's and p6's outcomes (budget exceeded, failure details)
-    from the position algebra: parents by ``Position.parent``, prefix
-    determination by ``is_prefix_determined`` and the positions in the
-    order of ``positions(t)``."""
+    from the position algebra: parents by dropping the last index, prefix
+    determination by its definition and the positions in the order of
+    ``positions(t)``."""
     try:
         rep = essential_positions(aut, t, budget=budget)
     except EnumerationBudgetExceeded:
         return [(1, [])] * 3
     ess, pos = rep.essential_positions, positions(t)
-    bad = [str(p) for p in ess if p.indices and p.parent() not in ess]
+    bad = [str(p) for p in ess if p.indices and Position(p.indices[:-1]) not in ess]
     p1 = [f"essential positions not prefix closed at: {', '.join(bad)}"] if bad else []
-    p3 = ([] if is_prefix_determined(rep.fictive_positions, pos)
+    p3 = ([] if prefix_determined_by_definition(rep.fictive_positions, pos)
           else ["fictive positions not prefix determined"])
     try:
         oracle = essential_by_definition(aut, t, budget=budget)

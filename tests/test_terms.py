@@ -19,7 +19,6 @@ from fta import (
     UnknownSymbolError,
     Var,
     ind_positions,
-    is_prefix_determined,
     node_count,
     parse_term,
     positions,
@@ -32,7 +31,8 @@ from fta import (
 
 from fta.terms import _TOKEN_RE, compile_term
 
-from conftest import P, PS, SAMPLE_TERM, assert_names_and_order, depth, is_prefix, prefix_closed
+from conftest import (P, PS, SAMPLE_TERM, assert_names_and_order, depth, is_prefix,
+                      prefix_closed, prefix_determined_by_definition)
 
 ALL_POSITIONS = PS(
     "ε", "1", "2", "1.1", "1.1.1", "1.1.2", "2.1", "2.1.1", "2.1.1.1",
@@ -192,11 +192,6 @@ class TestPosition:
         for text in ("0", "1.0", "a", "1..2", "-1", "²", "1.²"):
             with pytest.raises(InvalidPositionError):
                 Position.parse(text)
-
-    def test_parent(self):
-        assert P("2.1").parent() == P("2")
-        with pytest.raises(InvalidPositionError):
-            ROOT.parent()
 
 
 class TestPositionSet:
@@ -416,17 +411,7 @@ class TestIndependence:
 
 
 class TestPrefixPredicates:
-    def test_prefix_determined(self, term):
-        assert is_prefix_determined(ind_positions(term, P("2")), positions(term))
-        assert not is_prefix_determined(PS("ε"), PS("ε", "1"))
-        assert is_prefix_determined(set(), positions(term))
-        # ``qs`` need not be prefix closed, nor ``ps`` a subset of it
-        assert not is_prefix_determined(PS("1"), PS("1.1"))
-        assert not is_prefix_determined(PS("ε"), PS("2.2"))
-        assert is_prefix_determined(PS("1", "1.1"), PS("1.1", "2"))
-        assert is_prefix_determined(PS("3", "2.2.1"), PS("2.2", "1"))
-
     def test_every_ind_set_is_prefix_determined(self, term):
         for p in positions(term):
-            assert is_prefix_determined(ind_positions(term, p), positions(term))
+            assert prefix_determined_by_definition(ind_positions(term, p), positions(term))
 
