@@ -240,6 +240,11 @@ class Analysis:
         return WitnessPair(p, self._assignment(n1, order), self._assignment(n2, order),
                            (names[sub1], names[sub2]), (names[root1], names[root2]))
 
+    def _varying(self) -> list[bool]:
+        """By node id, whether the node's state differs between two of
+        the runs kept so far."""
+        return [len(set(column)) > 1 for column in zip(*self._rows.values())]
+
     def matching(self, candidates: list[int], budget: int) -> tuple[list[int], bool]:
         """The ``candidates`` (node ids) whose subtree gets the whole
         term's state under every assignment, in order, and whether the
@@ -303,16 +308,30 @@ def essential_positions(aut: Automaton, t: Term, *,
                         budget: int = DEFAULT_BUDGET) -> EssentialityReport:
     """Classify every position of ``t`` as essential or fictive.
 
-    The budget applies to each positional query separately.  The
-    essential variables are read from the verdicts: if the root flips
-    when only v changes, every leaf holding v flips too, so v is
+    The root is searched first, and its search runs every total
+    assignment.  A node is essential only if its state and the root's
+    both differ between two runs, so if the root has no witness every
+    position is fictive; otherwise a node whose state is the same in
+    every run is fictive without a search, and the others are searched
+    in position order.  The budget is still checked for each position,
+    through the root's search: it charges k^(2n) for k constants and n
+    variables, which bounds every other node's k^(n + inner).
+
+    The essential variables are read from the verdicts: if the root
+    flips when only v changes, every leaf holding v flips too, so v is
     essential exactly when its leaf occurrences are essential positions
     (a pair witnessing such a leaf differs in v alone).
     """
     found = analysis(aut, t)
     term = found.term
-    witnesses = {i: w for i in term.order
-                 if (w := found.witness_pair(i, term.positions[i], budget)) is not None}
+    root, *rest = term.order
+    witnesses = {}
+    if (w := found.witness_pair(root, term.positions[root], budget)) is not None:
+        witnesses[root] = w
+        varying = found._varying()
+        for i in rest:
+            if varying[i] and (w := found.witness_pair(i, term.positions[i], budget)) is not None:
+                witnesses[i] = w
     ess = term.position_set(witnesses.__contains__)
     fict = term.position_set(lambda i: i not in witnesses)
     evars = frozenset(term.labels[i] for i in witnesses if term.kinds[i] is Var)

@@ -122,12 +122,15 @@ class PropertyReport:
 
 def essential_by_definition(aut: Automaton, t: Term, *,
                             budget: int = DEFAULT_BUDGET) -> PositionSet:
-    """Essential positions of ``t`` by a direct double loop over pairs
-    of total assignments.
+    """Essential positions of ``t`` from its runs under every total
+    assignment: a node whose state, or the root's, never changes is
+    dropped, and the rest are decided over buckets of those runs.
 
     Keeps none of the factored-search structure: each total assignment
     is run once, by this function itself (it never reads the term's
     analysis, :class:`fta.essential.Analysis`).
+    A position is essential only if its state and the root's both
+    differ between two runs, so the dropped nodes need no buckets.
     For each distinct set of subtree variables, the runs are put once in
     buckets by their values outside those variables, so a bucket holds
     exactly the runs that agree outside the subtree at every position
@@ -146,10 +149,15 @@ def essential_by_definition(aut: Automaton, t: Term, *,
         raise EnumerationBudgetExceeded(count * count, budget)
     runs = [(values, run(aut, dict(zip(vs, values)), t).ids)
             for values in product(consts, repeat=len(vs))]
+    varying = [len(set(column)) > 1 for column in zip(*[states for _, states in runs])]
+    if not varying[-1]:
+        return PositionSet()
     term = compile_term(t)
     partitions: dict[frozenset[int], list[list[tuple[int, ...]]]] = {}  # by inner variables
 
     def essential(node: int) -> bool:
+        if not varying[node]:
+            return False
         inner = term.variables_at[node]
         buckets = partitions.get(inner)
         if buckets is None:

@@ -3,6 +3,7 @@ import gc
 import pickle
 import weakref
 from dataclasses import replace
+from itertools import product
 
 import pytest
 
@@ -25,9 +26,10 @@ from fta import (
     parse_term,
     positions,
     run,
+    variables,
     verify_properties,
 )
-from fta.essential import WitnessPair, analysis
+from fta.essential import Analysis, WitnessPair, analysis
 from fta.terms import compile_term
 
 from conftest import P, PS, SAMPLE_AUTOMATON, SAMPLE_TERM, is_prefix, prefix_closed, state_at
@@ -427,6 +429,42 @@ class TestSearchesBuildOnlyWhatTheyAnswer:
         found = analysis(aut, t)
         assert len(found._rows) == 2
         assert sum(map(len, found._numbers.values())) == 2
+
+
+class TestReportSearchesOnlyWhereAStateVaries:
+    @pytest.fixture()
+    def searches(self, monkeypatch):
+        """Counts the witness searches made."""
+        count = [0]
+        real = Analysis.witness
+
+        def counting(self, *args, **kwargs):
+            count[0] += 1
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(Analysis, "witness", counting)
+        return count
+
+    @staticmethod
+    def varying(aut, t):
+        """By node id, whether the node's state differs between two total
+        assignments, from ``run`` alone."""
+        vs = sorted(variables(t))
+        rows = [run(aut, dict(zip(vs, values)), t).states
+                for values in product(aut.signature.constants, repeat=len(vs))]
+        return [len(set(column)) > 1 for column in zip(*rows)]
+
+    # f1 is a conjunction and f2 a disjunction: f1(x1,0) is q0 under every
+    # assignment, and f2(x1,f1(x2,0)) follows x1 while its f1 stays q0
+    @pytest.mark.parametrize("text, count", [
+        ("f1(x1,0)", 1), ("f2(x1,f1(x2,0))", 3), (SAMPLE_TERM, 16)])
+    def test_searches_the_root_then_each_varying_node(self, sig, aut, searches, text, count):
+        t = parse_term(text, sig)
+        *below, root = self.varying(aut, t)
+        report = essential_positions(aut, t)
+        assert searches[0] == (1 + sum(below) if root else 1) == count
+        assert report.essential_positions == {
+            p for p in positions(t) if is_essential_subtree(aut, t, p) is not None}
 
 
 def test_a_queried_term_is_freed_without_the_cycle_collector(sig, aut):

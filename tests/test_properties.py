@@ -886,7 +886,8 @@ def report_by_position(aut, t, budget):
     text = render_term(t)
     witnesses = {}
     for p in positions(t):
-        w = verdict(lambda: is_essential_subtree(aut, parse_term(text, SIG), p, budget=budget))
+        w = verdict(lambda: is_essential_subtree(aut, parse_term(text, aut.signature), p,
+                                                 budget=budget))
         if isinstance(w, tuple):
             return w
         if w is not None:
@@ -894,9 +895,7 @@ def report_by_position(aut, t, budget):
     return witnesses
 
 
-@settings(max_examples=60, deadline=None)
-@given(automata(), st.one_of(linear_terms(), nonlinear_terms(max_var=3), terms(max_leaves=8)))
-def test_report_matches_fresh_searches_at_each_position(aut, t):
+def assert_report_matches_fresh_searches(aut, t):
     report = essential_positions(aut, t)
     witnesses = report_by_position(aut, t, 2 ** 20)
     assert dict(report.witnesses) == witnesses
@@ -906,13 +905,28 @@ def test_report_matches_fresh_searches_at_each_position(aut, t):
         v.index for p in witnesses if isinstance(v := subterm_at(t, p), Var)}
     # one below the largest pair count, the first search over the budget
     # raises, with the count a fresh search at that position needs
-    k, n = len(SIG.constants), len(variables(t))
+    k, n = len(aut.signature.constants), len(variables(t))
     inner = [len(variables(subterm_at(t, p))) for p in positions(t)]
     largest = max((k ** (n + i) for i in inner if i), default=None)
     if largest is not None:
-        fresh = parse_term(render_term(t), SIG)
+        fresh = parse_term(render_term(t), aut.signature)
         got = verdict(lambda: essential_positions(aut, fresh, budget=largest - 1))
         assert got == report_by_position(aut, t, largest - 1) == (largest, largest - 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(automata(), st.one_of(linear_terms(), nonlinear_terms(max_var=3), terms(max_leaves=8)))
+def test_report_matches_fresh_searches_at_each_position(aut, t):
+    assert_report_matches_fresh_searches(aut, t)
+
+
+@settings(max_examples=40, deadline=None)
+@given(three_constant_automata(), st.one_of(
+    three_constant_terms(), terms(max_leaves=8, constants=THREE_CONSTANTS.constants)))
+def test_report_matches_fresh_searches_over_three_constants(aut, t):
+    """A state that changes only at the third constant still gets its
+    node searched."""
+    assert_report_matches_fresh_searches(aut, t)
 
 
 COMPILED_FIELDS = ("kinds", "labels", "children", "sizes", "root", "variables",
