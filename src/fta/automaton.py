@@ -119,13 +119,28 @@ class CompiledAutomaton:
                 index = index * base + ids[q] + 1
             self.tables.setdefault(symbol, {})[index] = ids[target]
 
-    def state_ids(self, gamma: Mapping[int, str], term: CompiledTerm) -> list[int]:
+    def state_ids(self, gamma: Mapping[int, str], term: CompiledTerm,
+                  row: Sequence[int] | None = None,
+                  nodes: Sequence[int] | None = None) -> list[int]:
         """The state id at every node of ``term``, by node id, for the
         run under ``gamma`` (see :func:`run`, which also checks
-        ``gamma``)."""
+        ``gamma``).
+
+        Given ``row``, the state ids of another run of ``term``, only
+        ``nodes`` (ascending ids) are evaluated again, in a copy of it.
+        A subtree's state depends only on its own variables, so the
+        nodes above every variable on which the two runs' assignments
+        differ are all that can change; ``gamma`` need bind only those
+        variables."""
         tables, base, ids = self.tables, self.base, self.ids
-        states: list[int] = []
-        for kind, label, kids in zip(term.kinds, term.labels, term.children):
+        if row is None:
+            kinds = term.kinds
+            states = [0] * len(kinds)
+            todo = zip(range(len(kinds)), kinds, term.labels, term.children)
+        else:
+            states = list(row)
+            todo = map(term.records.__getitem__, nodes)
+        for i, kind, label, kids in todo:
             if kind is Node:
                 index = 0
                 for k in kids:
@@ -143,7 +158,7 @@ class CompiledAutomaton:
                 state = ids.get(label)
                 if state is None:
                     raise FtaError(f"@{label} is not a state of the automaton")
-            states.append(state)
+            states[i] = state
         return states
 
 

@@ -18,7 +18,7 @@ import weakref
 from dataclasses import dataclass
 from itertools import product
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .automaton import (
     DEFAULT_BUDGET,
@@ -136,10 +136,13 @@ class Analysis:
     against its budget, before the search makes any run; the exhaustive
     re-checks make their own runs, so they check it independently.
 
-    A run's state ids by node id (:attr:`fta.automaton.RunTrace.ids`)
-    are kept under its assignment's number in mixed radix: each variable
-    contributes the index of its constant, the lowest variable being the
-    most significant digit, so numbers follow canonical order.
+    A run's state ids by node id, its row, are kept under its
+    assignment's number in mixed radix: each variable contributes the
+    index of its constant, the lowest variable being the most
+    significant digit, so numbers follow canonical order.  The first
+    row is a run of the term (:attr:`fta.automaton.RunTrace.ids`); each
+    later one evaluates again only the nodes that can differ from the
+    row made last (see :meth:`_run`).
     """
 
     def __init__(self, aut: Automaton, t: Term):
@@ -149,8 +152,10 @@ class Analysis:
         self._consts = aut.signature.constants
         k = len(self._consts)
         self._weight = {v: k ** e for e, v in enumerate(sorted(self.term.variables, reverse=True))}
-        self._rows: dict[int, tuple[int, ...]] = {}
+        self._rows: dict[int, Sequence[int]] = {}
+        self._last = -1  # the number of the row made last
         self._numbers: dict[frozenset[int], list[int]] = {}  # inner sets' only: see witness
+        self._above: dict[int, list[int]] = {}  # by variable: the nodes over it, see _run
 
     def _afford(self, digits: int, budget: int) -> int:
         """How many assignments ``digits`` variables have, if ``budget`` allows."""
@@ -163,10 +168,38 @@ class Analysis:
         k = len(self._consts)
         return {v: self._consts[number // self._weight[v] % k] for v in order}
 
-    def _run(self, number: int) -> tuple[int, ...]:
-        """The row of assignment ``number``, which ``self._rows`` lacks."""
-        row = self._rows[number] = run(self.aut, self._assignment(number, self._weight),
-                                       self._t()).ids
+    def _run(self, number: int) -> Sequence[int]:
+        """The row of assignment ``number``, which ``self._rows`` lacks.
+
+        The first row is a run of the term.  Every later one starts from
+        the row made last and evaluates again only the nodes above the
+        variables whose constants differ between the two numbers
+        (:meth:`fta.automaton.CompiledAutomaton.state_ids`); the ids of
+        the nodes over each variable are listed, ascending, on first
+        need, and merged when several variables change."""
+        last = self._last
+        if last < 0:
+            row = run(self.aut, self._assignment(number, self._weight), self._t()).ids
+        else:
+            consts, k = self._consts, len(self._consts)
+            gamma, a, b = {}, number, last
+            for v in self._weight:  # the last digit first, up to the last that differs
+                if a == b:
+                    break
+                a, da = divmod(a, k)
+                b, db = divmod(b, k)
+                if da != db:
+                    gamma[v] = consts[da]
+            above = self._above
+            if not above:
+                at = self.term.variables_at
+                for v in self._weight:
+                    above[v] = [i for i, vs in enumerate(at) if v in vs]
+            nodes = (above[next(iter(gamma))] if len(gamma) == 1
+                     else sorted(set().union(*[above[v] for v in gamma])))
+            row = compile_automaton(self.aut).state_ids(gamma, self.term, self._rows[last], nodes)
+        self._rows[number] = row
+        self._last = number
         return row
 
     def _numbering(self, vs: Iterable[int]) -> Iterator[int]:

@@ -99,10 +99,17 @@ class Var:
 class Node:
     """Operation symbol applied to children (none for constants).  Equality
     and hashing compare the compiled arrays and ``repr`` shows the
-    rendered term, so none of them recurses."""
+    rendered term, so none of them recurses.
+
+    A term :func:`parse_term` made, and a copy or pickle of any node,
+    holds only its compiled form (:func:`compile_term`) until
+    ``children`` is first read; then the whole tree below it is built
+    from that form in one pass, every leaf of one label being one
+    object.  So copying, pickling and rebuilding never recurse, however
+    deep the term."""
 
     symbol: str
-    children: tuple["Term", ...] = ()
+    children: tuple["Term", ...]
 
     def __init__(self, symbol: str, children: tuple["Term", ...] = ()):
         # written straight into the instance dict, past the frozen
@@ -110,6 +117,34 @@ class Node:
         fields = self.__dict__
         fields["symbol"] = symbol
         fields["children"] = children
+
+    def __getattr__(self, name: str):
+        """``children``, built from the compiled form when first read;
+        only a missing attribute comes here."""
+        term = self.__dict__.get("_compiled")
+        if name != "children" or term is None:
+            raise AttributeError(name)
+        leaves: dict[tuple[type, object], Term] = {}
+        made: list[Term] = []  # by node id; the last is a copy of this node
+        for kind, label, kids in zip(term.kinds, term.labels, term.children):
+            if kids:
+                made.append(Node(label, tuple([made[k] for k in kids])))
+            else:
+                leaf = leaves.get((kind, label))
+                if leaf is None:
+                    leaf = leaves[kind, label] = kind(label)
+                made.append(leaf)
+        children = self.__dict__["children"] = made[-1].children
+        return children
+
+    def __getstate__(self) -> dict:
+        """The fields, text and compiled form, made here if missing, but
+        neither the analysis nor ``children``, which the copy builds
+        from the compiled form when first read."""
+        compile_term(self)
+        state = _without_analysis(self)
+        state.pop("children", None)
+        return state
 
     def _arrays(self) -> tuple:
         term = compile_term(self)
@@ -125,8 +160,6 @@ class Node:
 
     def __repr__(self) -> str:
         return f"<Node {render_term(self)}>"
-
-    __getstate__ = _without_analysis
 
 
 @dataclass(frozen=True)
@@ -247,6 +280,20 @@ _WELL_FORMED_RE = re.compile(r"[(),]|@?\w+")
 #: character (a lexical error); a comment, ``#`` to the end of the line,
 #: leaves the group empty.
 _TOKEN_RE = re.compile(rf"#[^\n]*|({_WELL_FORMED_RE.pattern}|\S)")
+#: ASCII name characters, punctuation and ASCII whitespace.
+_PLAIN = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_(), \t\n\r\x0b\x0c"
+
+
+def _tokens(text: str) -> list[str]:
+    """The tokens :data:`_TOKEN_RE` scans in ``text``, without comments.
+    A text of :data:`_PLAIN` characters alone, as generated and written
+    terms are, is split by string methods instead, which is faster and
+    gives the same tokens: each run of name characters is one, and so
+    is each punctuation mark."""
+    if text.isascii() and not text.encode().translate(None, _PLAIN):
+        return text.replace("(", " ( ").replace(")", " ) ").replace(",", " , ").split()
+    toks = _TOKEN_RE.findall(text)
+    return list(filter(None, toks)) if "#" in text else toks  # comments left empty tokens
 
 
 def _syntax_error(text: str, toks: list[str], cls: type, message: str,
@@ -270,19 +317,20 @@ def parse_term(text: str, sig: Signature, *, allow_state_leaves: bool = False) -
 
     Errors report a byte offset.  ``allow_state_leaves`` additionally
     admits ``@state`` leaves, giving the mixed-term syntax that
-    partial runs print.  The tokens come from one regular-expression
-    scan of the whole text, so a lexical error wins over an earlier
+    partial runs print.  The tokens come from one scan of the whole
+    text (:func:`_tokens`), so a lexical error wins over an earlier
     syntax error.  Operations whose arguments are still being read wait
     on an explicit stack, so nesting depth is not limited by the
     interpreter's stack.  Nodes are numbered in the order they are
-    finished, which is post-order, and their compiled form
-    (:func:`compile_term`) is filled in as they are.  All leaves of one
-    variable, and of one constant, are one object.  The term keeps its
-    canonical text, the tokens joined, for :func:`render_term`.
+    finished, which is post-order, and only their compiled form
+    (:func:`compile_term`) is filled in as they are: an operation's
+    node objects are built when its ``children`` are first read (see
+    :class:`Node`), which runs, analyses, equality, hashing and
+    :func:`render_term` never do.  All leaves of one variable, and of
+    one constant, are one object.  The term keeps its canonical text,
+    the tokens joined, for :func:`render_term`.
     """
-    toks = _TOKEN_RE.findall(text)
-    if "#" in text:
-        toks = list(filter(None, toks))  # comments left empty tokens
+    toks = _tokens(text)
     if not toks:
         raise TermSyntaxError("empty input", 0)
     toks.append("")  # end of input: the lookahead never runs past it
@@ -292,11 +340,10 @@ def parse_term(text: str, sig: Signature, *, allow_state_leaves: bool = False) -
     children: list[tuple[int, ...]] = []
     sizes: list[int] = []
     ids: list[int] = []  # finished nodes whose parent is not finished yet
-    done: list[Term] = []  # and those nodes
     # operations whose arguments are being read: (symbol, arity, token
     # index, len(ids) and n when opened, n being the id of its first node)
     opened: list[tuple[str, int, int, int, int]] = []
-    leaves: dict[str, tuple[type, object, Term]] = {}  # by token: (kind, label, leaf)
+    leaves: dict[str, tuple[type, object]] = {}  # by token: (kind, label)
     i = n = 0  # n: nodes finished, so the id of the next one
     while True:
         tok = toks[i]
@@ -312,12 +359,11 @@ def parse_term(text: str, sig: Signature, *, allow_state_leaves: bool = False) -
         leaf = leaves.get(tok)
         if leaf is None:
             if arity == 0:
-                leaf = (Node, tok, Node(tok))
+                leaf = (Node, tok)
             elif m := _VAR_RE.match(tok):
-                index = int(m.group(1))
-                leaf = (Var, index, Var(index))
+                leaf = (Var, int(m.group(1)))
             elif tok[:1] == "@" and len(tok) > 1 and allow_state_leaves:
-                leaf = (StateLeaf, tok[1:], StateLeaf(tok[1:]))
+                leaf = (StateLeaf, tok[1:])
             elif not tok or tok in "(),":
                 found = repr(tok) if tok else "end of input"
                 raise _syntax_error(text, toks, TermSyntaxError,
@@ -332,10 +378,9 @@ def parse_term(text: str, sig: Signature, *, allow_state_leaves: bool = False) -
         if arity == 0 and toks[i] == "(":
             raise _syntax_error(text, toks, ArityMismatchError,
                                 f"{tok} is a constant and takes no arguments", i - 1)
-        kind, label, node = leaf
+        kind, label = leaf
         ids.append(n)
         n += 1
-        done.append(node)
         kinds.append(kind)
         labels.append(label)
         children.append(())
@@ -356,10 +401,8 @@ def parse_term(text: str, sig: Signature, *, allow_state_leaves: bool = False) -
                                     f"{symbol} expects {arity} arguments, got {len(ids) - first}",
                                     at)
             children.append(tuple(ids[first:]))
-            node = Node(symbol, tuple(done[first:]))
-            del ids[first:], done[first:]
+            del ids[first:]
             ids.append(n)
-            done.append(node)
             sizes.append(n + 1 - start)  # its subtree is the ids start..n
             n += 1
             kinds.append(Node)
@@ -369,7 +412,12 @@ def parse_term(text: str, sig: Signature, *, allow_state_leaves: bool = False) -
                 raise _syntax_error(text, toks, TermSyntaxError,
                                     f"unexpected trailing input {toks[i]!r}", i)
             break
-    variables = frozenset(label for kind, label, _ in leaves.values() if kind is Var)
+    variables = frozenset(label for kind, label in leaves.values() if kind is Var)
+    if children[-1]:  # an operation: its children are built when first read
+        node = object.__new__(Node)
+        node.__dict__["symbol"] = labels[-1]
+    else:
+        node = kinds[-1](labels[-1])
     object.__setattr__(node, "_text", "".join(toks))
     object.__setattr__(node, "_compiled", CompiledTerm(kinds, labels, children, sizes, variables))
     return node
@@ -437,6 +485,18 @@ class CompiledTerm:
         self.sizes = tuple(sizes)
         self.root = len(kinds) - 1
         self.variables = variables
+
+    def __reduce__(self):
+        """Copies and pickles keep the arrays; the tables built on first
+        use are built again, so a deep term's position table, whose size
+        is nodes times depth, is never copied."""
+        return CompiledTerm, (self.kinds, self.labels, self.children, self.sizes, self.variables)
+
+    @cached_property
+    def records(self) -> tuple[tuple[int, type, object, tuple[int, ...]], ...]:
+        """Each node's id, kind, label and child ids, by node id: what
+        evaluating the node reads, in one tuple."""
+        return tuple(zip(range(len(self.kinds)), self.kinds, self.labels, self.children))
 
     @cached_property
     def positions(self) -> tuple[Position, ...]:

@@ -318,32 +318,43 @@ def test_values_are_read_only(aut, term, read):
 
 class TestRunsOncePerAssignment:
     @pytest.fixture()
-    def runs(self, monkeypatch):
+    def rows(self, monkeypatch):
+        # the assignment numbers of the rows the analysis makes, and the
+        # assignments it and the reduction run through ``run``
         import fta.essential
         import fta.reduction
-        calls = []
-        real = fta.essential.run
+        made, runs = [], []
+        real_row, real_run = Analysis._run, fta.essential.run
+
+        def making(self, number):
+            made.append(number)
+            return real_row(self, number)
 
         def counting(aut, gamma, t):
-            calls.append(tuple(sorted(gamma.items())))
-            return real(aut, gamma, t)
+            runs.append(tuple(sorted(gamma.items())))
+            return real_run(aut, gamma, t)
 
+        monkeypatch.setattr(Analysis, "_run", making)
         monkeypatch.setattr(fta.essential, "run", counting)
         monkeypatch.setattr(fta.reduction, "run", counting)
-        return calls
+        return made, runs
 
-    def test_essential_positions(self, sig, aut, runs):
+    def test_essential_positions(self, sig, aut, rows):
         # a term of its own: the session's term may already hold its runs
+        made, runs = rows
         t = parse_term(SAMPLE_TERM, sig)
         essential_positions(aut, t)
-        assert len(runs) == len(set(runs)) == 2 ** 4
-        runs.clear()
+        assert len(made) == len(set(made)) == 2 ** 4
+        assert len(runs) == 1  # the first row; the others re-evaluate from it
+        made.clear(), runs.clear()
         essential_positions(aut, t)
-        assert runs == []
+        assert made == runs == []
 
-    def test_freeze_fictive(self, sig, aut, runs):
+    def test_freeze_fictive(self, sig, aut, rows):
+        made, runs = rows
         freeze_fictive(aut, parse_term(SAMPLE_TERM, sig))
-        assert len(runs) == len(set(runs)) == 2 ** 4
+        assert len(made) == len(set(made)) == 2 ** 4
+        assert len(runs) == 1
 
     def test_alternating_automata_get_their_own_runs(self, sig, aut):
         # f1 and f2 swap meanings: conjunction becomes disjunction
@@ -361,12 +372,21 @@ class TestRunsOncePerAssignment:
         assert answers(aut, t) != answers(other, t)
 
     def test_verify_properties(self, sig, aut, monkeypatch):
-        # the analysis runs every assignment once, the oracle and p7's
-        # runs_equal_all run their own, and p5 reads the analysis
+        # the analysis makes every assignment's row once, the first by a
+        # run, the oracle and p7's runs_equal_all run their own, and p5
+        # reads the analysis
         import fta.essential
         import fta.reduction
         import fta.verify
         counts = dict.fromkeys(("fta.essential", "fta.reduction", "fta.verify"), 0)
+        made = []
+        real_row = Analysis._run
+
+        def making(self, number):
+            made.append(number)
+            return real_row(self, number)
+
+        monkeypatch.setattr(Analysis, "_run", making)
 
         def counting(real, name):
             def wrapped(aut, gamma, t):
@@ -379,9 +399,10 @@ class TestRunsOncePerAssignment:
         report = verify_properties(aut, parse_term(SAMPLE_TERM, sig))
         assert report.total_failures == report.total_budget_exceeded == 0
         n = 2 ** 4
-        assert counts == {"fta.essential": n, "fta.reduction": 2 * n, "fta.verify": n}
+        assert len(made) == len(set(made)) == n
+        assert counts == {"fta.essential": 1, "fta.reduction": 2 * n, "fta.verify": n}
 
-    def test_is_separable_on_more_assignments_than_fit_a_bounded_cache(self, sig, aut, runs):
+    def test_is_separable_on_more_assignments_than_fit_a_bounded_cache(self, sig, aut, rows):
         # 15 variables: x15 selects which half the root reads, so the two
         # leaves f2(x1,x2) and f2(x8,x9) are not separable together, and
         # every one of the 2**15 assignments is asked for
@@ -391,8 +412,10 @@ class TestRunsOncePerAssignment:
                 rest = f"f2(x{v},{rest})"
             return f"f1(f2(x{a},x{a + 1}),{rest})"
         t = parse_term(f"f2(f1({half(1)},x15),f1({half(8)},g(x15)))", sig)
+        made, runs = rows
         assert not is_separable(aut, t, PS("1.1.1", "2.1.1")).separable
-        assert len(runs) == len(set(runs)) == 2 ** 15
+        assert len(made) == len(set(made)) == 2 ** 15
+        assert len(runs) == 1
 
 
 class TestSearchesBuildOnlyWhatTheyAnswer:

@@ -63,6 +63,7 @@ from fta import (
     verify_properties,
 )
 from fta.automaton import compile_automaton
+from fta.essential import Analysis
 from fta.terms import compile_term
 
 from conftest import (assert_names_and_order, is_prefix, prefix_closed,
@@ -772,6 +773,36 @@ def test_oracle_over_three_constants(aut, t):
     assert (p6.failures, p6.budget_exceeded) == ([], 0)
 
 
+def assert_rows_are_runs(aut, t, data):
+    """Every row the analysis makes, asked for in a shuffled order, is
+    the run of its assignment: the first made by a run, every later one
+    by evaluating again, from the row made last, only the nodes above
+    the variables that changed.  Numbers are mixed radix, the lowest
+    variable the most significant digit."""
+    consts, vs = aut.signature.constants, sorted(variables(t))
+    found = Analysis(aut, t)
+    numbers = data.draw(st.permutations(range(len(consts) ** len(vs))))
+    for number in numbers:
+        gamma, rest = {}, number
+        for v in reversed(vs):
+            rest, digit = divmod(rest, len(consts))
+            gamma[v] = consts[digit]
+        assert list(found._run(number)) == list(run(aut, gamma, t).ids)
+
+
+@settings(max_examples=60, deadline=None)
+@given(automata(), st.one_of(linear_terms(), nonlinear_terms(max_var=3), terms(max_leaves=8)),
+       st.data())
+def test_rows_are_runs_in_any_order(aut, t, data):
+    assert_rows_are_runs(aut, t, data)
+
+
+@settings(max_examples=40, deadline=None)
+@given(three_constant_automata(), three_constant_terms(), st.data())
+def test_rows_are_runs_in_any_order_over_three_constants(aut, t, data):
+    assert_rows_are_runs(aut, t, data)
+
+
 def verdict(f):
     try:
         return f()
@@ -991,6 +1022,41 @@ def test_kept_text_is_the_walked_rendering(t, data):
     parsed = parse_term(text, SIG, allow_state_leaves=True)
     assert parsed == t
     assert render_term(parsed) == canonical == render_term(substitute(parsed, {}))
+
+
+def tree_nodes(t):
+    """Every node object of ``t``'s tree, with its position, walked."""
+    todo = [((), t)]
+    while todo:
+        ix, node = todo.pop()
+        yield Position(ix), node
+        if isinstance(node, Node):
+            todo.extend((ix + (i,), c) for i, c in enumerate(node.children, 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(terms(), nonlinear_terms(), terms_with_state_leaves(), chains(levels=150),
+                 terms(max_leaves=8, constants=THREE_CONSTANTS.constants)))
+def test_parsed_tree_is_built_on_first_read_as_compiled(t):
+    """Runs, analyses, rendering, equality and hashing of a parsed term
+    build no node below its root.  Reading ``children`` builds the tree
+    the compiled form describes, once, with one object per leaf label."""
+    aut = random_automaton(GenParams(seed=node_count(t), signature=THREE_CONSTANTS))
+    parsed = parse_term(render_term(t), THREE_CONSTANTS, allow_state_leaves=True)
+    gamma = dict.fromkeys(variables(t), "1")
+    if not any(isinstance(node, StateLeaf) for _, node in tree_nodes(t)):
+        run(aut, gamma, parsed), partial_run(aut, {}, parsed), essential_positions(aut, parsed)
+    assert parsed == t and hash(parsed) == hash(t) and render_term(parsed) == render_term(t)
+    if isinstance(parsed, Node):
+        assert "children" not in vars(parsed) or not compile_term(t).children[-1]
+        assert parsed.children is parsed.children
+    leaves = {}
+    for p, node in tree_nodes(parsed):
+        sub = subterm_at(t, p)
+        assert node == sub and hash(node) == hash(sub) and render_term(node) == render_term(sub)
+        if not isinstance(node, Node) or not node.children:
+            label = (type(node), render_term(node))
+            assert leaves.setdefault(label, node) is node
 
 
 DUPLICATES = [copy.copy, copy.deepcopy, lambda value: pickle.loads(pickle.dumps(value))]

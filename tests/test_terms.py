@@ -4,7 +4,7 @@ import sys
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 
 from fta import (
     ArityMismatchError,
@@ -29,7 +29,7 @@ from fta import (
     variables,
 )
 
-from fta.terms import _TOKEN_RE, compile_term
+from fta.terms import _TOKEN_RE, _tokens, compile_term
 
 from conftest import (P, PS, SAMPLE_TERM, assert_names_and_order, depth, is_prefix,
                       prefix_closed, prefix_determined_by_definition)
@@ -148,6 +148,15 @@ def test_each_syntax_error_pins_message_and_offset(sig, text, allow, cls, messag
     assert type(exc.value) is cls
     assert str(exc.value) == f"{message} (byte {offset})"
     assert exc.value.offset == offset
+
+
+@given(st.text(st.sampled_from("x1_zZ09(),@# \t\n\r\x0b\x0c\x1c\x85é²+"), max_size=30))
+@example("f1(x1 ,\n0)")
+@example("f1(x1@q,0)")
+def test_split_tokens_are_the_scanned_ones(text):
+    """A text of ASCII name characters, punctuation and ASCII whitespace
+    is split by string methods; every text gets the scan's tokens."""
+    assert _tokens(text) == [tok for tok in _TOKEN_RE.findall(text) if tok]
 
 
 def test_tokenizer_classes_agree_with_str_methods_on_every_code_point():
