@@ -30,6 +30,7 @@ from .errors import (
     ValidationError,
 )
 from .essential import essential_positions, is_essential_subtree, is_separable
+from .generate import MAX_DEPTH
 from .reduction import check_reduction, freeze_fictive
 from .terms import Position, compile_term, parse_term, render_term
 from .verify import check_random_instances, replay_failure, verify_properties
@@ -303,11 +304,13 @@ def cmd_verify(args) -> int:
     return 0
 
 
-def _at_least(minimum: int):
+def _at_least(minimum: int, at_most: int | None = None):
     def integer(text: str) -> int:
         value = int(text)
         if value < minimum:
             raise argparse.ArgumentTypeError(f"must be at least {minimum}")
+        if at_most is not None and value > at_most:
+            raise argparse.ArgumentTypeError(f"must be at most {at_most}")
         return value
     return integer
 
@@ -359,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--random", action="store_true", help="check seeded random instances")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--count", type=_at_least(0), default=100)
-    p.add_argument("--max-depth", type=_at_least(0), default=4)
+    p.add_argument("--max-depth", type=_at_least(0, MAX_DEPTH), default=4)
     p.add_argument("--max-vars", type=_at_least(0), default=4)
     p.add_argument("--max-states", type=_at_least(1), default=3)
     p.add_argument("--failure-dir", default="fta-failures",

@@ -23,7 +23,8 @@ complete deterministic automaton; the bundled generator only produces
 such terms, so suite failures on generated instances indicate bugs.
 Property 2 holds on every term: a child's subtree id range lies inside
 its parent's, so each child of a node independent of p is independent
-of p too, and a p2 failure can only mean a wrong compiled form.
+of p too: p2 checks that nesting edge by edge, and a failure names an
+edge of a wrong compiled form.
 On terms where one variable occurs at several independent positions,
 properties 1, 3 and 5 can have genuine counterexamples (a repeated
 variable couples subtrees that are positionally independent); the suite
@@ -99,10 +100,6 @@ class PropertyOutcome:
 @dataclass
 class PropertyReport:
     outcomes: dict[str, PropertyOutcome]
-
-    @classmethod
-    def empty(cls) -> "PropertyReport":
-        return cls({name: PropertyOutcome(name) for name in PROPERTY_NAMES})
 
     @property
     def total_failures(self) -> int:
@@ -180,13 +177,12 @@ def verify_properties(aut: Automaton, t: Term, *, budget: int = DEFAULT_BUDGET,
                       seed: int | None = None) -> PropertyReport:
     """Run all seven properties on one instance.
 
-    Properties 1, 2, 3 and 6 read the term by node id: its positions
-    and their rendered names come from its compiled form, and its
-    (parent, child) edges are listed once, grouped by parent.
+    Properties 1, 2, 3 and 6 read the term by node id: its positions,
+    their rendered names and its (parent, child) edges come from its
+    compiled form.
     """
     term = compile_term(t)
     paths = term.positions
-    families = [(j, kids) for j, kids in enumerate(term.children) if kids]
 
     # One reduction backs properties 1 and 3-7; it exceeds the budget
     # exactly when its essentiality report does.
@@ -212,26 +208,20 @@ def verify_properties(aut: Automaton, t: Term, *, budget: int = DEFAULT_BUDGET,
         return [f"essential positions not prefix closed at: {', '.join(bad)}"] if bad else []
 
     def p2():
-        """Ind(p) is prefix determined unless some node independent of
-        p's node has a child that is not, read from subtree id ranges."""
-        independent = term.independent
-
-        def undetermined(i: int) -> bool:
-            for j, kids in families:
-                if independent(i, j):
-                    for k in kids:
-                        if not independent(i, k):
-                            return True
-            return False
-
-        return [f"independent positions of {term.names[i]} not prefix determined"
-                for i in term.order if undetermined(i)]
+        """Ind(p) is prefix determined for every p when each child's
+        subtree id range lies inside its parent's, below the parent's
+        own id; each edge that breaks this is reported, parents in order."""
+        sizes = term.sizes
+        return [f"subtree ids of {term.names[k]} not inside those of its parent {term.names[j]}"
+                for j in term.order for k in term.children[j]
+                if k >= j or k - sizes[k] < j - sizes[j]]
 
     def p3():
         """The term's positions are prefix closed, so the fictive set is
         prefix determined iff no fictive node has a child that is not."""
         fict = need_reduction().essentiality.fictive_positions
-        if any(paths[j] in fict and paths[k] not in fict for j, kids in families for k in kids):
+        if any(paths[j] in fict and paths[k] not in fict
+               for j, kids in enumerate(term.children) for k in kids):
             return ["fictive positions not prefix determined"]
         return []
 
@@ -317,7 +307,7 @@ def check_random_instances(*, seed: int, count: int,
                            max_states: int = 3,
                            budget: int = DEFAULT_BUDGET) -> PropertyReport:
     """Run the suite over ``count`` seeded random instances."""
-    report = PropertyReport.empty()
+    report = PropertyReport({name: PropertyOutcome(name) for name in PROPERTY_NAMES})
     rng = SplitMix64(seed)
     for _ in range(count):
         state_count = 1 + rng.below(max_states)

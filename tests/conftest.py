@@ -42,8 +42,19 @@ def is_prefix(p: Position, q: Position) -> bool:
 
 def prefix_determined_by_definition(ps, qs) -> bool:
     """By definition: ``ps`` holds every member of ``qs`` that extends
-    one of its own."""
-    return all(q in ps for p in ps for q in qs if is_prefix(p, q))
+    one of its own.  When ``qs`` is closed under prefixes, as a term's
+    positions are, a member extends one of ``ps`` iff it is in ``ps`` or
+    its parent extends one, so members are visited shortest first and
+    each answer is kept for its children; any other ``qs`` is checked
+    pair by pair."""
+    inside = {p.indices for p in ps}
+    members = {q.indices for q in qs}
+    if not all(q[:-1] in members for q in members if q):
+        return all(q in ps for p in ps for q in qs if is_prefix(p, q))
+    extends = {}
+    for q in sorted(members, key=len):  # parents first
+        extends[q] = q in inside or bool(q) and extends[q[:-1]]
+    return all(q in inside for q, e in extends.items() if e)
 
 
 def prefix_closed(ps) -> bool:

@@ -173,11 +173,13 @@ def automaton_defects(sig, states, final, rules):
     return assembly, checks, assembled
 
 
-def _at_least(minimum: int):
+def _at_least(minimum: int, at_most: int | None = None):
     def integer(text: str) -> int:
         value = int(text)
         if value < minimum:
             raise argparse.ArgumentTypeError(f"must be at least {minimum}")
+        if at_most is not None and value > at_most:
+            raise argparse.ArgumentTypeError(f"must be at most {at_most}")
         return value
     return integer
 
@@ -246,7 +248,7 @@ def build_cli_parser() -> argparse.ArgumentParser:
     p.add_argument("--random", action="store_true", help="check seeded random instances")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--count", type=_at_least(0), default=100)
-    p.add_argument("--max-depth", type=_at_least(0), default=4)
+    p.add_argument("--max-depth", type=_at_least(0, 64), default=4)
     p.add_argument("--max-vars", type=_at_least(0), default=4)
     p.add_argument("--max-states", type=_at_least(1), default=3)
     p.add_argument("--failure-dir", default="fta-failures",

@@ -133,6 +133,7 @@ CLI_ARGV = [
      "--max-assignments", "9"],
     ["verify", "--rand", "--replay", "r.json"], ["verify", "--count", "-1"],
     ["verify", "--max-states", "0"], ["verify", "--seed", "x"],
+    ["verify", "--random", "--max-depth", "65"],
     ["verify", "a.fta", "b.fta"],
 ]
 
@@ -504,6 +505,13 @@ class TestVerify:
         assert rc == 2
         assert "error:" in err
         assert "Traceback" not in err
+
+    def test_max_depth_is_at_most_64(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--random", "--max-depth", "65"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            "error: argument --max-depth: must be at most 64\n")
 
     def test_failure_artifacts_and_replay(self, aut_file, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -79,3 +79,8 @@ class TestGenParams:
             GenParams(state_count=0)
         with pytest.raises(ValueError):
             GenParams(max_depth=-1)
+
+    def test_depth_is_at_most_64(self):
+        assert GenParams(max_depth=64).max_depth == 64
+        with pytest.raises(ValueError, match=r"max_depth must be in 0\.\.64"):
+            GenParams(max_depth=65)

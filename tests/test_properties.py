@@ -696,6 +696,34 @@ def test_position_algebra_matches_definition_on_deep_chains(t, data):
     assert_position_algebra_by_definition(t, data)
 
 
+def assert_nested(term):
+    """The compiled form's nesting invariant, by definition: the ids of
+    each child's subtree lie among those of its parent's, below the
+    parent's own id."""
+    ids = [set(range(i - size + 1, i + 1)) for i, size in enumerate(term.sizes)]
+    for j, kids in enumerate(term.children):
+        for k in kids:
+            assert ids[k] <= ids[j] - {j}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(terms(), nonlinear_terms()), automata(), st.data())
+def test_every_compiled_form_nests_its_subtrees(t, aut, data):
+    """Compiled forms from parse_term, from compile_term on a built
+    tree and of partial_run's results keep the invariant, so p2 reports
+    nothing on any of them (a budget of one run skips the properties
+    that enumerate)."""
+    built = compile_term(t)
+    gamma = {v: data.draw(st.sampled_from(SIG.constants))
+             for v in sorted(built.variables) if data.draw(st.booleans())}
+    reduced = partial_run(aut, gamma, t)
+    for made in (t, parse_term(render_term(t), SIG), reduced,
+                 parse_term(render_term(reduced), SIG, allow_state_leaves=True)):
+        assert_nested(compile_term(made))
+        report = verify_properties(aut, made, budget=1)
+        assert report.outcomes["ind-prefix-determined"].failures == []
+
+
 def essential_by_all_pairs(aut, t):
     """Reference for the oracle: every pair of total assignments at every
     position, filtered by agreement outside the subtree.  Each position's
@@ -828,18 +856,17 @@ def p5_by_definition(aut, t, budget):
 
 
 def p2_by_definition(t):
-    """p2's failure details from the position algebra."""
+    """Whether every Ind(p) is prefix determined, from the position algebra."""
     pos = positions(t)
-    return [f"independent positions of {p} not prefix determined"
-            for p in pos if not prefix_determined_by_definition(ind_positions(t, p), pos)]
+    return all(prefix_determined_by_definition(ind_positions(t, p), pos) for p in pos)
 
 
 def assert_p2_p5_by_definition(aut, t, budget):
-    """verify's p2 and p5 give the by-definition details, in order;
-    returns p5's."""
+    """verify's p2 passes iff every Ind(p) is prefix determined, and p5
+    gives the by-definition details, in order; returns p5's."""
     outcomes = verify_properties(aut, t, budget=budget).outcomes
     p2, p5 = outcomes["ind-prefix-determined"], outcomes["separable-strong-chain"]
-    assert (p2.budget_exceeded, [f.detail for f in p2.failures]) == (0, p2_by_definition(t))
+    assert (p2.budget_exceeded, not p2.failures) == (0, p2_by_definition(t))
     expected = p5_by_definition(aut, t, budget)
     assert (p5.budget_exceeded, [f.detail for f in p5.failures]) == expected
     return expected[1]

@@ -8,17 +8,19 @@ import pytest
 from fta import (
     PROPERTY_NAMES,
     EnumerationBudgetExceeded,
+    GenParams,
     check_random_instances,
     essential_by_definition,
     is_essential_subtree,
     parse_term,
     positions,
+    random_term,
     replay_failure,
     verify_properties,
 )
 
 import fta.verify
-from fta.terms import CompiledTerm, PositionSet, compile_term
+from fta.terms import PositionSet, compile_term
 from conftest import P, SAMPLE_TERM
 
 
@@ -144,20 +146,21 @@ class TestPruneSoundness:
             f"inconsistent node accounting: {counts[0]} -> {counts[1]}"]
 
 
-def test_p2_reports_a_child_that_is_not_independent(monkeypatch, sig, aut):
-    # p2 cannot fail while independence is read from subtree id ranges,
-    # so break it: the leaf at 2.1.1.1 is independent of no node, though
-    # its parent is independent of every node outside its own ancestors
-    # and subtree
+def test_p2_reports_each_child_outside_its_parents_id_range(sig, aut):
+    # p2 cannot fail on a compiled form that parse_term made, so break
+    # one: 2.2 (ids 10..13) shrinks to its own id and 2.1.1 (ids 4..8)
+    # to 5..8, so 2.2.1 and 2.1.1.1 fall outside their parents' ranges;
+    # each broken edge is reported once, parents in breadth-first order
     t = parse_term(SAMPLE_TERM, sig)  # not the shared term: its analysis would keep the break
-    leaf = compile_term(t).node_at(P("2.1.1.1"))
-    real = CompiledTerm.independent
-    monkeypatch.setattr(CompiledTerm, "independent",
-                        lambda self, i, j: j != leaf and real(self, i, j))
+    term = compile_term(t)
+    sizes = list(term.sizes)
+    sizes[term.node_at(P("2.2"))] = 1
+    sizes[term.node_at(P("2.1.1"))] = 4
+    term.sizes = tuple(sizes)
     failures = verify_properties(aut, t).outcomes["ind-prefix-determined"].failures
     assert [f.detail for f in failures] == [
-        f"independent positions of {p} not prefix determined"
-        for p in ("1", "1.1", "2.2", "1.1.1", "1.1.2", "2.2.1", "2.2.1.1", "2.2.1.2")]
+        "subtree ids of 2.2.1 not inside those of its parent 2.2",
+        "subtree ids of 2.1.1.1 not inside those of its parent 2.1.1"]
 
 
 def test_p6_reports_each_disagreement_in_position_order(monkeypatch, sig, aut):
@@ -175,12 +178,17 @@ def test_p6_reports_each_disagreement_in_position_order(monkeypatch, sig, aut):
 
 
 def test_a_deep_chain_verifies_in_bounded_time(sig, aut):
-    # p2 and p5 read independence and ancestors from node ids, so a
-    # 400-level chain takes about a second on one core; time cubic in
-    # depth would take several.  A line tracer (tools/linecov.py) slows
-    # it about sixfold.
-    t = parse_term("g(" * 400 + "x1" + ")" * 400, sig)
-    start = time.perf_counter()
-    report = verify_properties(aut, t)
-    assert time.perf_counter() - start < (4.0 if sys.gettrace() is None else 30.0)
-    assert report.total_failures == report.total_budget_exceeded == 0
+    # p2 checks each (parent, child) edge once and p5 reads ancestors
+    # from node ids: a 400-level chain takes about half a second on one
+    # core, and the largest of seed 42's hundred draws at depth 32 (4783
+    # nodes) a tenth of that.  An independence test per pair of nodes
+    # would take seconds on the draw, and time cubic in depth several
+    # on the chain.  A line tracer (tools/linecov.py) slows them about
+    # sixfold.
+    chain = parse_term("g(" * 400 + "x1" + ")" * 400, sig)
+    drawn = random_term(GenParams(max_depth=32, state_count=3, seed=3603187163996649229))
+    for t in (chain, drawn):
+        start = time.perf_counter()
+        report = verify_properties(aut, t)
+        assert time.perf_counter() - start < (4.0 if sys.gettrace() is None else 30.0)
+        assert report.total_failures == report.total_budget_exceeded == 0
