@@ -34,6 +34,7 @@ from .terms import (
     Var,
     compile_term,
     node_count,
+    render_term,
     replace_at,
     subterm_at,
     variables,
@@ -186,10 +187,13 @@ def freeze_fictive(aut: Automaton, t: Term, *,
 
 def check_reduction(aut: Automaton, original: Term, report: ReductionReport, *,
                     budget: int = DEFAULT_BUDGET) -> int:
-    """Exhaustively re-check a reduction; returns the number of
-    assignments compared.  Raises on any mismatch."""
-    if not runs_equal_all(aut, original, report.reduced_term, budget=budget):
-        raise FtaError("reduction changed a run result; this is a bug")
-    joint = variables(original) | variables(report.reduced_term)
-    return len(aut.signature.constants) ** len(joint)
+    """Exhaustively re-check a reduction's run results, then its node
+    counts; returns the number of assignments compared, or raises FtaError."""
+    reduced = report.reduced_term
+    if not runs_equal_all(aut, original, reduced, budget=budget):
+        raise FtaError(f"pruning to {render_term(reduced)} changed a run result")
+    counts = report.original_nodes, report.reduced_nodes
+    if counts != (node_count(original), node_count(reduced)) or counts[1] > counts[0]:
+        raise FtaError(f"inconsistent node accounting: {counts[0]} -> {counts[1]}")
+    return len(aut.signature.constants) ** len(variables(original) | variables(reduced))
 

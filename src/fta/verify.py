@@ -16,7 +16,7 @@ Seven properties are checked per (automaton, term) instance:
 6. oracle-agreement: the factored essentiality search agrees with the
    enumeration oracle, :func:`essential_by_definition`.
 7. prune-soundness: pruning preserves every run result and its node
-   accounting is consistent.
+   accounting is consistent (:func:`fta.reduction.check_reduction`).
 
 All seven hold for linear terms (no repeated variables) over any
 complete deterministic automaton; the bundled generator only produces
@@ -34,12 +34,12 @@ then reports honest findings rather than bugs.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from itertools import product
+from dataclasses import dataclass, field, replace
 
 from .automaton import (
     DEFAULT_BUDGET,
     Automaton,
+    enumerate_assignments,
     parse_automaton,
     render_automaton,
     run,
@@ -47,15 +47,13 @@ from .automaton import (
 from .errors import EnumerationBudgetExceeded, FtaError
 from .essential import analysis
 from .generate import DEFAULT_SIGNATURE, GenParams, SplitMix64, random_automaton, random_term
-from .reduction import fictive_from_determining, freeze_fictive, runs_equal_all
+from .reduction import check_reduction, fictive_from_determining, freeze_fictive
 from .terms import (
     PositionSet,
     Term,
     compile_term,
-    node_count,
     parse_term,
     render_term,
-    variables,
 )
 
 PROPERTY_NAMES = (
@@ -123,9 +121,9 @@ def essential_by_definition(aut: Automaton, t: Term, *,
     assignment: a node whose state, or the root's, never changes is
     dropped, and the rest are decided over buckets of those runs.
 
-    Keeps none of the factored-search structure: each total assignment
-    is run once, by this function itself (it never reads the term's
-    analysis, :class:`fta.essential.Analysis`).
+    Keeps none of the factored-search structure: each assignment of
+    :func:`fta.automaton.enumerate_assignments` is run once, by this
+    function itself, never read from :class:`fta.essential.Analysis`.
     A position is essential only if its state and the root's both
     differ between two runs, so the dropped nodes need no buckets.
     For each distinct set of subtree variables, the runs are put once in
@@ -139,17 +137,16 @@ def essential_by_definition(aut: Automaton, t: Term, *,
     up front.  Used as the independent oracle for
     :func:`fta.essential.essential_positions`.
     """
-    vs = sorted(variables(t))
-    consts = aut.signature.constants
-    count = len(consts) ** len(vs)
+    term = compile_term(t)
+    vs = term.variables
+    count = len(aut.signature.constants) ** len(vs)
     if count * count > budget:
         raise EnumerationBudgetExceeded(count * count, budget)
-    runs = [(values, run(aut, dict(zip(vs, values)), t).ids)
-            for values in product(consts, repeat=len(vs))]
+    runs = [(gamma, run(aut, gamma, t).ids)
+            for gamma in enumerate_assignments(vs, aut.signature, budget=budget)]
     varying = [len(set(column)) > 1 for column in zip(*[states for _, states in runs])]
     if not varying[-1]:
         return PositionSet()
-    term = compile_term(t)
     partitions: dict[frozenset[int], list[list[tuple[int, ...]]]] = {}  # by inner variables
 
     def essential(node: int) -> bool:
@@ -158,10 +155,10 @@ def essential_by_definition(aut: Automaton, t: Term, *,
         inner = term.variables_at[node]
         buckets = partitions.get(inner)
         if buckets is None:
-            outer_idx = [i for i, v in enumerate(vs) if v not in inner]
+            outer = sorted(vs - inner)
             by_outer: dict[tuple[str, ...], list[tuple[int, ...]]] = {}
-            for values, states in runs:
-                by_outer.setdefault(tuple([values[i] for i in outer_idx]), []).append(states)
+            for gamma, states in runs:
+                by_outer.setdefault(tuple([gamma[v] for v in outer]), []).append(states)
             buckets = partitions[inner] = [rows for rows in by_outer.values() if len(rows) > 1]
         for rows in buckets:
             pairs = {(states[node], states[-1]) for states in rows}
@@ -276,15 +273,13 @@ def verify_properties(aut: Automaton, t: Term, *, budget: int = DEFAULT_BUDGET,
         ]
 
     def p7():
-        red = need_reduction()
-        details = []
-        if not runs_equal_all(aut, t, red.reduced_term, budget=budget):
-            details.append(f"pruning to {render_term(red.reduced_term)} changed a run result")
-        original, reduced = red.original_nodes, red.reduced_nodes
-        counted = (node_count(t), node_count(red.reduced_term))
-        if (original, reduced) != counted or reduced > original:
-            details.append(f"inconsistent node accounting: {original} -> {reduced}")
-        return details
+        try:
+            check_reduction(aut, t, need_reduction(), budget=budget)
+        except EnumerationBudgetExceeded:
+            raise
+        except FtaError as exc:
+            return [str(exc)]
+        return []
 
     outcomes = {}
     texts = None  # the instance's automaton and term text, rendered for the first failure
@@ -306,16 +301,16 @@ def check_random_instances(*, seed: int, count: int,
                            max_depth: int = 4, var_pool: int = 4,
                            max_states: int = 3,
                            budget: int = DEFAULT_BUDGET) -> PropertyReport:
-    """Run the suite over ``count`` seeded random instances."""
+    """Run the suite over ``count`` seeded random instances, all arguments checked first."""
+    if count < 0:
+        raise ValueError("count must be >= 0")
+    params = GenParams(DEFAULT_SIGNATURE, max_depth, var_pool, max_states)
     report = PropertyReport({name: PropertyOutcome(name) for name in PROPERTY_NAMES})
     rng = SplitMix64(seed)
     for _ in range(count):
-        state_count = 1 + rng.below(max_states)
-        term_seed = rng.next_u64()
-        aut_seed = rng.next_u64()
-        t = random_term(GenParams(DEFAULT_SIGNATURE, max_depth, var_pool, state_count, term_seed))
-        aut = random_automaton(GenParams(DEFAULT_SIGNATURE, max_depth, var_pool, state_count,
-                                         aut_seed))
+        drawn = replace(params, state_count=1 + rng.below(max_states))
+        t = random_term(replace(drawn, seed=rng.next_u64()))
+        aut = random_automaton(replace(drawn, seed=rng.next_u64()))
         report.merge(verify_properties(aut, t, budget=budget, seed=seed))
     return report
 

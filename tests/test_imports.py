@@ -125,11 +125,11 @@ def test_only_bounded_walks_take_products_of_states_or_constants():
     beforehand, or that build a complete automaton, call it.  Everything
     else reads the rules an automaton has.  The analysis numbers
     assignments in one lazy helper, whose callers check their budget
-    before they enumerate."""
+    before they enumerate, and the exhaustive re-checks enumerate through
+    :func:`fta.automaton.enumerate_assignments`."""
     assert functions_using(calls("product")) == {
         "automaton._assemble", "automaton.enumerate_assignments",
-        "essential.Analysis._numbering", "generate.random_automaton",
-        "verify.essential_by_definition"}
+        "essential.Analysis._numbering", "generate.random_automaton"}
 
 
 #: The start of each kind of automaton defect message.

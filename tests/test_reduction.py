@@ -227,7 +227,16 @@ class TestFreezeFictive:
     def test_soundness_check_catches_a_wrong_term(self, sig, aut, term):
         # not(x1 or x2) for the reduction's not(x1 and x2)
         rep = replace(freeze_fictive(aut, term), reduced_term=parse_term("g(f2(x1,x2))", sig))
-        with pytest.raises(FtaError, match="^reduction changed a run result; this is a bug$"):
+        with pytest.raises(FtaError, match=r"^pruning to g\(f2\(x1,x2\)\) changed a run result$"):
+            check_reduction(aut, term, rep)
+
+    @pytest.mark.parametrize("counts", [(16, 5), (15, 4), (3, 4)])
+    def test_soundness_check_catches_wrong_node_counts(self, aut, term, counts):
+        # the reduced term is sound; only the counts it reports are wrong
+        rep = replace(freeze_fictive(aut, term), original_nodes=counts[0],
+                      reduced_nodes=counts[1])
+        with pytest.raises(FtaError,
+                           match=f"^inconsistent node accounting: {counts[0]} -> {counts[1]}$"):
             check_reduction(aut, term, rep)
 
 

@@ -77,6 +77,18 @@ class TestRandomBatch:
         assert report.total_failures == 0
         assert all(o.instances_checked == 0 for o in report.outcomes.values())
 
+    @pytest.mark.parametrize("count", [0, 1])
+    @pytest.mark.parametrize("bad", [{"max_depth": 1000}, {"var_pool": -1}, {"max_states": 0}])
+    def test_bad_generator_arguments_raise_before_any_draw(self, count, bad):
+        # at count 0 nothing is drawn, and at count 1 max_states=0 would
+        # reach a modulo by zero in the draw of the state count
+        with pytest.raises(ValueError, match="state_count >= 1$"):
+            check_random_instances(seed=0, count=count, **bad)
+
+    def test_negative_count_raises(self):
+        with pytest.raises(ValueError, match="^count must be >= 0$"):
+            check_random_instances(seed=0, count=-1)
+
 
 class TestRepeatedVariables:
     """A variable occurring at several independent positions couples

@@ -84,6 +84,20 @@ MUTANTS = (
            '_PLAIN = b"ABC',
            '_PLAIN = b"+ABC',
            (SPLIT_TEST,)),
+    Mutant("check-reduction-node-counts-flipped", "reduction.py",
+           "if counts != (node_count(original), node_count(reduced))",
+           "if counts == (node_count(original), node_count(reduced))",
+           ("tests/test_reduction.py::TestFreezeFictive::test_soundness_check_catches_wrong_node_counts",
+            "tests/test_reduction.py::TestFreezeFictive::test_sample_reduction",
+            "tests/test_verify.py::TestPruneSoundness::test_inconsistent_node_accounting",
+            "tests/test_verify.py::TestSuiteOnSample::test_all_properties_pass")),
+    # the key keeps the outer constants but not which variable holds which
+    Mutant("oracle-bucket-key-reordered", "verify.py",
+           "tuple([gamma[v] for v in outer])",
+           "tuple(sorted([gamma[v] for v in outer]))",
+           ("tests/test_properties.py::test_oracle_over_three_constants",
+            "tests/test_verify.py::TestOracle::test_matches_search_on_sample",
+            "tests/test_verify.py::TestRandomBatch::test_zero_failures")),
 )
 
 
