@@ -88,88 +88,77 @@ class Automaton:
 
     def __reduce__(self):
         """Copies and pickles are rebuilt from a plain dict of the rules
-        (a read-only mapping does not pickle), without the compiled form
-        (see :func:`compile_automaton`), which is made again on first use."""
+        (a read-only mapping does not pickle), without the cached tables
+        (``_ids``, ``_tables``), which are made again on first use."""
         return Automaton, (self.signature, self.states, self.final, dict(self.rules))
 
+    @cached_property
+    def _ids(self) -> dict[str, int]:
+        """Each state's id: its index in ``states``."""
+        return {q: i for i, q in enumerate(self.states)}
 
-class CompiledAutomaton:
-    """An automaton with integer states and one transition dict per
-    symbol.
+    @cached_property
+    def _tables(self) -> dict[str, dict[int, int]]:
+        """One transition dict per symbol, by state ids, built on first use.
 
-    ``names[i]`` is the state with id i, in declaration order, and
-    ``ids`` is the inverse.  The rule
-    ``f(q1,...,qn) -> q`` maps, in ``tables[f]``, the index of the
-    argument ids a1..an in base ``len(names)`` with the digits a1+1,
-    ..., an+1 (bijective numeration) to q's id, so argument tuples of
-    every length have their own index and a constant's rule has index 0.
-    The automaton is complete, so only a node whose symbol or arity the
-    signature does not have finds no rule: a ``LookupError`` from
-    ``tables``.
-    """
-
-    def __init__(self, aut: Automaton):
-        self.names = aut.states
-        self.ids = ids = {q: i for i, q in enumerate(self.names)}
-        self.base = base = len(self.names)
-        self.tables: dict[str, dict[int, int]] = {}
-        for (symbol, args), target in aut.rules.items():
+        The rule ``f(q1,...,qn) -> q`` maps, in ``_tables[f]``, the index
+        of the argument ids a1..an in base ``len(states)`` with the
+        digits a1+1, ..., an+1 (bijective numeration) to q's id, so
+        argument tuples of every length have their own index and a
+        constant's rule has index 0.  The automaton is complete, so only
+        a node whose symbol or arity the signature does not have finds
+        no rule: a ``LookupError``.
+        """
+        ids, base = self._ids, len(self.states)
+        tables: dict[str, dict[int, int]] = {}
+        for (symbol, args), target in self.rules.items():
             index = 0
             for q in args:
                 index = index * base + ids[q] + 1
-            self.tables.setdefault(symbol, {})[index] = ids[target]
+            tables.setdefault(symbol, {})[index] = ids[target]
+        return tables
 
-    def state_ids(self, gamma: Mapping[int, str], term: CompiledTerm,
-                  row: Sequence[int] | None = None,
-                  nodes: Sequence[int] | None = None) -> list[int]:
-        """The state id at every node of ``term``, by node id, for the
-        run under ``gamma`` (see :func:`run`, which also checks
-        ``gamma``).
 
-        Given ``row``, the state ids of another run of ``term``, only
-        ``nodes`` (ascending ids) are evaluated again, in a copy of it.
-        A subtree's state depends only on its own variables, so the
-        nodes above every variable on which the two runs' assignments
-        differ are all that can change; ``gamma`` need bind only those
-        variables."""
-        tables, base, ids = self.tables, self.base, self.ids
-        if row is None:
-            kinds = term.kinds
-            states = [0] * len(kinds)
-            todo = zip(range(len(kinds)), kinds, term.labels, term.children)
+def state_ids(aut: Automaton, gamma: Mapping[int, str], term: CompiledTerm,
+              row: Sequence[int] | None = None,
+              nodes: Sequence[int] | None = None) -> list[int]:
+    """The state id at every node of ``term``, by node id, for the run of
+    ``aut`` under ``gamma`` (see :func:`run`, which also checks
+    ``gamma``).
+
+    Given ``row``, the state ids of another run of ``term``, only
+    ``nodes`` (ascending ids) are evaluated again, in a copy of it.  A
+    subtree's state depends only on its own variables, so the nodes
+    above every variable on which the two runs' assignments differ are
+    all that can change; ``gamma`` need bind only those variables."""
+    tables, base, ids = aut._tables, len(aut.states), aut._ids
+    if row is None:
+        kinds = term.kinds
+        states = [0] * len(kinds)
+        todo = zip(range(len(kinds)), kinds, term.labels, term.children)
+    else:
+        states = list(row)
+        todo = map(term.records.__getitem__, nodes)
+    for i, kind, label, kids in todo:
+        if kind is Node:
+            index = 0
+            for k in kids:
+                index = index * base + states[k] + 1
+            try:
+                state = tables[label][index]
+            except LookupError:
+                raise _no_transition(label, tuple(aut.states[states[k]] for k in kids)) from None
+        elif kind is Var:
+            c = gamma.get(label)
+            if c is None:
+                raise UnboundVariableError(f"x{label} is not bound by the assignment")
+            state = tables[c][0]
         else:
-            states = list(row)
-            todo = map(term.records.__getitem__, nodes)
-        for i, kind, label, kids in todo:
-            if kind is Node:
-                index = 0
-                for k in kids:
-                    index = index * base + states[k] + 1
-                try:
-                    state = tables[label][index]
-                except LookupError:
-                    raise _no_transition(label, tuple(self.names[states[k]] for k in kids)) from None
-            elif kind is Var:
-                c = gamma.get(label)
-                if c is None:
-                    raise UnboundVariableError(f"x{label} is not bound by the assignment")
-                state = tables[c][0]
-            else:
-                state = ids.get(label)
-                if state is None:
-                    raise FtaError(f"@{label} is not a state of the automaton")
-            states[i] = state
-        return states
-
-
-def compile_automaton(aut: Automaton) -> CompiledAutomaton:
-    """The compiled form of ``aut``: built on first use and kept with
-    ``aut``, so every later run with the same automaton object reuses it."""
-    compiled = aut.__dict__.get("_compiled")
-    if compiled is None:
-        compiled = CompiledAutomaton(aut)
-        object.__setattr__(aut, "_compiled", compiled)
-    return compiled
+            state = ids.get(label)
+            if state is None:
+                raise FtaError(f"@{label} is not a state of the automaton")
+        states[i] = state
+    return states
 
 
 @dataclass(frozen=True)
@@ -177,12 +166,12 @@ class RunTrace:
     """The state at every node of a term, for one run.
 
     ``ids`` holds the state of each node by its id in the term's
-    compiled form (:class:`fta.terms.CompiledTerm`), as state ids of the
-    automaton's compiled form (:class:`CompiledAutomaton`, whose
-    ``names`` maps them back).  ``states`` holds the same states as
-    names, by node id, made from ``ids`` when first read, so a caller
-    that reads only ``result`` and ``ids``, as the analysis of a term
-    does (:class:`fta.essential.Analysis`), never pays for names.
+    compiled form (:class:`fta.terms.CompiledTerm`), as state ids: the
+    ids of the automaton's own transition tables (:attr:`Automaton._ids`),
+    which index ``_names``, its ``states``.  ``states`` holds the same
+    states as names, by node id, made from ``ids`` when first read, so a
+    caller that reads only ``result`` and ``ids``, as the analysis of a
+    term does (:class:`fta.essential.Analysis`), never pays for names.
     Two traces are equal, and hash alike, when their results, ids and
     state names are.  Attributes cannot be set.
     """
@@ -350,8 +339,8 @@ def render_automaton(aut: Automaton) -> str:
     """
     sig = aut.signature
     symbols = {name: i for i, (name, _) in enumerate(sig.symbols)}
-    order = {q: i for i, q in enumerate(aut.states)}
-    keys = sorted(aut.rules, key=lambda key: (symbols[key[0]], [order[q] for q in key[1]]))
+    ids = aut._ids
+    keys = sorted(aut.rules, key=lambda key: (symbols[key[0]], [ids[q] for q in key[1]]))
     lines = [
         "signature: " + " ".join(f"{n}/{a}" for n, a in sig.symbols),
         "states: " + " ".join(aut.states),
@@ -431,8 +420,9 @@ def run(aut: Automaton, gamma: Mapping[int, str], t: Term) -> RunTrace:
     The nodes of ``t``'s compiled form are evaluated in id order, which
     is post-order, so the first error met is the one a recursive
     evaluation would meet.  Each node's state is one lookup in the
-    compiled automaton's tables (:class:`CompiledAutomaton`); the trace
-    names the states only when they are read (see :class:`RunTrace`).
+    automaton's transition tables, which it builds on first use and
+    keeps (:attr:`Automaton._tables`); the trace names the states only
+    when they are read (see :class:`RunTrace`).
 
     A variable leaf bound to the constant c gets the state of the leaf c.
     So fixing some variables of ``t`` to constants needs no substituted
@@ -440,10 +430,8 @@ def run(aut: Automaton, gamma: Mapping[int, str], t: Term) -> RunTrace:
     ``t``'s run has there under any assignment extending those values.
     """
     check_assignment(aut.signature, gamma)
-    term = compile_term(t)
-    compiled = compile_automaton(aut)
-    ids = tuple(compiled.state_ids(gamma, term))
-    return RunTrace(compiled.names[ids[-1]], ids, compiled.names)
+    ids = tuple(state_ids(aut, gamma, compile_term(t)))
+    return RunTrace(aut.states[ids[-1]], ids, aut.states)
 
 
 def partial_run(aut: Automaton, gamma: Mapping[int, str], t: Term) -> Term:
@@ -458,8 +446,7 @@ def partial_run(aut: Automaton, gamma: Mapping[int, str], t: Term) -> Term:
     """
     check_assignment(aut.signature, gamma)
     term = compile_term(t)
-    compiled = compile_automaton(aut)
-    tables, base, names = compiled.tables, compiled.base, compiled.names
+    tables, base, names = aut._tables, len(aut.states), aut.states
     done: list[int | Term] = []  # a collapsed subtree's state id, else its term
     for kind, label, kids in zip(term.kinds, term.labels, term.children):
         if kind is Node:
@@ -487,7 +474,7 @@ def partial_run(aut: Automaton, gamma: Mapping[int, str], t: Term) -> Term:
         elif kind is Var:
             done.append(tables[gamma[label]][0])
         else:  # a state the automaton lacks has no id, so it stays a leaf
-            done.append(compiled.ids.get(label, StateLeaf(label)))
+            done.append(aut._ids.get(label, StateLeaf(label)))
     out = done[term.root]
     return StateLeaf(names[out]) if type(out) is int else out
 

@@ -400,6 +400,11 @@ def main(argv=None) -> int:
     if errors:
         sys.stdout.reconfigure(errors=errors)
     args = build_parser().parse_args(argv)
+    # argparse drops a "--" that is an option's own value (--term=--) and
+    # stores [], unconverted; no option takes a list, so that is a missing value
+    for name, value in vars(args).items():
+        if isinstance(value, list):
+            return _usage_error(f"argument --{name.replace('_', '-')}: expected one argument")
     try:
         return args.func(args)
     except EnumerationBudgetExceeded as exc:

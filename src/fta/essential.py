@@ -24,8 +24,8 @@ from .automaton import (
     DEFAULT_BUDGET,
     Assignment,
     Automaton,
-    compile_automaton,
     run,
+    state_ids,
 )
 from .errors import (
     EnumerationBudgetExceeded,
@@ -174,7 +174,8 @@ class Analysis:
         The first row is a run of the term.  Every later one starts from
         the row made last and evaluates again only the nodes above the
         variables whose constants differ between the two numbers
-        (:meth:`fta.automaton.CompiledAutomaton.state_ids`); the ids of
+        (:func:`fta.automaton.state_ids`, which reads the transition
+        tables the automaton builds on first use and keeps); the ids of
         the nodes over each variable are listed, ascending, on first
         need, and merged when several variables change."""
         last = self._last
@@ -197,7 +198,7 @@ class Analysis:
                     above[v] = [i for i, vs in enumerate(at) if v in vs]
             nodes = (above[next(iter(gamma))] if len(gamma) == 1
                      else sorted(set().union(*[above[v] for v in gamma])))
-            row = compile_automaton(self.aut).state_ids(gamma, self.term, self._rows[last], nodes)
+            row = state_ids(self.aut, gamma, self.term, self._rows[last], nodes)
         self._rows[number] = row
         self._last = number
         return row
@@ -267,7 +268,7 @@ class Analysis:
         if found is None:
             return None
         n1, n2, sub1, sub2, root1, root2 = found
-        names = compile_automaton(self.aut).names
+        names = self.aut.states
         inner = self.term.variables_at[node]
         order = [*sorted(self.term.variables - inner), *sorted(inner)]
         return WitnessPair(p, self._assignment(n1, order), self._assignment(n2, order),
@@ -297,7 +298,7 @@ class Analysis:
 
     def first_state(self, node: int) -> str:
         """The state at ``node`` under the first canonical assignment."""
-        return compile_automaton(self.aut).names[(self._rows.get(0) or self._run(0))[node]]
+        return self.aut.states[(self._rows.get(0) or self._run(0))[node]]
 
     def essential_vars(self, budget: int) -> frozenset[int]:
         """See :func:`essential_vars`."""

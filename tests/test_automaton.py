@@ -32,8 +32,6 @@ from fta import (
     subterm_at,
 )
 
-from fta.automaton import compile_automaton
-
 from conftest import P, SAMPLE_AUTOMATON, state_at
 
 G1 = {1: "0", 2: "0", 3: "0", 4: "1"}
@@ -200,8 +198,7 @@ class TestRun:
         again = run(aut, G1, term)
         assert trace == again and hash(trace) == hash(again)
         assert len({trace, again, run(aut, G2, term)}) == 2
-        names = compile_automaton(aut).names
-        assert repr(trace) == f"RunTrace(result='q1', ids={trace.ids!r}, _names={names!r})"
+        assert repr(trace) == f"RunTrace(result='q1', ids={trace.ids!r}, _names={aut.states!r})"
         for attr in ("result", "ids", "_names", "states", "other"):
             with pytest.raises(FrozenInstanceError):
                 setattr(trace, attr, None)
@@ -222,7 +219,7 @@ class TestRun:
 
     def test_names_made_only_when_read(self, aut, term):
         trace = run(aut, G1, term)
-        names = compile_automaton(aut).names
+        names = aut.states
         assert trace.result == names[trace.ids[-1]] == "q1"
         assert "states" not in trace.__dict__  # reading the result and ids named no node
         assert trace.states == tuple(names[i] for i in trace.ids)
@@ -393,11 +390,13 @@ class TestCanonicalGround:
         assert parse_automaton(render_automaton(one)) == (wide_sig, one)
 
 
-class TestCompiledAutomaton:
+class TestTransitionTables:
     def test_state_ids_in_declaration_order(self, aut):
-        compiled = compile_automaton(aut)
-        assert compiled.names == ("q0", "q1")
-        assert compile_automaton(aut) is compiled
+        assert aut._ids == {"q0": 0, "q1": 1}
+        assert aut._ids is aut._ids and aut._tables is aut._tables  # made once
+        # the argument ids (a1, a2) of f1 have index (a1+1)*2 + a2+1
+        assert aut._tables["f1"] == {3: 0, 4: 0, 5: 0, 6: 1}
+        assert aut._tables["g"] == {1: 1, 2: 0} and aut._tables["0"] == {0: 0}
         # f1(q1,q1) -> q1 and f1(q0,q1) -> q0, with the constants' states first
         assert run(aut, {}, Node("f1", (Node("1"), Node("1")))).ids == (1, 1, 1)
         assert run(aut, {}, Node("f1", (Node("0"), Node("1")))).ids == (0, 1, 0)
@@ -405,7 +404,7 @@ class TestCompiledAutomaton:
     def test_rule_of_high_arity_gets_a_sparse_table(self, sig):
         # the argument ids of h(q0,...,q0) have index 40 in base 1
         one = one_state_with_h40(sig)
-        assert compile_automaton(one).tables["h"] == {40: 0}
+        assert one._tables["h"] == {40: 0}
         assert run(one, {}, Node("h", (Node("1"),) * 40)).result == "q0"
         with pytest.raises(FtaError, match=r"^no transition for h\(q0,q0,"):
             run(one, {}, Node("h", (Node("0"),) * 39))

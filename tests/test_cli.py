@@ -391,6 +391,36 @@ def test_superscript_digits_are_input_errors(command, message, aut_file, tmp_pat
     assert "Traceback" not in err
 
 
+#: Commands whose last option is given the value "--", and that option.
+DOUBLE_DASH_VALUES = [
+    (["essential", "AUT", "--term=--"], "--term"),
+    (["essential", "AUT", "--term-file=--"], "--term-file"),
+    (["run", "AUT", "-t=--"], "--term"),
+    (["run", "AUT", "--term-file=--"], "--term-file"),
+    (["verify", "AUT", "--term=--"], "--term"),
+    (["essential", "AUT", "-t", "x1", "--position=--"], "--position"),
+    (["separable", "AUT", "-t", "x1", "--set=--"], "--set"),
+    (["separable", "AUT", "-t", "x1", "--set", "ε", "--wrt=--"], "--wrt"),
+    (["verify", "--replay=--"], "--replay"),
+    (["essential", "AUT", "-t", "x1", "--max-assignments=--"], "--max-assignments"),
+    (["verify", "--random", "--seed=--"], "--seed"),
+    (["verify", "--random", "--count=--"], "--count"),
+    (["verify", "--random", "--max-depth=--"], "--max-depth"),
+    (["run", "AUT", "-t", "x1", "--assign=--"], "--assign"),
+]
+
+
+@pytest.mark.parametrize("argv, option", DOUBLE_DASH_VALUES,
+                         ids=[" ".join(argv) for argv, _ in DOUBLE_DASH_VALUES])
+def test_an_option_given_the_value_double_dash_lacks_its_value(argv, option, aut_file, capsys):
+    """argparse drops a "--" that is an option's own value and stores an
+    empty list, unconverted: that is one error line and exit 2, as a
+    missing value is, never a traceback or a run without the option."""
+    assert main([aut_file if a == "AUT" else a for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: argument {option}: expected one argument\n")
+
+
 class TestSeparable:
     def test_separable_singleton(self, aut_file, capsys):
         assert main(["separable", aut_file, "-t", SAMPLE_TERM, "--set", "1.1"]) == 0

@@ -45,6 +45,10 @@ NESTING_TEST = "tests/test_properties.py::test_every_compiled_form_nests_its_sub
 ROWS_TESTS = ("tests/test_properties.py::test_rows_are_runs_in_any_order",
               "tests/test_properties.py::test_rows_are_runs_in_any_order_over_three_constants")
 SPLIT_TEST = "tests/test_terms.py::test_split_tokens_are_the_scanned_ones"
+TABLES_TEST = "tests/test_automaton.py::TestTransitionTables::test_state_ids_in_declaration_order"
+HIGH_ARITY_TEST = ("tests/test_automaton.py::TestTransitionTables"
+                   "::test_rule_of_high_arity_gets_a_sparse_table")
+RUN_TEST = "tests/test_properties.py::test_run_matches_recursive_reference"
 
 MUTANTS = (
     Mutant("p2-never-reports", "verify.py",
@@ -97,7 +101,22 @@ MUTANTS = (
            "tuple(sorted([gamma[v] for v in outer]))",
            ("tests/test_properties.py::test_oracle_over_three_constants",
             "tests/test_verify.py::TestOracle::test_matches_search_on_sample",
-            "tests/test_verify.py::TestRandomBatch::test_zero_failures")),
+            "tests/test_verify.py::TestRandomBatch::test_zero_failures",
+            "tests/test_properties.py::test_bucketed_oracle_matches_all_pairs")),
+    # the tables' argument digits no longer match the ones runs look up
+    Mutant("tables-digit-without-plus-one", "automaton.py",
+           "index = index * base + ids[q] + 1",
+           "index = index * base + ids[q]",
+           (TABLES_TEST, HIGH_ARITY_TEST, RUN_TEST)),
+    Mutant("tables-base-one-too-big", "automaton.py",
+           "ids, base = self._ids, len(self.states)",
+           "ids, base = self._ids, len(self.states) + 1",
+           (TABLES_TEST, HIGH_ARITY_TEST, RUN_TEST)),
+    # ids no longer index ``states``, which names them back
+    Mutant("ids-out-of-declaration-order", "automaton.py",
+           "{q: i for i, q in enumerate(self.states)}",
+           "{q: i for i, q in enumerate(self.states[::-1])}",
+           (TABLES_TEST, RUN_TEST)),
 )
 
 
