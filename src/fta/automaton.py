@@ -121,25 +121,25 @@ class Automaton:
 
 def state_ids(aut: Automaton, gamma: Mapping[int, str], term: CompiledTerm,
               row: Sequence[int] | None = None,
-              nodes: Sequence[int] | None = None) -> list[int]:
+              nodes: Iterable[tuple] | None = None) -> list[int]:
     """The state id at every node of ``term``, by node id, for the run of
     ``aut`` under ``gamma`` (see :func:`run`, which also checks
     ``gamma``).
 
     Given ``row``, the state ids of another run of ``term``, only
-    ``nodes`` (ascending ids) are evaluated again, in a copy of it.  A
-    subtree's state depends only on its own variables, so the nodes
-    above every variable on which the two runs' assignments differ are
-    all that can change; ``gamma`` need bind only those variables."""
+    ``nodes`` (the id, kind, label and child ids of each, ascending) are
+    evaluated again, in a copy of it.  A subtree's state depends only on
+    its own variables, so the nodes above every variable on which the
+    two runs' assignments differ are all that can change; ``gamma`` need
+    bind only those variables."""
     tables, base, ids = aut._tables, len(aut.states), aut._ids
     if row is None:
         kinds = term.kinds
         states = [0] * len(kinds)
-        todo = zip(range(len(kinds)), kinds, term.labels, term.children)
+        nodes = zip(range(len(kinds)), kinds, term.labels, term.children)
     else:
         states = list(row)
-        todo = map(term.records.__getitem__, nodes)
-    for i, kind, label, kids in todo:
+    for i, kind, label, kids in nodes:
         if kind is Node:
             index = 0
             for k in kids:

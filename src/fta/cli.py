@@ -68,7 +68,7 @@ def _emit(args, lines, *, inputs, verdict=None, witnesses=None,
 
 
 def _load_automaton(path: str):
-    return parse_automaton(Path(path).read_text(encoding="utf-8"))
+    return parse_automaton(Path(path).read_text(encoding="utf-8-sig"))
 
 
 def _load(args):
@@ -76,7 +76,7 @@ def _load(args):
     sig, aut = _load_automaton(args.automaton)
     text = args.term
     if text is None:
-        text = Path(args.term_file).read_text(encoding="utf-8")
+        text = Path(args.term_file).read_text(encoding="utf-8-sig")
     t = parse_term(text, sig)
     return aut, t, {"automaton": args.automaton, "term": render_term(t)}
 
@@ -108,7 +108,10 @@ def cmd_run(args) -> int:
     gamma = parse_assignment(args.assign, aut.signature) if args.assign else {}
     inputs["assign"] = _assignment_json(gamma)
     term = compile_term(t)
-    if term.variables <= gamma.keys():
+    unbound = " ".join(f"x{v}" for v in sorted(term.variables - gamma.keys()))
+    if args.trace and unbound:
+        return _usage_error(f"--trace needs every variable bound; unbound: {unbound}")
+    if not unbound:
         trace = run(aut, gamma, t)
         lines = [trace.result]
         trace_json = None
@@ -269,7 +272,7 @@ def cmd_verify(args) -> int:
         return _usage_error(f"{flag} cannot be combined with an automaton or a term")
     inputs = {}
     if replay:
-        blob = Path(args.replay).read_text(encoding="utf-8")
+        blob = Path(args.replay).read_text(encoding="utf-8-sig")
         report = replay_failure(blob, budget=args.max_assignments)
         inputs = {"replay": args.replay}
     elif args.random:

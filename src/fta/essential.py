@@ -155,7 +155,6 @@ class Analysis:
         self._rows: dict[int, Sequence[int]] = {}
         self._last = -1  # the number of the row made last
         self._numbers: dict[frozenset[int], list[int]] = {}  # inner sets' only: see witness
-        self._above: dict[int, list[int]] = {}  # by variable: the nodes over it, see _run
 
     def _afford(self, digits: int, budget: int) -> int:
         """How many assignments ``digits`` variables have, if ``budget`` allows."""
@@ -175,9 +174,9 @@ class Analysis:
         the row made last and evaluates again only the nodes above the
         variables whose constants differ between the two numbers
         (:func:`fta.automaton.state_ids`, which reads the transition
-        tables the automaton builds on first use and keeps); the ids of
-        the nodes over each variable are listed, ascending, on first
-        need, and merged when several variables change."""
+        tables the automaton builds on first use and keeps); the nodes
+        above each variable, read from :attr:`fta.terms.CompiledTerm.above`,
+        are merged by id when several variables change."""
         last = self._last
         if last < 0:
             row = run(self.aut, self._assignment(number, self._weight), self._t()).ids
@@ -191,11 +190,7 @@ class Analysis:
                 b, db = divmod(b, k)
                 if da != db:
                     gamma[v] = consts[da]
-            above = self._above
-            if not above:
-                at = self.term.variables_at
-                for v in self._weight:
-                    above[v] = [i for i, vs in enumerate(at) if v in vs]
+            above = self.term.above
             nodes = (above[next(iter(gamma))] if len(gamma) == 1
                      else sorted(set().union(*[above[v] for v in gamma])))
             row = state_ids(self.aut, gamma, self.term, self._rows[last], nodes)

@@ -104,9 +104,8 @@ class Node:
     A term :func:`parse_term` made, and a copy or pickle of any node,
     holds only its compiled form (:func:`compile_term`) until
     ``children`` is first read; then the whole tree below it is built
-    from that form in one pass, every leaf of one label being one
-    object.  So copying, pickling and rebuilding never recurse, however
-    deep the term."""
+    from that form (:meth:`CompiledTerm.tree`).  So copying, pickling
+    and rebuilding never recurse, however deep the term."""
 
     symbol: str
     children: tuple["Term", ...]
@@ -119,22 +118,12 @@ class Node:
         fields["children"] = children
 
     def __getattr__(self, name: str):
-        """``children``, built from the compiled form when first read;
-        only a missing attribute comes here."""
+        """``children``, those of a copy built from the compiled form,
+        when first read; only a missing attribute comes here."""
         term = self.__dict__.get("_compiled")
         if name != "children" or term is None:
             raise AttributeError(name)
-        leaves: dict[tuple[type, object], Term] = {}
-        made: list[Term] = []  # by node id; the last is a copy of this node
-        for kind, label, kids in zip(term.kinds, term.labels, term.children):
-            if kids:
-                made.append(Node(label, tuple([made[k] for k in kids])))
-            else:
-                leaf = leaves.get((kind, label))
-                if leaf is None:
-                    leaf = leaves[kind, label] = kind(label)
-                made.append(leaf)
-        children = self.__dict__["children"] = made[-1].children
+        children = self.__dict__["children"] = term.tree().children
         return children
 
     def __getstate__(self) -> dict:
@@ -472,9 +461,9 @@ class CompiledTerm:
     ``i - sizes[i] + 1`` to ``i``; ``variables`` holds the indices of
     the variables that occur.  :meth:`node_at` finds a position's
     node, and :meth:`position_of` a node's position, by walking
-    ``children`` down from the root.  Each node's
-    position and rendered name, the breadth-first order and the
-    variables below each node are built on first use.
+    ``children`` down from the root.  Each node's position and name, the
+    breadth-first order, the variables below each node and the nodes
+    above each variable are built whole on first use and stored once.
     """
 
     def __init__(self, kinds: list[type], labels: list[object],
@@ -492,11 +481,20 @@ class CompiledTerm:
         is nodes times depth, is never copied."""
         return CompiledTerm, (self.kinds, self.labels, self.children, self.sizes, self.variables)
 
-    @cached_property
-    def records(self) -> tuple[tuple[int, type, object, tuple[int, ...]], ...]:
-        """Each node's id, kind, label and child ids, by node id: what
-        evaluating the node reads, in one tuple."""
-        return tuple(zip(range(len(self.kinds)), self.kinds, self.labels, self.children))
+    def tree(self, binding: Mapping[int, Term] | None = None) -> Term:
+        """The term, built bottom-up from the arrays: every leaf of one
+        label is one object, and a variable ``binding`` binds is its term."""
+        leaves = {(Var, v): u for v, u in (binding or {}).items()}
+        made: list[Term] = []  # by node id
+        for kind, label, kids in zip(self.kinds, self.labels, self.children):
+            if kids:
+                made.append(Node(label, tuple([made[k] for k in kids])))
+            else:
+                leaf = leaves.get((kind, label))
+                if leaf is None:
+                    leaf = leaves[kind, label] = kind(label)
+                made.append(leaf)
+        return made[-1]
 
     @cached_property
     def positions(self) -> tuple[Position, ...]:
@@ -585,6 +583,15 @@ class CompiledTerm:
                         found = other if found <= other else found | other
             acc.append(found)
         return tuple(acc)
+
+    @cached_property
+    def above(self) -> dict[int, tuple[tuple[int, type, object, tuple[int, ...]], ...]]:
+        """By variable, in ascending id order, the id, kind, label and
+        child ids of each node whose subtree holds it, its own leaves too:
+        the nodes to evaluate again when that variable alone changes."""
+        records = list(zip(range(len(self.kinds)), self.kinds, self.labels, self.children))
+        at = self.variables_at
+        return {v: tuple([r for r in records if v in at[r[0]]]) for v in self.variables}
 
 
 def compile_term(t: Term) -> CompiledTerm:
@@ -677,16 +684,7 @@ def substitute(t: Term, binding: Mapping[int, Term]) -> Term:
     Unbound variables stay; variables inside replacement terms are not
     substituted again.
     """
-    term = compile_term(t)
-    done: list[Term] = []
-    for kind, label, kids in zip(term.kinds, term.labels, term.children):
-        if kind is Var:
-            done.append(binding.get(label, Var(label)))
-        elif kind is StateLeaf:
-            done.append(StateLeaf(label))
-        else:
-            done.append(Node(label, tuple(done[k] for k in kids)))
-    return done[term.root]
+    return compile_term(t).tree(binding)
 
 
 def ind_positions(t: Term, p: Position) -> PositionSet:

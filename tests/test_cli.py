@@ -176,6 +176,34 @@ def test_non_utf8_byte_in_term_is_input_error(aut_file, capsys):
     assert capsys.readouterr().err == "error: expected a term, found end of input (byte 5)\n"
 
 
+def test_a_byte_order_mark_is_read_past(aut_file, tmp_path, capsys, monkeypatch):
+    """An automaton, term file or failure artifact that starts with a
+    UTF-8 byte-order mark reads as the same file without it."""
+    monkeypatch.chdir(tmp_path)
+    term_file = tmp_path / "readme.term"
+    term_file.write_text(SAMPLE_TERM + "\n", encoding="utf-8")
+    assert main(["verify", aut_file, "-t", "f2(f1(x1,g(x1)),x1)",
+                 "--failure-dir", "artifacts"]) == 1
+    artifact = sorted((tmp_path / "artifacts").glob("*.json"))[0]
+    capsys.readouterr()
+
+    def with_mark(path):
+        copy = tmp_path / f"marked-{Path(path).name}"
+        copy.write_bytes(b"\xef\xbb\xbf" + Path(path).read_bytes())
+        return str(copy)
+
+    total = "x1=0,x2=1,x3=1,x4=0"
+    for argv, code in ((["check", aut_file], 0),
+                       (["run", aut_file, "-f", str(term_file), "--assign", total], 0),
+                       (["verify", "--replay", str(artifact)], 1)):
+        assert main(argv) == code
+        plain = capsys.readouterr()
+        marked = [with_mark(a) if a in (aut_file, str(term_file), str(artifact)) else a
+                  for a in argv]
+        assert main(marked) == code
+        assert capsys.readouterr() == plain and plain.err == ""
+
+
 class TestCheck:
     def test_ok(self, aut_file, capsys):
         assert main(["check", aut_file]) == 0
@@ -249,6 +277,14 @@ class TestRun:
         out = capsys.readouterr().out.splitlines()
         assert out[0] == "q1"
         assert out[1:] == ["ε q1", "1 q0"]
+
+    @pytest.mark.parametrize("mode", [[], ["--json"]], ids=["text", "json"])
+    def test_trace_with_a_partial_assignment_is_refused(self, aut_file, capsys, mode):
+        # a mixed term has no state at its unbound leaves, so nothing to trace
+        argv = ["run", aut_file, "-t", SAMPLE_TERM, "--assign", "x1=0", "--trace", *mode]
+        assert main(argv) == 2
+        assert capsys.readouterr() == (
+            "", "error: --trace needs every variable bound; unbound: x2 x3 x4\n")
 
     def test_unknown_assignment_symbol(self, aut_file, capsys):
         assert main(["run", aut_file, "-t", "g(x1)", "--assign", "x1=q"]) == 2

@@ -1,6 +1,8 @@
 import copy
 import gc
 import pickle
+import sys
+import threading
 import weakref
 from dataclasses import replace
 from itertools import product
@@ -526,3 +528,36 @@ def test_a_queried_term_copies_and_pickles_without_its_analysis(sig, aut, duplic
     c = duplicate(t)
     assert c == t and "_compiled" in c.__dict__ and "_analysis" not in c.__dict__
     assert essential_positions(aut, c) == report
+
+
+def test_threads_querying_one_term_get_the_single_thread_report(sig, aut):
+    # each fresh term is shared by four threads released together, with
+    # a tiny switch interval so that they interleave inside the analysis
+    text = "x1"
+    for v in range(2, 10):
+        text = f"f2(g(f1(x{v},{text})),g(x{v}))"
+    expected = essential_positions(aut, parse_term(text, sig))
+    reports, errors = [], []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(40):
+            t = parse_term(text, sig)
+            barrier = threading.Barrier(4)
+
+            def query():
+                barrier.wait()
+                try:
+                    reports.append(essential_positions(aut, t))
+                except Exception as e:
+                    errors.append(e)
+
+            threads = [threading.Thread(target=query) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert errors == []
+    assert len(reports) == 160 and all(r == expected for r in reports)

@@ -69,12 +69,17 @@ MUTANTS = (
            " if all(n // w % len(self._consts) < 2 for w in self._weight.values())])",
            ("tests/test_properties.py::test_report_matches_fresh_searches_over_three_constants",)),
     Mutant("rows-skip-a-node", "automaton.py",
-           "todo = map(term.records.__getitem__, nodes)",
-           "todo = map(term.records.__getitem__, nodes[1:])",
+           "states = list(row)",
+           "states, nodes = list(row), nodes[1:]",
            ROWS_TESTS),
     Mutant("rows-merge-one-variable-too-few", "essential.py",
            "sorted(set().union(*[above[v] for v in gamma]))",
            "sorted(set().union(*[above[v] for v in list(gamma)[1:]]))",
+           ROWS_TESTS),
+    # a row made after a change of one variable keeps that variable's old constant
+    Mutant("above-leaves-out-the-variables-own-leaves", "terms.py",
+           "if v in at[r[0]]]",
+           "if v in at[r[0]] and r[1] is not Var]",
            ROWS_TESTS),
     Mutant("state-leaf-takes-split-path", "terms.py",
            '_PLAIN = b"ABC',
